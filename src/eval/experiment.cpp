@@ -15,8 +15,7 @@ ExperimentRunner::ExperimentRunner(const Track& track, ExperimentConfig config)
       raceline_{config.raceline_override.empty() ? track.centerline
                                                  : config.raceline_override},
       profile_{raceline_, config.profile},
-      alignment_{track.grid, config.align_tolerance},
-      wall_distance_{distance_to_occupied(track.grid)} {
+      alignment_{track.grid, config.align_tolerance} {
   auto map = std::make_shared<const OccupancyGrid>(track_.grid);
   truth_caster_ =
       std::make_shared<RayMarching>(std::move(map), config_.lidar.max_range);
@@ -147,7 +146,7 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
     slip_abs.add(std::abs(state.slip));
 
     // Crash: true pose too close to (or inside) a wall.
-    if (wall_distance_.at_world({state.pose.x, state.pose.y}) <
+    if (alignment_.wall_distance().at_world({state.pose.x, state.pose.y}) <
         static_cast<float>(config_.crash_wall_distance)) {
       result.crashed = true;
       break;

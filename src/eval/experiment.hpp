@@ -143,8 +143,7 @@ class ExperimentRunner {
   ExperimentConfig config_;
   Raceline raceline_;
   SpeedProfile profile_;
-  ScanAlignmentScorer alignment_;
-  DistanceField wall_distance_;
+  ScanAlignmentScorer alignment_;  ///< also the crash check's wall field
   std::shared_ptr<const RangeMethod> truth_caster_;
 };
 

@@ -5,51 +5,13 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "core/synpf.hpp"
-#include "eval/postmortem.hpp"
-#include "fault/faulted_localizer.hpp"
-#include "fault/pipeline.hpp"
-#include "governor/governor.hpp"
-#include "recovery/supervised_localizer.hpp"
-#include "slam/pure_localization.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "eval/stack.hpp"
 #include "telemetry/telemetry.hpp"
 #include "track/raceline.hpp"
 
 namespace srl::frontier {
 
 namespace {
-
-constexpr const char* kRecoverySuffix = "+Recovery";
-
-bool wants_recovery(const std::string& kind) {
-  const std::string suffix{kRecoverySuffix};
-  return kind.size() > suffix.size() &&
-         kind.compare(kind.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string base_kind(const std::string& kind) {
-  return wants_recovery(kind)
-             ? kind.substr(0, kind.size() - std::string{kRecoverySuffix}.size())
-             : kind;
-}
-
-std::unique_ptr<Localizer> make_localizer(
-    const std::string& kind, const std::shared_ptr<const OccupancyGrid>& map,
-    const LidarConfig& lidar, const FrontierSearchConfig& config) {
-  if (kind == "SynPF") {
-    SynPfConfig cfg;
-    cfg.range = RangeMethodKind::kCddt;  // fast construction per probe
-    cfg.filter.n_particles = config.n_particles;
-    cfg.filter.n_threads = config.cell_threads;
-    return std::make_unique<SynPf>(cfg, map, lidar);
-  }
-  if (kind == "CartoLite") {
-    return std::make_unique<CartoLocalizer>(PureLocalizationOptions{}, map,
-                                            lidar);
-  }
-  return nullptr;
-}
 
 /// One closed-loop probe: race `localizer_kind` through `scenario` on the
 /// prebuilt track. When `blackboxes` is non-null (the defining-failure
@@ -64,116 +26,48 @@ FrontierEvaluation closed_loop_probe(
   eval.index = scenario.index;
   eval.severity = scenario.severity;
 
-  ExperimentConfig experiment = config.experiment;
-  fault::FaultPipeline pipeline{config.fault_seed, experiment.lidar};
-  if (scenario.severity > 0.0) {
-    pipeline.add(fault::make_injector(scenario.axis, scenario.profile));
-  }
-
-  std::unique_ptr<Localizer> localizer =
-      make_localizer(base_kind(localizer_kind), map, experiment.lidar, config);
-  if (localizer == nullptr) {
-    eval.failed = true;  // unknown kind: permanently broken combination
-    return eval;
-  }
-  fault::FaultedLocalizer faulted{*localizer, pipeline};
-
-  std::unique_ptr<recovery::SupervisedLocalizer> supervised;
-  Localizer* subject = &faulted;
-  if (wants_recovery(localizer_kind)) {
-    supervised = std::make_unique<recovery::SupervisedLocalizer>(
-        faulted, recovery::SupervisedLocalizerConfig{}, map, experiment.lidar);
-    if (auto* synpf = dynamic_cast<SynPf*>(localizer.get())) {
-      supervised->bind_filter(&synpf->filter());
-    }
-    subject = supervised.get();
-  }
-
+  // The frontier replay key *is* the track and fault recipe: the builder
+  // (and `tools/postmortem --replay`) resamples the scenario from
+  // (seed, index).
+  PostmortemStackSpec spec;
+  spec.track = ScenarioSampler::replay_recipe(scenario.seed, scenario.index);
+  spec.localizer = localizer_kind;
+  spec.n_particles = config.n_particles;
+  spec.threads = config.cell_threads;
+  spec.fault = scenario.axis;
+  spec.severity = scenario.severity;
+  spec.fault_seed = config.fault_seed;
   // The compute-pressure axis attacks a declared budget, not the sensor
   // stream: those probes race inside a budget-*enforcing* governor (no
   // shedding — the fixed workload either fits the squeezed budget or the
   // update drops), so severity maps onto dropped updates and, past the
   // frontier, divergence. Every other axis runs ungoverned.
-  std::unique_ptr<governor::GovernedLocalizer> governed;
   if (scenario.axis == "compute_pressure") {
-    governor::GovernorConfig gcfg;
-    gcfg.budget_ms = config.budget_ms;
-    gcfg.shed = false;
-    gcfg.adaptive = false;
-    gcfg.nominal_cost_units = governor::kCartoNominalCostUnits;
-    governed = std::make_unique<governor::GovernedLocalizer>(*subject, gcfg);
-    if (auto* synpf = dynamic_cast<SynPf*>(localizer.get())) {
-      governed->bind_filter(&synpf->filter());
-    }
-    governed->bind_pressure(&pipeline);
-    if (supervised != nullptr) governed->bind_supervisor(supervised.get());
-    subject = governed.get();
+    spec.governor = "enforce";
+    spec.budget_ms = config.budget_ms;
+  }
+  std::string error;
+  const std::unique_ptr<LocalizerStack> stack =
+      LocalizerStack::build(spec, map, config.experiment.lidar, error);
+  if (stack == nullptr) {
+    eval.failed = true;  // unknown kind: permanently broken combination
+    return eval;
   }
 
   telemetry::Telemetry telemetry;
   telemetry::Sink sink;
   std::unique_ptr<telemetry::FlightRecorder> recorder;
   if (blackboxes != nullptr && !config.blackbox_dir.empty()) {
-    telemetry::FlightRecorderConfig rcfg;
-    rcfg.dump_dir = config.blackbox_dir;
-    rcfg.label = localizer_kind + "-" + scenario.label();
-    recorder =
-        std::make_unique<telemetry::FlightRecorder>(rcfg, &telemetry.events);
-
-    // Rebuild recipe: the frontier replay key *is* the track and fault
-    // recipe — `tools/postmortem --replay` resamples the scenario from
-    // (seed, index) and reconstructs the identical stack.
-    PostmortemStackSpec spec;
-    spec.track = ScenarioSampler::replay_recipe(scenario.seed, scenario.index);
-    spec.localizer = localizer_kind;
-    spec.n_particles = config.n_particles;
-    spec.threads = config.cell_threads;
-    spec.range = "cddt";
-    spec.beams = SynPfConfig{}.beams;
-    spec.pf_seed = SynPfConfig{}.seed;
-    spec.fault = scenario.axis;
-    spec.severity = scenario.severity;
-    spec.fault_seed = config.fault_seed;
-    if (governed != nullptr) {
-      spec.governor = "enforce";
-      spec.budget_ms = config.budget_ms;
-    }
     json::Value provenance = json::Value::object();
-    provenance.set("stack", stack_spec_to_json(spec));
     provenance.set("scenario", json::Value::string(scenario.label()));
-    recorder->set_provenance(std::move(provenance));
-
-    SynPf* synpf = dynamic_cast<SynPf*>(localizer.get());
-    recovery::SupervisedLocalizer* sup = supervised.get();
-    fault::FaultedLocalizer* flt = &faulted;
-    const std::size_t top_k = rcfg.top_k;
-    recorder->set_tick_probe(
-        [synpf, sup, flt, top_k](telemetry::TickSnapshot& snap) {
-          if (synpf != nullptr) {
-            ParticleFilter& pf = synpf->filter();
-            snap.ess_fraction = pf.health().ess_fraction;
-            snap.weight_entropy = pf.health().weight_entropy;
-            snap.injection_prob = pf.recovery_injection_prob();
-            snap.digest.clear();
-            for (const Particle& p : pf.top_particles(top_k)) {
-              snap.digest.push_back(p.pose.x);
-              snap.digest.push_back(p.pose.y);
-              snap.digest.push_back(p.pose.theta);
-              snap.digest.push_back(p.weight);
-            }
-          }
-          if (sup != nullptr) {
-            snap.health_state = static_cast<int>(sup->state());
-            snap.latch_mask = sup->detector().latch_mask();
-            snap.alignment = sup->last_alignment();
-          }
-          snap.fault_level = flt->last_fault_level();
-        });
+    recorder = stack->make_recorder(config.blackbox_dir,
+                                    localizer_kind + "-" + scenario.label(),
+                                    &telemetry.events, provenance);
     sink.recorder = recorder.get();
   }
 
-  ExperimentRunner runner{track, experiment};
-  const ExperimentResult result = runner.run(*subject, nullptr, sink);
+  ExperimentRunner runner{track, config.experiment};
+  const ExperimentResult result = runner.run(stack->top(), nullptr, sink);
 
   eval.crashed = result.crashed;
   eval.divergence_episodes = result.divergence_episodes;

@@ -40,8 +40,8 @@ struct FrontierSearchConfig {
   std::uint64_t seed = 0xF407;
   /// FaultPipeline seed of every probe (decoupled, like the bench matrix).
   std::uint64_t fault_seed = 0x7a017ULL;
-  /// Localizer kinds under test (scenario_matrix vocabulary: "SynPF",
-  /// "CartoLite", optional "+Recovery" suffix).
+  /// Localizer kinds under test, in the kind grammar of eval/stack.hpp
+  /// (PostmortemStackSpec::localizer). An unknown kind fails every probe.
   std::vector<std::string> localizers{"SynPF", "CartoLite"};
   /// Fault-axis ids (frontier_axes() order). Empty = all nine.
   std::vector<int> axes{};

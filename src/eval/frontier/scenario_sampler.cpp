@@ -169,4 +169,12 @@ bool ScenarioSampler::parse_replay_recipe(const std::string& recipe,
   return true;
 }
 
+std::optional<SampledScenario> ScenarioSampler::sample_recipe(
+    const std::string& recipe) {
+  std::uint64_t seed = 0;
+  std::uint32_t index = 0;
+  if (!parse_replay_recipe(recipe, seed, index)) return std::nullopt;
+  return ScenarioSampler{seed}.sample(index);
+}
+
 }  // namespace srl::frontier

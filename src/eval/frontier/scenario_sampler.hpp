@@ -33,6 +33,7 @@
 ///     a single well-defined degradation axis.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,11 +131,14 @@ class ScenarioSampler {
 
   /// "frontier:<seed hex>:<index>" — the track/stack recipe stamped into
   /// black boxes so `tools/postmortem --replay` can rebuild the sampled
-  /// circuit (eval/postmortem.hpp understands it).
+  /// circuit and fault envelope (eval/stack.hpp, eval/postmortem.hpp).
   static std::string replay_recipe(std::uint64_t seed, std::uint32_t index);
   /// Parse a recipe back; false when `recipe` is not frontier-shaped.
   static bool parse_replay_recipe(const std::string& recipe,
                                   std::uint64_t& seed, std::uint32_t& index);
+  /// The scenario a recipe names; nullopt when it is not frontier-shaped.
+  static std::optional<SampledScenario> sample_recipe(
+      const std::string& recipe);
 
  private:
   std::uint64_t seed_;

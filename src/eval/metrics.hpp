@@ -32,6 +32,8 @@ class ScanAlignmentScorer {
                const Pose2& estimated_body_pose, int stride = 4) const;
 
   double tolerance() const { return tolerance_; }
+  /// Distance (m) from each cell to the nearest occupied cell.
+  const DistanceField& wall_distance() const { return wall_distance_; }
 
  private:
   DistanceField wall_distance_;

@@ -7,14 +7,8 @@
 #include <memory>
 #include <sstream>
 
-#include "core/synpf.hpp"
 #include "eval/frontier/scenario_sampler.hpp"
-#include "fault/faulted_localizer.hpp"
-#include "fault/pipeline.hpp"
-#include "governor/governor.hpp"
 #include "gridmap/track_generator.hpp"
-#include "recovery/supervised_localizer.hpp"
-#include "slam/pure_localization.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace srl {
@@ -35,53 +29,8 @@ std::string str_field(const json::Value& v, const char* key) {
   return f != nullptr ? f->as_string() : std::string{};
 }
 
-std::optional<RangeMethodKind> range_from_string(const std::string& name) {
-  if (name == "bresenham") return RangeMethodKind::kBresenham;
-  if (name == "ray_marching") return RangeMethodKind::kRayMarching;
-  if (name == "cddt") return RangeMethodKind::kCddt;
-  if (name == "lut") return RangeMethodKind::kLut;
-  return std::nullopt;
-}
-
-bool has_suffix(const std::string& kind, const std::string& suffix) {
-  return kind.size() > suffix.size() &&
-         kind.compare(kind.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string strip_suffix(const std::string& kind, const std::string& suffix) {
-  return has_suffix(kind, suffix)
-             ? kind.substr(0, kind.size() - suffix.size())
-             : kind;
-}
-
-/// Same kind vocabulary as the scenario matrix: the governor suffix
-/// ("+Governor"/"+Budget") is outermost and named last, recovery inside.
-std::string ungoverned_kind(const std::string& kind) {
-  return strip_suffix(strip_suffix(kind, "+Governor"), "+Budget");
-}
-
-bool wants_recovery(const std::string& kind) {
-  return has_suffix(ungoverned_kind(kind), "+Recovery");
-}
-
-std::string base_kind(const std::string& kind) {
-  return strip_suffix(ungoverned_kind(kind), "+Recovery");
-}
-
-/// Frontier recipes ("frontier:<seed>:<index>") resolve through the
-/// scenario sampler: the replay key alone rebuilds the sampled circuit AND
-/// the sampled fault envelope (eval/frontier/scenario_sampler.hpp).
-std::optional<frontier::SampledScenario> frontier_scenario(
-    const std::string& recipe) {
-  std::uint64_t seed = 0;
-  std::uint32_t index = 0;
-  if (!frontier::ScenarioSampler::parse_replay_recipe(recipe, seed, index)) {
-    return std::nullopt;
-  }
-  return frontier::ScenarioSampler{seed}.sample(index);
-}
-
-/// Track recipe parser (see PostmortemStackSpec::track).
+/// Track recipe parser (see PostmortemStackSpec::track). A frontier recipe
+/// ("frontier:<seed>:<index>") rebuilds the sampled circuit.
 std::optional<Track> build_track(const std::string& recipe) {
   if (recipe == "test_track") return TrackGenerator::test_track();
   if (recipe == "hairpin") return TrackGenerator::hairpin();
@@ -95,64 +44,14 @@ std::optional<Track> build_track(const std::string& recipe) {
       return TrackGenerator::oval(straight, radius);
     }
   }
-  if (const auto scenario = frontier_scenario(recipe); scenario.has_value()) {
+  if (const auto scenario =
+          frontier::ScenarioSampler::sample_recipe(recipe)) {
     return frontier::ScenarioSampler{scenario->seed}.build_track(*scenario);
   }
   return std::nullopt;
 }
 
 }  // namespace
-
-json::Value stack_spec_to_json(const PostmortemStackSpec& spec) {
-  json::Value v = json::Value::object();
-  v.set("track", json::Value::string(spec.track));
-  v.set("localizer", json::Value::string(spec.localizer));
-  v.set("n_particles",
-        json::Value::number(static_cast<double>(spec.n_particles)));
-  v.set("threads", json::Value::number(static_cast<double>(spec.threads)));
-  v.set("range", json::Value::string(spec.range));
-  v.set("beams", json::Value::number(static_cast<double>(spec.beams)));
-  v.set("pf_seed", json::Value::number(static_cast<double>(spec.pf_seed)));
-  v.set("fault", json::Value::string(spec.fault));
-  v.set("severity", json::Value::number(spec.severity));
-  v.set("fault_seed",
-        json::Value::number(static_cast<double>(spec.fault_seed)));
-  // Governor fields only when a governor was in the stack: pre-governor
-  // readers (and byte-for-byte artifact diffs) see unchanged documents.
-  if (!spec.governor.empty()) {
-    v.set("governor", json::Value::string(spec.governor));
-    v.set("budget_ms", json::Value::number(spec.budget_ms));
-  }
-  return v;
-}
-
-bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out) {
-  if (!v.is_object()) return false;
-  const std::string localizer = str_field(v, "localizer");
-  if (localizer.empty()) return false;
-  out = PostmortemStackSpec{};
-  out.localizer = localizer;
-  const std::string track = str_field(v, "track");
-  if (!track.empty()) out.track = track;
-  out.n_particles = static_cast<int>(
-      num_field(v, "n_particles", static_cast<double>(out.n_particles)));
-  out.threads = static_cast<int>(
-      num_field(v, "threads", static_cast<double>(out.threads)));
-  const std::string range = str_field(v, "range");
-  if (!range.empty()) out.range = range;
-  out.beams =
-      static_cast<int>(num_field(v, "beams", static_cast<double>(out.beams)));
-  out.pf_seed = static_cast<std::uint64_t>(
-      num_field(v, "pf_seed", static_cast<double>(out.pf_seed)));
-  const std::string fault = str_field(v, "fault");
-  if (!fault.empty()) out.fault = fault;
-  out.severity = num_field(v, "severity", out.severity);
-  out.fault_seed = static_cast<std::uint64_t>(
-      num_field(v, "fault_seed", static_cast<double>(out.fault_seed)));
-  out.governor = str_field(v, "governor");
-  out.budget_ms = num_field(v, "budget_ms", out.budget_ms);
-  return true;
-}
 
 std::optional<Blackbox> load_blackbox(const std::string& path) {
   const std::optional<json::Value> doc = json::Value::load(path);
@@ -311,94 +210,31 @@ PostmortemReplay replay_blackbox(const Blackbox& box, int threads) {
     replay.error = "unknown track recipe: " + box.stack.track;
     return replay;
   }
-  const std::optional<RangeMethodKind> range =
-      range_from_string(box.stack.range);
-  if (!range.has_value()) {
-    replay.error = "unknown range backend: " + box.stack.range;
-    return replay;
-  }
-
-  auto map = std::make_shared<const OccupancyGrid>(track->grid);
-  const LidarConfig lidar{};
-
-  const std::string kind = base_kind(box.stack.localizer);
-  std::unique_ptr<Localizer> localizer;
-  SynPf* synpf = nullptr;
-  if (kind == "SynPF") {
-    SynPfConfig cfg;
-    cfg.range = *range;
-    cfg.beams = box.stack.beams;
-    cfg.seed = box.stack.pf_seed;
-    cfg.filter.n_particles = box.stack.n_particles;
-    cfg.filter.n_threads = threads > 0 ? threads : box.stack.threads;
-    auto pf = std::make_unique<SynPf>(cfg, map, lidar);
-    synpf = pf.get();
-    localizer = std::move(pf);
-  } else if (kind == "CartoLite") {
-    localizer =
-        std::make_unique<CartoLocalizer>(PureLocalizationOptions{}, map, lidar);
-  } else {
-    replay.error = "unknown localizer kind: " + kind;
-    return replay;
-  }
-
-  // Same composition the closed loop used: faults inside, supervision
-  // outside. An empty pipeline / policies-off supervisor is a bitwise
-  // pass-through, so the always-wrapped shape costs nothing.
-  fault::FaultPipeline pipeline{box.stack.fault_seed, lidar};
-  if (const auto scenario = frontier_scenario(box.stack.track);
-      scenario.has_value()) {
-    // Frontier black box: the fault envelope (phase/ramp/window) was
-    // sampled, not canonical — rebuild it from the replay key.
-    if (scenario->severity > 0.0) {
-      pipeline.add(fault::make_injector(scenario->axis, scenario->profile));
-    }
-  } else if (box.stack.fault != "none" && box.stack.fault != "kidnap" &&
-             box.stack.severity != 0.0) {
-    pipeline.add(box.stack.fault, box.stack.severity);
-  }
-  fault::FaultedLocalizer faulted{*localizer, pipeline};
-  std::unique_ptr<recovery::SupervisedLocalizer> supervised;
-  Localizer* subject = &faulted;
-  if (wants_recovery(box.stack.localizer)) {
-    supervised = std::make_unique<recovery::SupervisedLocalizer>(
-        faulted, recovery::SupervisedLocalizerConfig{}, map, lidar);
-    if (synpf != nullptr) supervised->bind_filter(&synpf->filter());
-    subject = supervised.get();
-  }
-
-  // Governor outermost, rebuilt from the recipe's {mode, budget} exactly as
-  // the matrix configured it (default GovernorConfig otherwise) — the
-  // governed decision sequence is a pure function of that pair plus the
-  // fault envelope, so the replay stays bitwise.
-  std::unique_ptr<governor::GovernedLocalizer> governed;
-  if (!box.stack.governor.empty()) {
-    governor::GovernorConfig gcfg;
-    gcfg.budget_ms = box.stack.budget_ms;
-    gcfg.shed = box.stack.governor == "govern";
-    gcfg.adaptive = gcfg.shed;
-    governed = std::make_unique<governor::GovernedLocalizer>(*subject, gcfg);
-    if (synpf != nullptr) governed->bind_filter(&synpf->filter());
-    governed->bind_pressure(&pipeline);
-    if (supervised != nullptr) governed->bind_supervisor(supervised.get());
-    subject = governed.get();
-  }
+  // The recorded recipe through the builder that raced the run; only the
+  // filter lane count may be overridden (estimates are lane-invariant).
+  PostmortemStackSpec spec = box.stack;
+  if (threads > 0) spec.threads = threads;
+  const std::unique_ptr<LocalizerStack> stack = LocalizerStack::build(
+      spec, std::make_shared<const OccupancyGrid>(track->grid), LidarConfig{},
+      replay.error);
+  if (stack == nullptr) return replay;
+  Localizer& subject = stack->top();
 
   // Re-drive exactly as the closed loop delivered the stream: initialize at
   // the recorded start pose (NOT the first truth — the closed loop never
   // told the localizer the truth), every odometry increment with t <=
   // scan.t before that scan. A fresh FlightRecorder folds the estimates so
   // the hash function is the recorder's own, not a reimplementation.
-  subject->initialize(box.start_pose);
+  subject.initialize(box.start_pose);
   telemetry::FlightRecorder recorder{telemetry::FlightRecorderConfig{}};
   std::size_t oi = 0;
   const auto& odometry = box.trace.odometry();
   for (const SensorTrace::ScanRecord& rec : box.trace.scans()) {
     while (oi < odometry.size() && odometry[oi].t <= rec.scan.t) {
-      subject->on_odometry(odometry[oi].odom);
+      subject.on_odometry(odometry[oi].odom);
       ++oi;
     }
-    const Pose2 est = subject->on_scan(rec.scan);
+    const Pose2 est = subject.on_scan(rec.scan);
     telemetry::TickSnapshot snap;
     snap.tick = recorder.ticks();
     snap.t = rec.scan.t;

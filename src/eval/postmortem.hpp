@@ -9,7 +9,9 @@
 /// how many particles, which range backend, which fault scenario and seeds),
 /// the start pose, the event timeline, and the FNV-1a hash over every
 /// estimate the run produced up to the dump. `replay_blackbox` rebuilds the
-/// exact localizer stack from the recipe, re-drives the captured sensor
+/// exact localizer stack from the recipe (the `PostmortemStackSpec` of
+/// eval/stack.hpp, through the same builder that raced the run), re-drives
+/// the captured sensor
 /// stream through it, and checks the replayed estimate-trajectory hash
 /// against the recorded one — a *bitwise* reproduction oracle, valid at any
 /// thread count because the whole filter stack is thread-count invariant.
@@ -23,46 +25,11 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "telemetry/events.hpp"
 
 namespace srl {
-
-/// Rebuild recipe for the localizer stack that produced a black box. The
-/// harness (scenario matrix, tests) serializes this into the recorder's
-/// provenance under `"stack"`; `replay_blackbox` reconstructs from it.
-struct PostmortemStackSpec {
-  /// Track recipe: "test_track", "hairpin", "oval:<straight>,<radius>"
-  /// (default TrackSpec geometry in all cases), or a frontier replay key
-  /// "frontier:<seed>:<index>" — the sampled circuit AND the sampled fault
-  /// envelope both rebuild from it (eval/frontier/scenario_sampler.hpp),
-  /// overriding the canonical `fault`/`severity` pipeline below.
-  std::string track{"test_track"};
-  /// Localizer kind, same vocabulary as ScenarioMatrixConfig::localizers:
-  /// "SynPF", "CartoLite", or a "+Recovery"-suffixed supervised variant.
-  std::string localizer{"SynPF"};
-  int n_particles{1200};
-  int threads{1};
-  /// Range backend: "bresenham", "ray_marching", "cddt", or "lut".
-  std::string range{"cddt"};
-  int beams{60};
-  std::uint64_t pf_seed{42};
-  /// Fault scenario ("none"/"kidnap" add no pipeline stage — a kidnap
-  /// corrupts the truth, not the sensors, and is already baked into the
-  /// captured stream).
-  std::string fault{"none"};
-  double severity{0.0};
-  std::uint64_t fault_seed{0x7a017ULL};
-  /// Compute-governor wrapper (src/governor): "" none, "govern" shedding
-  /// mode, "enforce" budget-enforcer mode. Absent in pre-governor black
-  /// boxes — both fields default to the ungoverned stack, so old artifacts
-  /// parse and replay unchanged.
-  std::string governor{};
-  double budget_ms{0.0};
-};
-
-json::Value stack_spec_to_json(const PostmortemStackSpec& spec);
-bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out);
 
 /// One parsed black-box artifact.
 struct Blackbox {

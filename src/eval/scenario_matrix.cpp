@@ -5,12 +5,7 @@
 
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "core/synpf.hpp"
-#include "eval/postmortem.hpp"
-#include "fault/faulted_localizer.hpp"
-#include "governor/governor.hpp"
-#include "recovery/supervised_localizer.hpp"
-#include "slam/pure_localization.hpp"
+#include "eval/stack.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace srl {
@@ -23,61 +18,6 @@ ScenarioMatrix::ScenarioMatrix(ScenarioMatrixConfig config)
     : config_{std::move(config)} {}
 
 namespace {
-
-constexpr const char* kRecoverySuffix = "+Recovery";
-constexpr const char* kGovernorSuffix = "+Governor";
-constexpr const char* kBudgetSuffix = "+Budget";
-
-bool has_suffix(const std::string& kind, const std::string& suffix) {
-  return kind.size() > suffix.size() &&
-         kind.compare(kind.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string strip_suffix(const std::string& kind, const std::string& suffix) {
-  return has_suffix(kind, suffix)
-             ? kind.substr(0, kind.size() - suffix.size())
-             : kind;
-}
-
-/// Governor wrapper requested by the kind name: "" none, "govern" shedding
-/// mode ("+Governor"), "enforce" budget-enforcer mode ("+Budget"). The
-/// governor is the outermost decorator, so its suffix is named last.
-std::string governor_mode(const std::string& kind) {
-  if (has_suffix(kind, kGovernorSuffix)) return "govern";
-  if (has_suffix(kind, kBudgetSuffix)) return "enforce";
-  return "";
-}
-
-/// Kind with any governor suffix removed ("SynPF+Recovery+Governor" ->
-/// "SynPF+Recovery").
-std::string ungoverned_kind(const std::string& kind) {
-  return strip_suffix(strip_suffix(kind, kGovernorSuffix), kBudgetSuffix);
-}
-
-bool wants_recovery(const std::string& kind) {
-  return has_suffix(ungoverned_kind(kind), kRecoverySuffix);
-}
-
-std::string base_kind(const std::string& kind) {
-  return strip_suffix(ungoverned_kind(kind), kRecoverySuffix);
-}
-
-std::unique_ptr<Localizer> make_localizer(
-    const std::string& kind, const std::shared_ptr<const OccupancyGrid>& map,
-    const LidarConfig& lidar, const ScenarioMatrixConfig& config) {
-  if (kind == "SynPF") {
-    SynPfConfig cfg;
-    cfg.range = RangeMethodKind::kCddt;  // fast construction for grids
-    cfg.filter.n_particles = config.n_particles;
-    cfg.filter.n_threads = config.cell_threads;
-    return std::make_unique<SynPf>(cfg, map, lidar);
-  }
-  if (kind == "CartoLite") {
-    return std::make_unique<CartoLocalizer>(PureLocalizationOptions{}, map,
-                                            lidar);
-  }
-  return nullptr;
-}
 
 double hist_quantile(const telemetry::MetricsRegistry& metrics,
                      const char* name, double q) {
@@ -118,8 +58,6 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
       ScenarioCell& cell = cells[i];
       ExperimentConfig experiment = config_.experiment;
       experiment.seed = config_.seed;
-
-      fault::FaultPipeline pipeline{config_.fault_seed, experiment.lidar};
       if (cell.scenario.fault == "kidnap") {
         // Pseudo-fault: no sensor corruption — the true vehicle teleports.
         ExperimentConfig::KidnapSpec kidnap;
@@ -129,115 +67,38 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
         // Run the clock out instead of stopping at the lap budget, so the
         // post-kidnap recovery (or failure to recover) is fully observed.
         experiment.laps = 1000000;
-      } else if (cell.scenario.fault != "none" ||
-                 cell.scenario.severity != 0.0) {
-        pipeline.add(cell.scenario.fault, cell.scenario.severity);
       }
 
-      std::unique_ptr<Localizer> localizer =
-          make_localizer(base_kind(cell.localizer), map, experiment.lidar,
-                         config_);
-      if (localizer == nullptr) continue;  // unknown kind: zeroed cell
-      auto* synpf = dynamic_cast<SynPf*>(localizer.get());
-      fault::FaultedLocalizer faulted{*localizer, pipeline};
-
-      // Canonical composition: supervise *outside* the faults, so sensor
-      // corruption reaches the filter upstream of divergence detection.
-      std::unique_ptr<recovery::SupervisedLocalizer> supervised;
-      Localizer* subject = &faulted;
-      if (wants_recovery(cell.localizer)) {
-        recovery::SupervisedLocalizerConfig scfg;
-        supervised = std::make_unique<recovery::SupervisedLocalizer>(
-            faulted, scfg, map, experiment.lidar);
-        if (synpf != nullptr) supervised->bind_filter(&synpf->filter());
-        subject = supervised.get();
+      // The cell's recipe builds its stack and rides in its black boxes.
+      PostmortemStackSpec spec;
+      spec.track = config_.track_name;
+      spec.localizer = cell.localizer;
+      spec.n_particles = config_.n_particles;
+      spec.threads = config_.cell_threads;
+      spec.fault = cell.scenario.fault;
+      spec.severity = cell.scenario.severity;
+      spec.fault_seed = config_.fault_seed;
+      if (const auto kind = parse_stack_kind(cell.localizer)) {
+        spec.governor = kind->governor;
       }
-
-      // Governor outermost (DESIGN.md §16): it reads the supervisor's
-      // health and can veto the whole update before any inner layer runs.
-      const std::string gov_mode = governor_mode(cell.localizer);
-      std::unique_ptr<governor::GovernedLocalizer> governed;
-      if (!gov_mode.empty()) {
-        governor::GovernorConfig gcfg;
-        gcfg.budget_ms = config_.budget_ms;
-        gcfg.shed = gov_mode == "govern";
-        gcfg.adaptive = gcfg.shed;  // enforcer keeps the workload fixed
-        // Knobless localizers (no bound filter) are accounted at the
-        // pinned nominal cost; ignored once a filter is bound.
-        gcfg.nominal_cost_units = governor::kCartoNominalCostUnits;
-        governed =
-            std::make_unique<governor::GovernedLocalizer>(*subject, gcfg);
-        if (synpf != nullptr) governed->bind_filter(&synpf->filter());
-        governed->bind_pressure(&pipeline);
-        if (supervised != nullptr) governed->bind_supervisor(supervised.get());
-        subject = governed.get();
-      }
+      spec.budget_ms = spec.governor.empty() ? 0.0 : config_.budget_ms;
+      std::string error;
+      const std::unique_ptr<LocalizerStack> stack =
+          LocalizerStack::build(spec, map, experiment.lidar, error);
+      if (stack == nullptr) continue;  // unknown kind or fault: zeroed cell
 
       telemetry::Telemetry telemetry;
       telemetry::Sink sink = telemetry.sink();
-
-      // Flight recorder: black boxes carry the cell's rebuild recipe plus a
-      // per-tick enrichment probe over the live stack (pure observers all
-      // the way down, so attaching it cannot change any estimate).
       std::unique_ptr<telemetry::FlightRecorder> recorder;
       if (!config_.blackbox_dir.empty()) {
-        telemetry::FlightRecorderConfig rcfg;
-        rcfg.dump_dir = config_.blackbox_dir;
-        rcfg.label = cell.localizer + "-" + cell.scenario.label();
-        recorder = std::make_unique<telemetry::FlightRecorder>(
-            rcfg, &telemetry.events);
-
-        PostmortemStackSpec spec;
-        spec.track = config_.track_name;
-        spec.localizer = cell.localizer;
-        spec.n_particles = config_.n_particles;
-        spec.threads = config_.cell_threads;
-        spec.range = "cddt";  // make_localizer pins kCddt for grid builds
-        spec.beams = SynPfConfig{}.beams;
-        spec.pf_seed = SynPfConfig{}.seed;
-        spec.fault = cell.scenario.fault;
-        spec.severity = cell.scenario.severity;
-        spec.fault_seed = config_.fault_seed;
-        spec.governor = gov_mode;
-        spec.budget_ms = gov_mode.empty() ? 0.0 : config_.budget_ms;
-        json::Value provenance = json::Value::object();
-        provenance.set("stack", stack_spec_to_json(spec));
-        recorder->set_provenance(std::move(provenance));
-
-        SynPf* synpf = dynamic_cast<SynPf*>(localizer.get());
-        recovery::SupervisedLocalizer* sup = supervised.get();
-        fault::FaultedLocalizer* flt = &faulted;
-        const std::size_t top_k = rcfg.top_k;
-        recorder->set_tick_probe([synpf, sup, flt,
-                                  top_k](telemetry::TickSnapshot& snap) {
-          if (synpf != nullptr) {
-            ParticleFilter& pf = synpf->filter();
-            // Health signals come from the filter's cached per-update
-            // block (metrics are attached grid-wide) — the probe must not
-            // add O(n) passes of its own.
-            snap.ess_fraction = pf.health().ess_fraction;
-            snap.weight_entropy = pf.health().weight_entropy;
-            snap.injection_prob = pf.recovery_injection_prob();
-            snap.digest.clear();
-            for (const Particle& p : pf.top_particles(top_k)) {
-              snap.digest.push_back(p.pose.x);
-              snap.digest.push_back(p.pose.y);
-              snap.digest.push_back(p.pose.theta);
-              snap.digest.push_back(p.weight);
-            }
-          }
-          if (sup != nullptr) {
-            snap.health_state = static_cast<int>(sup->state());
-            snap.latch_mask = sup->detector().latch_mask();
-            snap.alignment = sup->last_alignment();
-          }
-          snap.fault_level = flt->last_fault_level();
-        });
+        recorder = stack->make_recorder(
+            config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label(),
+            &telemetry.events);
         sink.recorder = recorder.get();
       }
 
       ExperimentRunner runner{track, experiment};
-      cell.result = runner.run(*subject, nullptr, sink);
+      cell.result = runner.run(stack->top(), nullptr, sink);
 
       cell.events_total = telemetry.events.total();
       cell.events_warn = telemetry.events.count(telemetry::EventSeverity::kWarn);
@@ -269,13 +130,12 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
       cell.ess_fraction_min = ess != nullptr ? ess->min() : 0.0;
       cell.resamples = counter_value(m, "pf.resamples");
       cell.pose_jump_alarms = counter_value(m, "pf.pose_jump_alarms");
-      const char* stage = base_kind(cell.localizer) == "CartoLite"
-                              ? "carto.local_match_ms"
-                              : "pf.raycast_ms";
+      const char* stage = stack->synpf() != nullptr ? "pf.raycast_ms"
+                                                    : "carto.local_match_ms";
       cell.stage_p50_ms = hist_quantile(m, stage, 0.50);
       cell.stage_p99_ms = hist_quantile(m, stage, 0.99);
 
-      if (governed != nullptr) {
+      if (const governor::GovernedLocalizer* governed = stack->governor()) {
         cell.governed = true;
         cell.governor_shed = governed->config().shed;
         cell.budget_ms = governed->config().budget_ms;

@@ -39,13 +39,12 @@ struct ScenarioSpec {
 };
 
 struct ScenarioMatrixConfig {
-  /// Localizer kinds the grid compares; understood: "SynPF", "CartoLite",
-  /// "SynPF+Recovery" (SynPF wrapped in a SupervisedLocalizer with the
-  /// default detector/policy stack, canonical supervised-outside-faulted
-  /// composition), and the governed variants "<kind>+Governor" (compute
-  /// governor in shedding mode, outermost) / "<kind>+Budget" (same budget
-  /// but *enforcer* mode: fixed workload, over-budget updates are dropped —
-  /// the ungoverned baseline the degradation headline compares against).
+  /// Localizer kinds the grid compares, in the kind grammar of
+  /// eval/stack.hpp (PostmortemStackSpec::localizer): "SynPF" or
+  /// "CartoLite", optionally "+Recovery", then "+Governor" (shedding) or
+  /// "+Budget" (enforcer — the ungoverned baseline the degradation
+  /// headline compares against). An unknown kind or fault yields a zeroed
+  /// cell.
   std::vector<std::string> localizers{"SynPF", "CartoLite"};
   /// Scenarios. Besides the fault-factory names (fault/injector.hpp) the
   /// matrix understands the pseudo-fault "kidnap": no pipeline stage; the

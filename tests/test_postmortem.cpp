@@ -4,10 +4,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "eval/frontier/frontier_search.hpp"
 #include "eval/scenario_matrix.hpp"
+#include "eval/stack.hpp"
 #include "gridmap/track_generator.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -203,6 +207,8 @@ TEST(StackSpec, JsonRoundTrip) {
   spec.fault = "lidar_dropout";
   spec.severity = 0.5;
   spec.fault_seed = 0xabcdefULL;
+  spec.governor = "enforce";
+  spec.budget_ms = 1.25;
 
   PostmortemStackSpec back;
   ASSERT_TRUE(stack_spec_from_json(stack_spec_to_json(spec), back));
@@ -216,6 +222,181 @@ TEST(StackSpec, JsonRoundTrip) {
   EXPECT_EQ(back.fault, spec.fault);
   EXPECT_EQ(back.severity, spec.severity);
   EXPECT_EQ(back.fault_seed, spec.fault_seed);
+  EXPECT_EQ(back.governor, spec.governor);
+  EXPECT_EQ(back.budget_ms, spec.budget_ms);
+
+  // An ungoverned recipe omits both governor fields (pre-governor bytes)
+  // and parses back to the ungoverned defaults.
+  spec.governor.clear();
+  const json::Value ungoverned = stack_spec_to_json(spec);
+  EXPECT_EQ(ungoverned.find("governor"), nullptr);
+  EXPECT_EQ(ungoverned.find("budget_ms"), nullptr);
+  ASSERT_TRUE(stack_spec_from_json(ungoverned, back));
+  EXPECT_EQ(back.governor, "");
+  EXPECT_EQ(back.budget_ms, 0.0);
+}
+
+// ------------------------------------------------------------ stack builder
+
+std::shared_ptr<const OccupancyGrid> oval_map() {
+  return std::make_shared<const OccupancyGrid>(
+      TrackGenerator::oval(8.0, 2.5).grid);
+}
+
+struct KindCase {
+  std::string kind;
+  bool synpf;
+  bool supervisor;
+  std::string governor;  ///< "" none, else the expected mode
+};
+
+class StackBuilderKinds : public ::testing::TestWithParam<KindCase> {};
+
+TEST_P(StackBuilderKinds, ComposesTheLayersTheKindNames) {
+  const KindCase& c = GetParam();
+  PostmortemStackSpec spec;
+  spec.localizer = c.kind;
+  spec.n_particles = 300;
+  const std::optional<StackKind> kind = parse_stack_kind(c.kind);
+  ASSERT_TRUE(kind.has_value());
+  EXPECT_EQ(kind->governor, c.governor);
+  spec.governor = kind->governor;
+  spec.budget_ms = 1.5;
+
+  std::string error;
+  const std::unique_ptr<LocalizerStack> stack =
+      LocalizerStack::build(spec, oval_map(), LidarConfig{}, error);
+  ASSERT_NE(stack, nullptr) << error;
+  EXPECT_EQ(stack->synpf() != nullptr, c.synpf);
+  EXPECT_EQ(stack->supervisor() != nullptr, c.supervisor);
+  ASSERT_EQ(stack->governor() != nullptr, !c.governor.empty());
+
+  // The outermost layer is what a harness races.
+  Localizer* outermost = stack->governor();
+  if (outermost == nullptr) outermost = stack->supervisor();
+  if (outermost != nullptr) {
+    EXPECT_EQ(&stack->top(), outermost);
+  }
+  if (const governor::GovernedLocalizer* gov = stack->governor()) {
+    const bool shed = c.governor == "govern";
+    EXPECT_EQ(gov->config().shed, shed);
+    EXPECT_EQ(gov->config().adaptive, shed);
+    EXPECT_EQ(gov->config().budget_ms, 1.5);
+    EXPECT_EQ(gov->config().nominal_cost_units,
+              governor::kCartoNominalCostUnits);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmokeGrammar, StackBuilderKinds,
+    ::testing::Values(KindCase{"SynPF", true, false, ""},
+                      KindCase{"CartoLite", false, false, ""},
+                      KindCase{"SynPF+Recovery", true, true, ""},
+                      KindCase{"SynPF+Governor", true, false, "govern"},
+                      KindCase{"SynPF+Budget", true, false, "enforce"},
+                      KindCase{"CartoLite+Budget", false, false, "enforce"}),
+    [](const ::testing::TestParamInfo<KindCase>& info) {
+      std::string name = info.param.kind;
+      for (char& ch : name) {
+        if (ch == '+') ch = '_';
+      }
+      return name;
+    });
+
+std::string build_error(const PostmortemStackSpec& spec) {
+  std::string error;
+  const std::unique_ptr<LocalizerStack> stack =
+      LocalizerStack::build(spec, oval_map(), LidarConfig{}, error);
+  EXPECT_EQ(stack, nullptr);
+  return error;
+}
+
+TEST(StackBuilder, RejectsUnknownKind) {
+  PostmortemStackSpec spec;
+  spec.localizer = "SynPf+Recovery";
+  EXPECT_EQ(build_error(spec), "unknown localizer kind: SynPf+Recovery");
+}
+
+TEST(StackBuilder, RejectsUnknownRange) {
+  PostmortemStackSpec spec;
+  spec.range = "raymarching";
+  EXPECT_EQ(build_error(spec), "unknown range backend: raymarching");
+}
+
+TEST(StackBuilder, RejectsUnknownFault) {
+  PostmortemStackSpec spec;
+  spec.fault = "lidar_dropuot";
+  spec.severity = 0.5;
+  EXPECT_EQ(build_error(spec), "unknown fault: lidar_dropuot");
+}
+
+TEST(StackBuilder, RejectsUnknownOrContradictedGovernor) {
+  PostmortemStackSpec spec;
+  spec.governor = "shed";
+  EXPECT_EQ(build_error(spec), "unknown governor mode: shed");
+  spec.localizer = "SynPF+Governor";
+  spec.governor = "enforce";
+  EXPECT_FALSE(build_error(spec).empty());
+}
+
+TEST(StackBuilder, MatrixZeroesAMisspelledFaultCell) {
+  ScenarioMatrixConfig config;
+  config.localizers = {"SynPF"};
+  config.scenarios = {{"lidar_dropuot", 0.5}};
+  const std::vector<ScenarioCell> cells =
+      ScenarioMatrix{config}.run(TrackGenerator::oval(8.0, 2.5));
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].result.sim_time, 0.0);
+  EXPECT_TRUE(cells[0].result.lap_times.empty());
+  EXPECT_EQ(cells[0].events_total, 0u);
+}
+
+TEST(StackBuilder, FrontierFailsEveryProbeOfAnUnknownKind) {
+  auto config = frontier::FrontierSearchConfig::smoke();
+  config.localizers = {"SynPF+Typo"};
+  config.axes = {0};
+  config.search_threads = 1;
+  const auto result = frontier::run_frontier_search(config);
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_TRUE(result.points[0].degenerate);
+  for (const auto& eval : result.points[0].evaluations) {
+    EXPECT_TRUE(eval.failed);
+    EXPECT_EQ(eval.lateral_mean_cm, 0.0);
+  }
+}
+
+// A governed CartoLite has no filter to bind, so its budget is the pinned
+// nominal cost. Every black box the compute-pressure frontier dumps for it
+// must replay bitwise at the recorded lane count and at 8 lanes.
+TEST(StackBuilder, CartoComputePressureFrontierBoxesReplayBitwise) {
+  const std::string dir =
+      (std::filesystem::path{::testing::TempDir()} / "srl_bb_carto_cp")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  auto config = frontier::FrontierSearchConfig::smoke();
+  config.localizers = {"CartoLite"};
+  config.axes = {8};  // compute_pressure
+  config.bisect_iterations = 1;
+  config.blackbox_dir = dir;
+  const auto result = frontier::run_frontier_search(config);
+  ASSERT_EQ(result.points.size(), 1u);
+  const frontier::FrontierPoint& point = result.points[0];
+  ASSERT_FALSE(point.censored);
+  ASSERT_FALSE(point.blackboxes.empty());
+
+  for (const std::string& rel : point.blackboxes) {
+    const std::optional<Blackbox> box = load_blackbox(dir + "/" + rel);
+    ASSERT_TRUE(box.has_value()) << rel;
+    EXPECT_EQ(box->stack.governor, "enforce");
+    const PostmortemReplay recorded = replay_blackbox(*box);
+    ASSERT_TRUE(recorded.ok) << recorded.error;
+    EXPECT_TRUE(recorded.bitwise_match) << rel << ": " << recorded.error;
+    const PostmortemReplay lanes8 = replay_blackbox(*box, 8);
+    ASSERT_TRUE(lanes8.ok) << lanes8.error;
+    EXPECT_TRUE(lanes8.bitwise_match) << rel << ": " << lanes8.error;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Blackbox, LoadRejectsWrongSchemaAndMissingFile) {
