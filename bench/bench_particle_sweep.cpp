@@ -32,6 +32,7 @@
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
+#include "common/fnv1a.hpp"
 #include "common/simd.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/table.hpp"
@@ -205,9 +206,7 @@ int main(int argc, char** argv) {
 
   TextTable tp_table{{"simd", "particles", "threads", "stage", "mean [ms]",
                       "items/s"}};
-  constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-  std::uint64_t doc_hash = kFnvOffset;
+  std::uint64_t doc_hash = kFnv1aOffset;
   bool hashes_ok = true;
 
   for (const int n : tp_counts) {
@@ -239,10 +238,7 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(reference_hash));
           hashes_ok = false;
         }
-        for (std::size_t byte = 0; byte < sizeof(hash); ++byte) {
-          doc_hash ^= (hash >> (8 * byte)) & 0xFFU;
-          doc_hash *= kFnvPrime;
-        }
+        doc_hash = fnv1a(doc_hash, hash);
 
         const double items =
             static_cast<double>(cfg.beams) * static_cast<double>(n);

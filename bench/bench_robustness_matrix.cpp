@@ -27,8 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -138,9 +136,10 @@ int main(int argc, char** argv) {
                    TextTable::num(cell.result.update_p50_ms, 2),
                    TextTable::num(cell.result.update_p99_ms, 2),
                    cell.result.crashed ? "yes" : "no",
-                   cell.recovery_success ? "yes" : "no",
-                   cell.recoveries > 0
-                       ? TextTable::num(cell.time_to_reloc_mean_s, 2)
+                   cell.result.recovered ? "yes" : "no",
+                   cell.result.recoveries > 0
+                       ? TextTable::num(
+                             cell.result.time_to_relocalize_mean_s, 2)
                        : std::string{"-"},
                    std::to_string(cell.events_total),
                    std::to_string(cell.events_critical),
@@ -317,9 +316,10 @@ int main(int argc, char** argv) {
     if (bare != nullptr && supervised != nullptr) {
       auto describe = [](const ScenarioCell& cell) {
         if (cell.result.crashed) return std::string{"CRASHED"};
-        if (!cell.recovery_success) return std::string{"stayed diverged"};
+        if (!cell.result.recovered) return std::string{"stayed diverged"};
         return "relocalized in " +
-               TextTable::num(cell.time_to_reloc_mean_s, 2) + " s (post " +
+               TextTable::num(cell.result.time_to_relocalize_mean_s, 2) +
+               " s (post " +
                TextTable::num(cell.result.post_recovery_lateral_cm, 2) +
                " cm)";
       };
@@ -327,32 +327,6 @@ int main(int argc, char** argv) {
                 << "): SynPF " << describe(*bare) << ", SynPF+Recovery "
                 << describe(*supervised) << "\n";
     }
-  }
-
-  // ---- Recovery summary CSV ---------------------------------------------
-  // Always lands in the gitignored out/ directory, whatever directory the
-  // JSON goes to — a sidecar CSV next to a committed baseline (or at the
-  // repo root) is exactly the stale-artifact litter out/ exists to prevent.
-  {
-    std::string base = std::filesystem::path{out_file}.stem().string();
-    if (base.empty()) base = "BENCH_robustness";
-    const std::string csv_file = out_path(base + "_recovery.csv");
-    std::ofstream csv{csv_file};
-    csv << "localizer,fault,severity,kidnaps,divergence_episodes,recoveries,"
-           "recovery_success,time_to_reloc_mean_s,time_to_reloc_max_s,"
-           "post_divergence_lateral_cm,reinjections,global_relocs,"
-           "recovery_transitions\n";
-    for (const ScenarioCell& cell : doc.cells) {
-      csv << cell.localizer << ',' << cell.scenario.fault << ','
-          << cell.scenario.severity << ',' << cell.kidnaps << ','
-          << cell.divergence_episodes << ',' << cell.recoveries << ','
-          << (cell.recovery_success ? 1 : 0) << ','
-          << cell.time_to_reloc_mean_s << ',' << cell.time_to_reloc_max_s
-          << ',' << cell.post_divergence_lateral_cm << ','
-          << cell.reinjections << ',' << cell.global_relocs << ','
-          << cell.recovery_transitions << '\n';
-    }
-    if (csv) std::cout << "wrote " << csv_file << "\n";
   }
 
   // ---- Serialize --------------------------------------------------------

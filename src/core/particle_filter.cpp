@@ -14,6 +14,24 @@
 
 namespace srl {
 
+namespace {
+
+/// Uniform pose over the free cells of `map` with a uniform heading,
+/// rejection-sampled from `rng`; `fallback` when no free cell turns up.
+Pose2 sample_free_pose(const OccupancyGrid& map, Rng& rng,
+                       const Pose2& fallback) {
+  for (int tries = 0; tries < 10000; ++tries) {
+    const int ix = rng.uniform_int(0, map.width() - 1);
+    const int iy = rng.uniform_int(0, map.height() - 1);
+    if (!map.is_free(ix, iy)) continue;
+    const Vec2 c = map.grid_to_world(ix, iy);
+    return Pose2{c.x, c.y, rng.uniform(-kPi, kPi)};
+  }
+  return fallback;
+}
+
+}  // namespace
+
 ParticleFilter::ParticleFilter(ParticleFilterConfig config,
                                std::shared_ptr<const RangeMethod> caster,
                                std::shared_ptr<const MotionModel> motion,
@@ -60,17 +78,9 @@ void ParticleFilter::init_pose(const Pose2& pose) {
 void ParticleFilter::init_global(const OccupancyGrid& map) {
   ++init_epoch_;
   slot_rngs_.clear();
-  // Rejection-sample uniformly over free cells with random headings.
   const double w = 1.0 / static_cast<double>(cloud_.size());
   for (std::size_t i = 0; i < cloud_.size(); ++i) {
-    for (int tries = 0; tries < 10000; ++tries) {
-      const int ix = rng_.uniform_int(0, map.width() - 1);
-      const int iy = rng_.uniform_int(0, map.height() - 1);
-      if (!map.is_free(ix, iy)) continue;
-      const Vec2 c = map.grid_to_world(ix, iy);
-      cloud_.set_pose(i, Pose2{c.x, c.y, rng_.uniform(-kPi, kPi)});
-      break;
-    }
+    cloud_.set_pose(i, sample_free_pose(map, rng_, cloud_.pose(i)));
     cloud_.weight()[i] = w;
   }
 }
@@ -177,8 +187,8 @@ void ParticleFilter::correct(const LaserScan& scan) {
   // scan-dependent half of the table lookup is hoisted into scan_ctx_
   // once; the per-particle scoring fans out through the dispatched
   // kernel (each chunk writes only its own log_weights_ rows); the max
-  // scan and the recovery/normalization sums run in fixed order so the
-  // result is thread-count independent.
+  // scan and the normalization sum run in fixed order so the result is
+  // thread-count independent.
   {
     telemetry::ScopedSpan weight_span{sink_.trace, "pf.weight"};
     telemetry::StageTimer weight_timer{h_weight_};
@@ -195,20 +205,6 @@ void ParticleFilter::correct(const LaserScan& scan) {
     double max_log = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < n; ++i) {
       max_log = std::max(max_log, log_weights_[i]);
-    }
-
-    // Recovery bookkeeping (AMCL w_slow / w_fast): the per-beam geometric
-    // mean likelihood of the cloud is the health signal.
-    if (config_.recovery && k > 0) {
-      const double sum_log = pairwise_sum(log_weights_);
-      const double w_avg = std::exp(
-          sum_log / (static_cast<double>(n) * static_cast<double>(k)));
-      if (w_slow_ == 0.0) w_slow_ = w_avg;
-      if (w_fast_ == 0.0) w_fast_ = w_avg;
-      w_slow_ += config_.recovery_alpha_slow * (w_avg - w_slow_);
-      w_fast_ += config_.recovery_alpha_fast * (w_avg - w_fast_);
-      injection_prob_ =
-          w_slow_ > 0.0 ? std::max(0.0, 1.0 - w_fast_ / w_slow_) : 0.0;
     }
 
     // Squash and exponentiate relative to the max for numerical stability;
@@ -372,17 +368,20 @@ void ParticleFilter::set_weights(std::span<const double> weights) {
 
 void ParticleFilter::force_resample() { resample(); }
 
-void ParticleFilter::inject_uniform(double fraction, Rng& rng) {
+void ParticleFilter::inject_uniform(double fraction, const OccupancyGrid& map,
+                                    Rng& rng) {
   SYNPF_EXPECTS_MSG(std::isfinite(fraction),
                     "injection fraction must be finite");
   SYNPF_EXPECTS_MSG(!resizing_,
                     "inject_uniform must not be called mid-resize");
   SYNPF_EXPECTS_MSG(log_weights_.size() == cloud_.size(),
                     "cloud and weight scratch must agree before injection");
-  if (fraction <= 0.0 || recovery_map_ == nullptr) return;
+  if (fraction <= 0.0) return;
   const double f = std::min(fraction, 1.0);
   for (std::size_t i = 0; i < cloud_.size(); ++i) {
-    if (rng.uniform() < f) cloud_.set_pose(i, sample_free_pose(rng));
+    if (rng.uniform() < f) {
+      cloud_.set_pose(i, sample_free_pose(map, rng, cloud_.pose(0)));
+    }
   }
   cloud_.fill_weights(1.0 / static_cast<double>(cloud_.size()));
 }
@@ -466,18 +465,6 @@ std::size_t ParticleFilter::kld_bound(std::size_t k) const {
   return static_cast<std::size_t>(std::ceil(n));
 }
 
-Pose2 ParticleFilter::sample_free_pose(Rng& rng) {
-  const OccupancyGrid& map = *recovery_map_;
-  for (int tries = 0; tries < 10000; ++tries) {
-    const int ix = rng.uniform_int(0, map.width() - 1);
-    const int iy = rng.uniform_int(0, map.height() - 1);
-    if (!map.is_free(ix, iy)) continue;
-    const Vec2 c = map.grid_to_world(ix, iy);
-    return Pose2{c.x, c.y, rng.uniform(-kPi, kPi)};
-  }
-  return cloud_.empty() ? Pose2{} : cloud_.pose(0);
-}
-
 void ParticleFilter::resample() {
   // Low-variance (systematic) resampling: one uniform draw, `max_n` equally
   // spaced pointers into the cumulative weight distribution. O(N), preserves
@@ -511,24 +498,8 @@ void ParticleFilter::resample() {
   }
   // srl-lint: end-realtime
 
-  // Kidnapped-robot recovery: replace a fraction of the resampled cloud
-  // with uniform random poses when the measurement likelihood collapsed.
-  // All draws come from this event's kPfStreamRecovery substream (keyed by
-  // the resample ordinal), so injection never perturbs the master stream.
-  const auto inject_recovery = [this](ParticleCloud& cloud) {
-    if (!config_.recovery || !recovery_map_ || injection_prob_ <= 0.0) return;
-    Rng recovery_rng = rng_.substream(
-        kPfStreamRecovery, static_cast<std::uint64_t>(resamples_));
-    for (std::size_t s = 0; s < cloud.size(); ++s) {
-      if (recovery_rng.uniform() < injection_prob_) {
-        cloud.set_pose(s, sample_free_pose(recovery_rng));
-      }
-    }
-  };
-
   if (!config_.kld_adaptive) {
     cloud_.swap(drawn_scratch_);
-    inject_recovery(cloud_);
     log_weights_.resize(cloud_.size());
     cloud_.fill_weights(1.0 / static_cast<double>(cloud_.size()));
     ++resamples_;
@@ -570,7 +541,6 @@ void ParticleFilter::resample() {
     }
   }
   cloud_.resize(kept);
-  inject_recovery(cloud_);
   log_weights_.resize(kept);
   cloud_.fill_weights(1.0 / static_cast<double>(kept));
   ++resamples_;

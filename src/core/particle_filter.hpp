@@ -52,8 +52,9 @@ namespace srl {
 ///    (each predict advances them) and are re-derived on every init, so the
 ///    noise particle `i` sees is a pure function of (seed, epoch, i) and the
 ///    number of predicts so far — never of the thread that ran it.
-///  - **kRecovery**: resample event `r` draws its per-slot injection trials
-///    and replacement poses serially from `substream(kRecovery, r)`.
+///  - **kRecovery**: retired, reserved, never reused. The filter draws no
+///    recovery noise; the supervisor's injections (src/recovery) draw from
+///    its own RecoveryStream schedule.
 ///  - **kGovernor**: governor-driven cloud resizes (src/governor) draw their
 ///    systematic-subsample jitter and growth noise from
 ///    `substream(kGovernor, ordinal)`, where the ordinal is the governor's
@@ -99,16 +100,6 @@ struct ParticleFilterConfig {
   double kld_quantile_z = 2.33;  ///< 99% normal quantile
   double kld_bin_xy = 0.25;      ///< m, histogram bin size
   double kld_bin_theta = 0.20;   ///< rad
-
-  /// AMCL-style recovery: track slow/fast exponential averages of the
-  /// per-beam measurement likelihood; when the fast average falls below
-  /// the slow one (the cloud no longer explains the scans — kidnapped or
-  /// diverged), inject uniform random particles with probability
-  /// max(0, 1 - w_fast / w_slow) per resampled slot. Requires a map via
-  /// set_recovery_map().
-  bool recovery = false;
-  double recovery_alpha_slow = 0.05;
-  double recovery_alpha_fast = 0.5;
 
   /// Worker lanes for the per-particle hot stages (predict / raycast /
   /// weight). 0 = hardware default (overridable via the SRL_THREADS env
@@ -224,23 +215,15 @@ class ParticleFilter {
   /// `target == current_particles()` is a strict no-op.
   void govern_resize(int target, std::uint64_t ordinal);
 
-  /// Provide the map used to draw recovery particles (and enable the
-  /// kidnapped-robot recovery configured by `config.recovery`).
-  void set_recovery_map(std::shared_ptr<const OccupancyGrid> map) {
-    recovery_map_ = std::move(map);
-  }
-  /// Last computed injection probability (diagnostic; 0 while healthy).
-  double recovery_injection_prob() const { return injection_prob_; }
-
   /// Recovery seam (src/recovery): replace each particle, with independent
-  /// probability `fraction`, by a uniform pose over the recovery map's free
-  /// cells, then reset the weights to uniform (the injected particles carry
+  /// probability `fraction`, by a uniform pose over the free cells of
+  /// `map`, then reset the weights to uniform (the injected particles carry
   /// no likelihood yet; the next correct() re-scores the whole cloud). All
   /// draws come from the caller-provided `rng` serially in slot order, so
-  /// the outcome is a pure function of (cloud, fraction, rng state) — never
-  /// of the thread count. Requires set_recovery_map(); `fraction <= 0` is a
-  /// strict no-op (no draw, no weight touch).
-  void inject_uniform(double fraction, Rng& rng);
+  /// the outcome is a pure function of (cloud, fraction, map, rng state) —
+  /// never of the thread count. `fraction <= 0` is a strict no-op (no draw,
+  /// no weight touch).
+  void inject_uniform(double fraction, const OccupancyGrid& map, Rng& rng);
 
   /// Recovery seam: temperature multiplier on the likelihood squash for
   /// subsequent correct() calls (effective squash = squash_factor * scale).
@@ -272,9 +255,6 @@ class ParticleFilter {
   void sample_health();
   /// KLD bound: particles required for k occupied histogram bins.
   std::size_t kld_bound(std::size_t k) const;
-  /// Uniform random pose over the recovery map's free cells, drawn from
-  /// `rng` (a kPfStreamRecovery substream during injection).
-  Pose2 sample_free_pose(Rng& rng);
   /// Grow the per-slot prediction-noise streams to cover `n` slots
   /// (substream key schedule documented at PfStream).
   void ensure_slot_rngs(std::size_t n);
@@ -338,11 +318,7 @@ class ParticleFilter {
   telemetry::PoseJumpDetector jump_detector_{};
   telemetry::FilterHealth health_{};
 
-  std::shared_ptr<const OccupancyGrid> recovery_map_;
   double squash_scale_{1.0};
-  double w_slow_{0.0};
-  double w_fast_{0.0};
-  double injection_prob_{0.0};
 };
 
 }  // namespace srl

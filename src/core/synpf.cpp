@@ -12,8 +12,6 @@ SynPf::SynPf(SynPfConfig config, std::shared_ptr<const OccupancyGrid> map,
   config_.range_options.max_range = lidar.max_range;
   config_.beam.max_range = lidar.max_range;
 
-  std::shared_ptr<const OccupancyGrid> recovery_map =
-      config_.filter.recovery ? map : nullptr;
   std::shared_ptr<const RangeMethod> caster =
       make_range_method(config_.range, std::move(map), config_.range_options);
 
@@ -32,7 +30,6 @@ SynPf::SynPf(SynPfConfig config, std::shared_ptr<const OccupancyGrid> map,
   pf_ = std::make_unique<ParticleFilter>(
       config_.filter, std::move(caster), std::move(motion),
       BeamModel{config_.beam}, lidar, std::move(layout), config_.seed);
-  if (recovery_map) pf_->set_recovery_map(std::move(recovery_map));
 }
 
 void SynPf::initialize(const Pose2& pose) {

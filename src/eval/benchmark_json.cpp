@@ -87,17 +87,20 @@ json::Value bench_to_json(const BenchDocument& doc) {
     c.set("crashed", json::Value::boolean(cell.result.crashed));
     c.set("completed", json::Value::boolean(cell.result.completed));
     // Schema v2: recovery block.
-    c.set("recovery_success", json::Value::boolean(cell.recovery_success));
-    c.set("kidnaps", json::Value::number(static_cast<double>(cell.kidnaps)));
+    c.set("recovery_success", json::Value::boolean(cell.result.recovered));
+    c.set("kidnaps", json::Value::number(
+                         static_cast<double>(cell.result.kidnaps_applied)));
     c.set("divergence_episodes",
-          json::Value::number(static_cast<double>(cell.divergence_episodes)));
+          json::Value::number(
+              static_cast<double>(cell.result.divergence_episodes)));
     c.set("recoveries",
-          json::Value::number(static_cast<double>(cell.recoveries)));
+          json::Value::number(static_cast<double>(cell.result.recoveries)));
     c.set("time_to_reloc_mean_s",
-          json::Value::number(cell.time_to_reloc_mean_s));
-    c.set("time_to_reloc_max_s", json::Value::number(cell.time_to_reloc_max_s));
+          json::Value::number(cell.result.time_to_relocalize_mean_s));
+    c.set("time_to_reloc_max_s",
+          json::Value::number(cell.result.time_to_relocalize_max_s));
     c.set("post_divergence_lateral_cm",
-          json::Value::number(cell.post_divergence_lateral_cm));
+          json::Value::number(cell.result.post_divergence_lateral_cm));
     c.set("reinjections",
           json::Value::number(static_cast<double>(cell.reinjections)));
     c.set("global_relocs",

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.hpp"
+
 namespace srl {
 
 SensorTrace corrupt_trace(const fault::FaultPipeline& pipeline,
@@ -38,48 +40,26 @@ SensorTrace corrupt_trace(const fault::FaultPipeline& pipeline,
   return corrupted;
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-template <typename T>
-void hash_pod(std::uint64_t& h, const T& value) {
-  hash_bytes(h, &value, sizeof(T));
-}
-
-}  // namespace
-
 std::uint64_t trace_hash(const SensorTrace& trace) {
-  std::uint64_t h = kFnvOffset;
-  hash_pod(h, static_cast<std::uint64_t>(trace.odometry().size()));
-  hash_pod(h, static_cast<std::uint64_t>(trace.scans().size()));
+  std::uint64_t h = kFnv1aOffset;
+  h = fnv1a(h, static_cast<std::uint64_t>(trace.odometry().size()));
+  h = fnv1a(h, static_cast<std::uint64_t>(trace.scans().size()));
   for (const SensorTrace::OdomRecord& rec : trace.odometry()) {
-    hash_pod(h, rec.t);
-    hash_pod(h, rec.odom.delta.x);
-    hash_pod(h, rec.odom.delta.y);
-    hash_pod(h, rec.odom.delta.theta);
-    hash_pod(h, rec.odom.v);
-    hash_pod(h, rec.odom.dt);
+    h = fnv1a(h, rec.t);
+    h = fnv1a(h, rec.odom.delta.x);
+    h = fnv1a(h, rec.odom.delta.y);
+    h = fnv1a(h, rec.odom.delta.theta);
+    h = fnv1a(h, rec.odom.v);
+    h = fnv1a(h, rec.odom.dt);
   }
   for (const SensorTrace::ScanRecord& rec : trace.scans()) {
-    hash_pod(h, rec.scan.t);
-    hash_pod(h, rec.truth.x);
-    hash_pod(h, rec.truth.y);
-    hash_pod(h, rec.truth.theta);
-    hash_pod(h, static_cast<std::uint64_t>(rec.scan.ranges.size()));
-    if (!rec.scan.ranges.empty()) {
-      hash_bytes(h, rec.scan.ranges.data(),
-                 rec.scan.ranges.size() * sizeof(float));
-    }
+    h = fnv1a(h, rec.scan.t);
+    h = fnv1a(h, rec.truth.x);
+    h = fnv1a(h, rec.truth.y);
+    h = fnv1a(h, rec.truth.theta);
+    h = fnv1a(h, static_cast<std::uint64_t>(rec.scan.ranges.size()));
+    h = fnv1a_bytes(h, rec.scan.ranges.data(),
+                    rec.scan.ranges.size() * sizeof(float));
   }
   return h;
 }

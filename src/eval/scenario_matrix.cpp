@@ -108,15 +108,6 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
       cell.events_dropped = telemetry.events.dropped();
       if (recorder != nullptr) cell.blackboxes = recorder->dump_paths();
 
-      cell.recovery_success = cell.result.recovered;
-      cell.kidnaps = cell.result.kidnaps_applied;
-      cell.divergence_episodes = cell.result.divergence_episodes;
-      cell.recoveries = cell.result.recoveries;
-      cell.time_to_reloc_mean_s = cell.result.time_to_relocalize_mean_s;
-      cell.time_to_reloc_max_s = cell.result.time_to_relocalize_max_s;
-      cell.post_divergence_lateral_cm =
-          cell.result.post_divergence_lateral_cm;
-
       const telemetry::MetricsRegistry& m = telemetry.metrics;
       cell.reinjections = counter_value(m, "recovery.injections");
       cell.global_relocs = counter_value(m, "recovery.global_relocs");

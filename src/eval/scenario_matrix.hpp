@@ -97,15 +97,7 @@ struct ScenarioCell {
   // -- per-stage latency (PF cells; CartoLite reports its own stages) --
   double stage_p50_ms{0.0};  ///< dominant stage (raycast / local match) p50
   double stage_p99_ms{0.0};
-  // -- divergence/recovery (experiment episode bookkeeping + recovery
-  //    telemetry) --
-  bool recovery_success{true};  ///< no crash, every episode closed
-  int kidnaps{0};
-  int divergence_episodes{0};
-  int recoveries{0};
-  double time_to_reloc_mean_s{0.0};
-  double time_to_reloc_max_s{0.0};
-  double post_divergence_lateral_cm{0.0};
+  // -- recovery telemetry (the episode bookkeeping lives in `result`) --
   std::uint64_t reinjections{0};       ///< recovery.injections counter
   std::uint64_t global_relocs{0};      ///< recovery.global_relocs counter
   std::uint64_t recovery_transitions{0};  ///< detector state transitions

@@ -238,7 +238,6 @@ std::unique_ptr<telemetry::FlightRecorder> LocalizerStack::make_recorder(
       // probe must not add O(n) passes of its own.
       snap.ess_fraction = pf.health().ess_fraction;
       snap.weight_entropy = pf.health().weight_entropy;
-      snap.injection_prob = pf.recovery_injection_prob();
       snap.digest.clear();
       for (const Particle& p : pf.top_particles(top_k)) {
         snap.digest.push_back(p.pose.x);
@@ -251,6 +250,7 @@ std::unique_ptr<telemetry::FlightRecorder> LocalizerStack::make_recorder(
       snap.health_state = static_cast<int>(sup->state());
       snap.latch_mask = sup->detector().latch_mask();
       snap.alignment = sup->last_alignment();
+      snap.injection_prob = sup->policy().injection_fraction();
     }
     snap.fault_level = flt->last_fault_level();
   });

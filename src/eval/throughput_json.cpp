@@ -1,29 +1,15 @@
 #include "eval/throughput_json.hpp"
 
+#include "common/fnv1a.hpp"
+
 namespace srl {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t estimates_hash(std::span<const Pose2> estimates) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   for (const Pose2& p : estimates) {
-    h = fnv1a_bytes(h, &p.x, sizeof(double));
-    h = fnv1a_bytes(h, &p.y, sizeof(double));
-    h = fnv1a_bytes(h, &p.theta, sizeof(double));
+    h = fnv1a(h, p.x);
+    h = fnv1a(h, p.y);
+    h = fnv1a(h, p.theta);
   }
   return h;
 }

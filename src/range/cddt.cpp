@@ -106,19 +106,16 @@ void Cddt::ranges_from(const Pose2& sensor,
                        std::span<const double> beam_angles,
                        std::span<float> out) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(sensor), "cddt query pose not finite");
-  telemetry::StageTimer timer{batch_ms_};
   note_queries(beam_angles.size());
   const OccupancyGrid& grid = *map_;
   const GridIndex start = grid.world_to_grid({sensor.x, sensor.y});
   if (grid.blocks_ray(start.ix, start.iy)) {
     for (std::size_t j = 0; j < out.size(); ++j) out[j] = 0.0F;
-    timer.stop();
     return;
   }
   for (std::size_t j = 0; j < beam_angles.size(); ++j) {
     out[j] = range_line(sensor.x, sensor.y, sensor.theta + beam_angles[j]);
   }
-  timer.stop();
 }
 
 float Cddt::range_line(double x, double y, double theta) const {

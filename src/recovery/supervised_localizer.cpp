@@ -15,10 +15,7 @@ SupervisedLocalizer::SupervisedLocalizer(
       detector_{config.detector},
       policy_{config.policy, std::move(map), lidar, config.seed} {}
 
-void SupervisedLocalizer::bind_filter(ParticleFilter* pf) {
-  pf_ = pf;
-  if (pf_ != nullptr) pf_->set_recovery_map(map_);
-}
+void SupervisedLocalizer::bind_filter(ParticleFilter* pf) { pf_ = pf; }
 
 void SupervisedLocalizer::initialize(const Pose2& pose) {
   inner_.initialize(pose);
@@ -108,7 +105,7 @@ void SupervisedLocalizer::apply_recovery(const LaserScan& scan) {
       telemetry::ScopedSpan span{sink_.trace, "recovery.inject"};
       const double fraction = policy_.injection_fraction();
       Rng rng = policy_.inject_rng();
-      pf_->inject_uniform(fraction, rng);
+      pf_->inject_uniform(fraction, *map_, rng);
       if (g_inject_fraction_ != nullptr) g_inject_fraction_->set(fraction);
       if (c_injections_ != nullptr) c_injections_->add();
       {

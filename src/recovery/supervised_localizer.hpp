@@ -60,10 +60,10 @@ class SupervisedLocalizer final : public Localizer {
                       std::shared_ptr<const OccupancyGrid> map,
                       LidarConfig lidar);
 
-  /// Bind the particle cloud the supervisor may repair (injection, ESS
-  /// signal, tempering). Optional: without it the ladder skips injection
-  /// and escalates straight to relocalization via `initialize`. Also hands
-  /// the recovery map to the filter for free-space sampling.
+  /// Bind the particle cloud the supervisor may repair (injection over the
+  /// supervisor's map, ESS signal, tempering). Optional: without it the
+  /// ladder skips injection and escalates straight to relocalization via
+  /// `initialize`.
   void bind_filter(ParticleFilter* pf);
 
   void initialize(const Pose2& pose) override;

@@ -1,26 +1,10 @@
 #include "telemetry/flight_recorder.hpp"
 
-#include <cstring>
 #include <filesystem>
 
+#include "common/fnv1a.hpp"
+
 namespace srl::telemetry {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    h ^= (bits >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 json::Value snapshot_to_json(const TickSnapshot& snap) {
   json::Value v = json::Value::object();
@@ -50,16 +34,16 @@ json::Value snapshot_to_json(const TickSnapshot& snap) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config, EventLog* events)
-    : config_{config}, events_{events}, hash_{kFnvOffset} {
+    : config_{config}, events_{events}, hash_{kFnv1aOffset} {
   config_.window = std::max<std::size_t>(config_.window, 1);
   ring_.reserve(config_.window);
 }
 
 void FlightRecorder::record_tick(TickSnapshot snap) {
   if (probe_) probe_(snap);
-  hash_ = fnv1a_double(hash_, snap.est_x);
-  hash_ = fnv1a_double(hash_, snap.est_y);
-  hash_ = fnv1a_double(hash_, snap.est_theta);
+  hash_ = fnv1a(hash_, snap.est_x);
+  hash_ = fnv1a(hash_, snap.est_y);
+  hash_ = fnv1a(hash_, snap.est_theta);
   ++ticks_;
   if (ring_.size() < config_.window) {
     ring_.push_back(std::move(snap));
@@ -146,7 +130,7 @@ void FlightRecorder::clear() {
   ring_.clear();
   ring_next_ = 0;
   ticks_ = 0;
-  hash_ = kFnvOffset;
+  hash_ = kFnv1aOffset;
   dumps_done_ = 0;
   dump_paths_.clear();
 }

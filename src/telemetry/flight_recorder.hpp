@@ -51,7 +51,7 @@ struct TickSnapshot {
   int health_state{-1};         ///< recovery::HealthState as int
   int latch_mask{-1};           ///< detector latches: ess|align|jump|disagree
   double alignment{-1.0};       ///< supervisor probe score
-  double injection_prob{-1.0};  ///< AMCL w_fast/w_slow injection pressure
+  double injection_prob{-1.0};  ///< supervisor's AMCL injection fraction
   double fault_level{-1.0};     ///< max active fault envelope at t
   /// Top-K particles by weight, flattened [x, y, theta, weight] * K.
   std::vector<double> digest;

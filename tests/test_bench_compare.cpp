@@ -74,7 +74,7 @@ BenchDocument make_doc() {
     c.result.lateral_mean_cm = lateral_cm;
     c.result.update_p99_ms = p99_ms;
     c.result.crashed = crashed;
-    c.recovery_success = !crashed;
+    c.result.recovered = !crashed;
     c.ess_fraction_p50 = 0.31;
     return c;
   };
@@ -84,12 +84,12 @@ BenchDocument make_doc() {
   doc.cells.push_back(cell("CartoLite", "odom_slip_ramp", 1.0, 0.0, 9.0, true));
 
   ScenarioCell kidnap = cell("SynPF+Recovery", "kidnap", 1.0, 5.2, 6.8, false);
-  kidnap.kidnaps = 1;
-  kidnap.divergence_episodes = 1;
-  kidnap.recoveries = 1;
-  kidnap.time_to_reloc_mean_s = 0.5;
-  kidnap.time_to_reloc_max_s = 0.5;
-  kidnap.post_divergence_lateral_cm = 5.0;
+  kidnap.result.kidnaps_applied = 1;
+  kidnap.result.divergence_episodes = 1;
+  kidnap.result.recoveries = 1;
+  kidnap.result.time_to_relocalize_mean_s = 0.5;
+  kidnap.result.time_to_relocalize_max_s = 0.5;
+  kidnap.result.post_divergence_lateral_cm = 5.0;
   kidnap.reinjections = 1;
   kidnap.global_relocs = 1;
   kidnap.recovery_transitions = 4;
@@ -222,7 +222,7 @@ TEST(BenchCompare, NewUngovernedCrashFailsOnlyTheRerun) {
 TEST(BenchCompare, LostRecoveryIsARegression) {
   const BenchDocument baseline = make_doc();
   BenchDocument candidate = make_doc();
-  candidate.cells[4].recovery_success = false;
+  candidate.cells[4].result.recovered = false;
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cell, "SynPF+Recovery/kidnap@1");
@@ -235,7 +235,7 @@ TEST(BenchCompare, CrashedCandidateAlsoLosesRecovery) {
   const BenchDocument baseline = make_doc();
   BenchDocument candidate = make_doc();
   candidate.cells[4].result.crashed = true;
-  candidate.cells[4].recovery_success = false;
+  candidate.cells[4].result.recovered = false;
   const CompareReport report = compare(baseline, candidate);
   bool saw_recovery = false;
   for (const CompareFailure& f : report.failures) {
@@ -249,10 +249,10 @@ TEST(BenchCompare, TimeToRelocalizeGateBindsPastTolerance) {
   const BenchDocument baseline = make_doc();
   BenchDocument candidate = make_doc();
   // Limit: 0.5 * (1 + 0.5) + 0.5 = 1.25 s.
-  candidate.cells[4].time_to_reloc_mean_s = 1.2;
+  candidate.cells[4].result.time_to_relocalize_mean_s = 1.2;
   EXPECT_TRUE(compare(baseline, candidate).ok());
 
-  candidate.cells[4].time_to_reloc_mean_s = 2.0;
+  candidate.cells[4].result.time_to_relocalize_mean_s = 2.0;
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].metric, "time_to_reloc_mean_s");
@@ -279,8 +279,8 @@ TEST(BenchCompare, CellWithoutRecoveryBlockSkipsRecoveryRules) {
   baseline.set("cells", stripped_cells);
 
   BenchDocument candidate = make_doc();
-  candidate.cells[4].recovery_success = false;
-  candidate.cells[4].time_to_reloc_mean_s = 99.0;
+  candidate.cells[4].result.recovered = false;
+  candidate.cells[4].result.time_to_relocalize_mean_s = 99.0;
   EXPECT_TRUE(compare(baseline, bench_to_json(candidate)).ok());
 }
 

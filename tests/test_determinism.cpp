@@ -19,8 +19,11 @@
 #include "core/synpf.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
+#include "eval/fault_replay.hpp"
+#include "eval/throughput_json.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace srl {
@@ -220,6 +223,43 @@ TEST(RngSubstream, DerivationIsPinned) {
             11239911459078627731ULL);
   EXPECT_EQ(master.substream(kPfStreamRecovery, 0).next_seed(),
             16653311168010206230ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint pinning: the FNV-1a fingerprints the gates compare across
+// runs and commits (`trace_hash` in the robustness artifact,
+// `estimates_hash` in the throughput artifact, the flight recorder's
+// estimate-trajectory hash in every black box), frozen on a small fixed
+// input. A change to the hash itself fails here before it silently
+// invalidates every committed baseline and black box.
+// ---------------------------------------------------------------------------
+
+TEST(Fingerprints, HashesArePinned) {
+  SensorTrace trace;
+  OdometryDelta odom;
+  odom.delta = Pose2{0.1, -0.02, 0.003};
+  odom.v = 2.5;
+  odom.dt = 0.02;
+  trace.add_odometry(0.02, odom);
+  trace.add_odometry(0.04, odom);
+  LaserScan scan;
+  scan.t = 0.05;
+  scan.ranges = {1.5F, 2.25F, 0.0F, 12.0F};
+  trace.add_scan(scan, Pose2{1.0, 2.0, 0.5});
+  EXPECT_EQ(trace_hash(trace), 0xbaaef48d82eb13cdULL);
+
+  const std::vector<Pose2> estimates{{1.0, 2.0, 0.5}, {-0.25, 3.5, -3.0}};
+  EXPECT_EQ(estimates_hash(estimates), 0xac8750010b9ebe4cULL);
+
+  telemetry::FlightRecorder recorder;
+  for (const Pose2& p : estimates) {
+    telemetry::TickSnapshot snap;
+    snap.est_x = p.x;
+    snap.est_y = p.y;
+    snap.est_theta = p.theta;
+    recorder.record_tick(snap);
+  }
+  EXPECT_EQ(recorder.estimate_hash(), 0xac8750010b9ebe4cULL);
 }
 
 TEST(RngSubstream, IndependentOfParentDrawHistory) {

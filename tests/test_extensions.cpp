@@ -216,103 +216,5 @@ TEST(KldAdaptive, GrowsBackWhenUncertaintyRises) {
   }
 }
 
-// -------------------------------------------------------------- recovery --
-
-TEST(Recovery, InjectionProbRisesAfterKidnap) {
-  auto map = make_room();
-  const LidarConfig lidar;
-  ParticleFilterConfig cfg;
-  cfg.n_particles = 1500;
-  cfg.recovery = true;
-  auto caster = std::make_shared<BresenhamCaster>(map, lidar.max_range);
-  ParticleFilter pf{cfg,
-                    caster,
-                    std::make_shared<TumMotionModel>(),
-                    BeamModel{},
-                    lidar,
-                    uniform_layout(lidar, 40),
-                    7};
-  pf.set_recovery_map(map);
-
-  const Pose2 home{4.0, 2.0, 0.5};
-  pf.init_pose(home);
-  Rng rng{3};
-  // Healthy phase: likelihood stable, no injection.
-  for (int i = 0; i < 8; ++i) pf.correct(observe(map, home, rng));
-  EXPECT_LT(pf.recovery_injection_prob(), 0.05);
-
-  // Kidnap: the car is teleported; the cloud's likelihood collapses and
-  // the injection probability must rise.
-  const Pose2 elsewhere{8.5, 4.5, -2.0};
-  pf.correct(observe(map, elsewhere, rng));
-  pf.correct(observe(map, elsewhere, rng));
-  EXPECT_GT(pf.recovery_injection_prob(), 0.15);
-}
-
-TEST(Recovery, RelocalizesAfterKidnap) {
-  auto map = make_room();
-  const LidarConfig lidar;
-  ParticleFilterConfig cfg;
-  cfg.n_particles = 4000;
-  cfg.recovery = true;
-  auto caster = std::make_shared<BresenhamCaster>(map, lidar.max_range);
-  ParticleFilter pf{cfg,
-                    caster,
-                    std::make_shared<TumMotionModel>(),
-                    BeamModel{},
-                    lidar,
-                    uniform_layout(lidar, 40),
-                    11};
-  pf.set_recovery_map(map);
-
-  const Pose2 home{4.0, 2.0, 0.5};
-  pf.init_pose(home);
-  Rng rng{5};
-  for (int i = 0; i < 6; ++i) pf.correct(observe(map, home, rng));
-
-  // Kidnap, then keep feeding scans from the new location: injected
-  // uniform particles must find it.
-  const Pose2 elsewhere{8.5, 4.5, -2.0};
-  OdometryDelta idle;
-  idle.dt = 0.05;
-  for (int i = 0; i < 30; ++i) {
-    pf.predict(idle);
-    pf.correct(observe(map, elsewhere, rng));
-  }
-  const Pose2 est = pf.estimate();
-  EXPECT_NEAR(est.x, elsewhere.x, 0.4);
-  EXPECT_NEAR(est.y, elsewhere.y, 0.4);
-}
-
-TEST(Recovery, DisabledFilterStaysLost) {
-  auto map = make_room();
-  const LidarConfig lidar;
-  ParticleFilterConfig cfg;
-  cfg.n_particles = 1500;
-  cfg.recovery = false;
-  auto caster = std::make_shared<BresenhamCaster>(map, lidar.max_range);
-  ParticleFilter pf{cfg,
-                    caster,
-                    std::make_shared<TumMotionModel>(),
-                    BeamModel{},
-                    lidar,
-                    uniform_layout(lidar, 40),
-                    11};
-  const Pose2 home{4.0, 2.0, 0.5};
-  pf.init_pose(home);
-  Rng rng{5};
-  for (int i = 0; i < 6; ++i) pf.correct(observe(map, home, rng));
-  const Pose2 elsewhere{8.5, 4.5, -2.0};
-  OdometryDelta idle;
-  idle.dt = 0.05;
-  for (int i = 0; i < 30; ++i) {
-    pf.predict(idle);
-    pf.correct(observe(map, elsewhere, rng));
-  }
-  // Without injection the cloud cannot jump across the room.
-  const Pose2 est = pf.estimate();
-  EXPECT_GT(std::hypot(est.x - elsewhere.x, est.y - elsewhere.y), 1.0);
-}
-
 }  // namespace
 }  // namespace srl

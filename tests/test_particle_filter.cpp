@@ -391,13 +391,13 @@ TEST(ParticleFilter, GovernResizeThenInjectUniformStaysCoherent) {
   auto map = make_room();
   for (const int target : {300, 1200}) {  // shrink and grow orderings
     ParticleFilter pf = make_filter(map);
-    pf.set_recovery_map(map);
     pf.init_pose({5.0, 3.0, 0.0});
     pf.govern_resize(target, 7);
     ASSERT_EQ(pf.current_particles(), target);
 
     Rng rng{99};
-    pf.inject_uniform(0.5, rng);  // would fire the mid-resize/size contracts
+    // Would fire the mid-resize/size contracts on an incoherent cloud.
+    pf.inject_uniform(0.5, *map, rng);
     EXPECT_EQ(pf.current_particles(), target);
     const std::vector<Particle> cloud = pf.particles_snapshot();
     const double uniform = 1.0 / static_cast<double>(target);

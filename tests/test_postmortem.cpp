@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "eval/scenario_matrix.hpp"
 #include "eval/stack.hpp"
 #include "gridmap/track_generator.hpp"
+#include "recovery/recovery_policy.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace srl {
@@ -95,6 +97,15 @@ TEST(FlightRecorder, TraceSidecarPathSwapsExtension) {
 
 // ------------------------------------------- end-to-end postmortem pipeline
 
+/// Every snapshot's `injection_prob` in a black box's window.
+std::vector<double> injection_probs(const Blackbox& box) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < box.snapshots.size(); ++i) {
+    out.push_back(box.snapshots.at(i)->find("injection_prob")->as_double());
+  }
+  return out;
+}
+
 // One supervised SynPF cell kidnapped mid-run: the divergence episode must
 // dump a black box, and the black box must replay bitwise at 1 and 8
 // filter lanes. This is the CI smoke for the whole record -> dump -> replay
@@ -122,14 +133,15 @@ TEST_F(PostmortemPipeline, KidnapDumpsAndReplaysBitwise) {
   std::filesystem::remove_all(dir);
 
   ScenarioMatrixConfig config = base_config();
+  config.localizers.push_back("SynPF");  // the unsupervised twin
   config.blackbox_dir = dir;
   const ScenarioMatrix matrix{config};
   const std::vector<ScenarioCell> cells = matrix.run(track());
-  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_EQ(cells.size(), 2u);
   const ScenarioCell& cell = cells[0];
 
   // The kidnap must have opened a divergence episode and dumped a box.
-  EXPECT_GE(cell.divergence_episodes, 1);
+  EXPECT_GE(cell.result.divergence_episodes, 1);
   ASSERT_FALSE(cell.blackboxes.empty());
   EXPECT_GT(cell.events_total, 0u);
   EXPECT_GT(cell.events_error, 0u);  // experiment.divergence_open is error
@@ -143,6 +155,24 @@ TEST_F(PostmortemPipeline, KidnapDumpsAndReplaysBitwise) {
   ASSERT_TRUE(box->has_trace);
   EXPECT_GT(box->ticks, 0u);
   EXPECT_FALSE(box->events.empty());
+
+  // Injection pressure is the supervisor's AMCL fraction, which the policy
+  // clamps to [min_injection_fraction, max_injection_fraction].
+  const recovery::RecoveryPolicyConfig policy;
+  const std::vector<double> supervised = injection_probs(*box);
+  ASSERT_FALSE(supervised.empty());
+  const auto [lo, hi] =
+      std::minmax_element(supervised.begin(), supervised.end());
+  EXPECT_GE(*lo, policy.min_injection_fraction);
+  EXPECT_LE(*hi, policy.max_injection_fraction);
+  // Without a supervisor the signal is not available: -1 on every tick.
+  ASSERT_FALSE(cells[1].blackboxes.empty());
+  const std::optional<Blackbox> bare =
+      load_blackbox(cells[1].blackboxes.front());
+  ASSERT_TRUE(bare.has_value());
+  const std::vector<double> unsupervised = injection_probs(*bare);
+  ASSERT_FALSE(unsupervised.empty());
+  EXPECT_EQ(unsupervised, std::vector<double>(unsupervised.size(), -1.0));
 
   // The rendered timeline mentions the kidnap and the divergence.
   const std::string timeline = render_timeline(*box);
@@ -183,8 +213,9 @@ TEST_F(PostmortemPipeline, RecorderOffIsBitwiseNoOp) {
   EXPECT_EQ(on[0].result.lateral_std_cm, off[0].result.lateral_std_cm);
   EXPECT_EQ(on[0].result.scan_alignment, off[0].result.scan_alignment);
   EXPECT_EQ(on[0].result.crashed, off[0].result.crashed);
-  EXPECT_EQ(on[0].divergence_episodes, off[0].divergence_episodes);
-  EXPECT_EQ(on[0].recoveries, off[0].recoveries);
+  EXPECT_EQ(on[0].result.divergence_episodes,
+            off[0].result.divergence_episodes);
+  EXPECT_EQ(on[0].result.recoveries, off[0].result.recoveries);
 
   // The journal runs either way (events are sink-level, not recorder-level);
   // only the black-box artifacts require the recorder.

@@ -359,10 +359,9 @@ TEST(RecoverySeams, InjectUniformZeroFractionIsAStrictNoOp) {
   cfg.range = RangeMethodKind::kCddt;
   SynPf pf{cfg, f.map, f.lidar};
   pf.initialize(Pose2{-4.0, -2.5, 0.0});
-  pf.filter().set_recovery_map(f.map);
   const std::vector<Particle> before = pf.filter().particles_snapshot();
   Rng rng{99};
-  pf.filter().inject_uniform(0.0, rng);
+  pf.filter().inject_uniform(0.0, *f.map, rng);
   const auto after = pf.filter().particles_snapshot();
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
@@ -382,10 +381,9 @@ TEST(RecoverySeams, InjectUniformReplacesRoughlyTheRequestedFraction) {
   cfg.range = RangeMethodKind::kCddt;
   SynPf pf{cfg, f.map, f.lidar};
   pf.initialize(Pose2{-4.0, -2.5, 0.0});
-  pf.filter().set_recovery_map(f.map);
   const std::vector<Particle> before = pf.filter().particles_snapshot();
   Rng rng{7};
-  pf.filter().inject_uniform(0.5, rng);
+  pf.filter().inject_uniform(0.5, *f.map, rng);
   const auto after = pf.filter().particles_snapshot();
   int moved = 0;
   for (std::size_t i = 0; i < before.size(); ++i) {
