@@ -28,6 +28,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -193,6 +194,8 @@ int main(int argc, char** argv) {
   doc.provenance.git_sha = sha != nullptr ? sha : "";
   doc.provenance.seed = trace_seed;
   doc.provenance.laps = 1;
+  doc.provenance.hardware_threads =
+      static_cast<int>(std::thread::hardware_concurrency());
   doc.provenance.fast_mode = fast_mode();
   doc.simd_active = simd::name(simd::active());
   doc.avx2_available = simd::cpu_has_avx2();

@@ -1,6 +1,7 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 
 #include "common/contracts.hpp"
@@ -82,6 +83,24 @@ void ThreadPool::parallel_for(std::size_t n, const ChunkBody& body) {
   std::unique_lock lock{mutex_};
   cv_done_.wait(lock, [this] { return pending_ == 0; });
   body_ = nullptr;
+}
+
+void ThreadPool::claim_each(std::size_t n, const IndexBody& body) {
+  std::atomic<std::size_t> next{0};
+  // One single-index chunk per lane that gets work; each lane then drains
+  // the cursor.
+  parallel_for(std::min(n, static_cast<std::size_t>(n_lanes_)),
+               [&](int lane, std::size_t, std::size_t) {
+                 for (std::size_t i = next.fetch_add(1); i < n;
+                      i = next.fetch_add(1)) {
+                   try {
+                     body(lane, i);
+                   } catch (...) {
+                     next.store(n);
+                     throw;
+                   }
+                 }
+               });
 }
 
 void ThreadPool::worker_loop(int lane) {

@@ -1,22 +1,27 @@
 #pragma once
 
 /// \file parallel.hpp
-/// \brief Deterministic parallel execution primitives: a static-chunked
-/// thread pool and fixed-order (pairwise) reductions.
+/// \brief Deterministic parallel execution primitives: a fork/join thread
+/// pool (static chunks, or a claim-next cursor for batch jobs) and
+/// fixed-order (pairwise) reductions.
 ///
 /// The particle filter's per-particle stages (predict / raycast / weight)
 /// are embarrassingly parallel, but the repo's headline guarantee — replays
 /// are *bitwise* reproducible from a seed — must survive parallelization at
 /// any thread count. Two rules make that possible (DESIGN.md §9):
 ///
-///  1. **Static chunking, no work stealing.** `ThreadPool::parallel_for`
+///  1. **Per-index results, no work stealing.** `ThreadPool::parallel_for`
 ///     splits `[0, n)` into exactly `threads()` contiguous chunks with a
 ///     fixed chunk→lane assignment (lane 0 is the calling thread). Chunk
 ///     boundaries depend only on `(n, threads())`, and — crucially — every
 ///     per-index result must depend only on the index, never on the chunk it
 ///     landed in. Under that discipline the output is identical for *any*
 ///     lane count, including 1 (which runs the body inline with zero
-///     synchronization — the exact serial path).
+///     synchronization — the exact serial path). The batch jobs (scenario
+///     matrix, frontier search) run coarse items of uneven cost instead;
+///     `ThreadPool::claim_each` lets each lane claim the next index from one
+///     cursor. The lane that runs an index then depends on timing, and is
+///     still not observable, because results are written per index.
 ///  2. **Fixed-order reductions.** Floating-point addition does not
 ///     associate, so sums must not be accumulated per-chunk. `pairwise_reduce`
 ///     computes a cascade (pairwise-tree) sum whose association structure is
@@ -29,8 +34,8 @@
 ///
 /// The pool is intentionally minimal: persistent workers parked on a
 /// condition variable, one fork/join region at a time, no task queue. That
-/// is all the filter needs, and every extra feature (stealing, nested
-/// regions, futures) is a determinism hazard.
+/// is all the filter and the batch jobs need, and every extra feature
+/// (stealing, nested regions, futures) is a determinism hazard.
 
 #include <condition_variable>
 #include <cstddef>
@@ -80,6 +85,17 @@ class ThreadPool {
   /// chunk finished. Empty chunks (n < T) are skipped. Regions do not nest:
   /// a body must not call parallel_for on the same pool.
   void parallel_for(std::size_t n, const ChunkBody& body);
+
+  /// Index body: run index `i` on `lane`, under ChunkBody's contract.
+  using IndexBody = std::function<void(int lane, std::size_t i)>;
+
+  /// Run body(lane, i) once for every i in [0, n). Each lane takes the next
+  /// unclaimed index from one shared cursor, in ascending order, until all
+  /// n are taken, so no lane idles while work remains. Which lane runs an
+  /// index depends on timing: the body must write only index i's result.
+  /// If the body throws on lane 0, the cursor closes, the workers finish
+  /// the indices they hold, and the exception propagates.
+  void claim_each(std::size_t n, const IndexBody& body);
 
   /// Lower bound of lane `lane`'s chunk over [0, n) with `lanes` lanes.
   /// Exposed so tests can pin the chunk geometry.

@@ -118,6 +118,11 @@ __attribute__((target("avx2"))) void accumulate_log_weights_avx2(
     }
     _mm256_storeu_pd(out + i, acc);
   }
+  // Clean upper-YMM state before any non-VEX code runs (DESIGN §15): dirty
+  // state would slow every later SSE instruction on this lane. GCC's own
+  // vzeroupper covers neither the remainder's tail call nor an unoptimized
+  // build.
+  _mm256_zeroupper();
   if (i < end) {
     accumulate_log_weights_scalar(ctx, expected, k, i, end, out);
   }

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 namespace srl {
 
@@ -50,6 +52,18 @@ struct FieldRule {
   double improve = 0.0;
 };
 
+/// A rule within the candidate alone: its `stage` row at `threads` lanes
+/// may take at most `max_ratio` times the `field` of the same row at one
+/// lane (same `simd`, same particle count). It compares no wall clock
+/// across machines, binds only where the candidate's
+/// `provenance.hardware_threads` reaches `threads`, and rerun mode skips it.
+struct LaneScaling {
+  const char* stage;
+  const char* field;
+  int threads;
+  double max_ratio;
+};
+
 struct Table {
   const char* member;  ///< document member holding the rows
   /// Row key and display name; "{field}" expands to the row's value.
@@ -61,6 +75,7 @@ struct Table {
   /// Baseline rows whose `simd` is "avx2" are skipped, with a note, when
   /// the candidate host reports `avx2_available: false`.
   bool avx2_rows = false;
+  std::optional<LaneScaling> lane_scaling{};
 };
 
 struct Policy {
@@ -105,7 +120,8 @@ const std::vector<Policy>& policies() {
          {"mean_ms", "items_per_sec"},
          {{"beams", Rule::kExact},
           {"items_per_sec", Rule::kAtLeast, 0.8, 0.0, Guard::kAlways, 0.5}},
-         true}}},
+         true,
+         LaneScaling{"update", "mean_ms", 4, 1.1}}}},
   };
   return kPolicies;
 }
@@ -376,6 +392,61 @@ void judge(const FieldRule& rule, const std::string& cell,
   }
 }
 
+bool same_text(const json::Value& a, const json::Value& b, const char* field) {
+  const json::Value* x = a.find(field);
+  const json::Value* y = b.find(field);
+  return x != nullptr && y != nullptr && x->dump(0) == y->dump(0);
+}
+
+double number_of(const json::Value& row, const char* field) {
+  const json::Value* v = row.find(field);
+  return v != nullptr && v->is_number() ? v->as_double() : -1.0;
+}
+
+void judge_lane_scaling(const LaneScaling& rule, const json::Value& candidate,
+                        const std::vector<Row>& rows, CompareReport& report) {
+  // Pair each wide row with its one-lane row.
+  std::vector<std::pair<const Row*, const Row*>> pairs;
+  for (const Row& wide : rows) {
+    const json::Value& w = *wide.value;
+    const json::Value* stage = w.find("stage");
+    if (stage == nullptr || stage->as_string() != rule.stage ||
+        number_of(w, "threads") != rule.threads) {
+      continue;
+    }
+    for (const Row& one : rows) {
+      const json::Value& o = *one.value;
+      if (number_of(o, "threads") == 1.0 && same_text(o, w, "stage") &&
+          same_text(o, w, "simd") && same_text(o, w, "particles")) {
+        pairs.emplace_back(&wide, &one);
+      }
+    }
+  }
+  if (pairs.empty()) return;
+  const json::Value* hw = lookup(candidate, "provenance.hardware_threads");
+  if (hw == nullptr || !hw->is_number() || hw->as_double() < rule.threads) {
+    report.notes.push_back(
+        "lane scaling not judged on " + std::to_string(pairs.size()) + " t=" +
+        std::to_string(rule.threads) + " rows: " +
+        (hw != nullptr ? "the candidate host has " + text(*hw) +
+                             " hardware threads"
+                       : "the candidate records no hardware_threads"));
+    return;
+  }
+  for (const auto& [wide, one] : pairs) {
+    const double w = number_of(*wide->value, rule.field);
+    const double o = number_of(*one->value, rule.field);
+    const double limit = rule.max_ratio * o;
+    if (!(w <= limit)) {
+      report.failures.push_back(
+          {wide->key, rule.field, json::Value::number(o),
+           json::Value::number(w),
+           "<= " + number_text(limit) + " (" + number_text(rule.max_ratio) +
+               " x its t=1 row)"});
+    }
+  }
+}
+
 }  // namespace
 
 std::string CompareFailure::describe() const {
@@ -439,6 +510,9 @@ std::optional<CompareReport> compare_artifacts(const json::Value& baseline,
         report.failures.push_back(
             {cand.key, "row", {}, {}, "in the baseline"});
       }
+    }
+    if (!rerun && table.lane_scaling) {
+      judge_lane_scaling(*table.lane_scaling, candidate, cand_rows, report);
     }
   }
   // Everything outside provenance and the tables is document-level.

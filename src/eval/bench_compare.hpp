@@ -12,8 +12,10 @@
 /// clock, and one rule per gated field: exact, an upper bound, a lower
 /// floor, or a flag that may not be lost. Cross-field conditions (a crash
 /// masks the accuracy rules, a censored frontier point reads as severity
-/// 2.0, ...) are named guards on those rules. A newly gated metric is one
-/// policy row, not a new compare mode.
+/// 2.0, ...) are named guards on those rules. A table may also carry one
+/// lane-scaling rule, judged within the candidate alone: the throughput
+/// table's 4-lane update may not be slower than 1.1x its 1-lane update. A
+/// newly gated metric is one policy row, not a new compare mode.
 ///
 /// Two modes:
 ///  - `kBaseline` — a candidate against a committed baseline that may come

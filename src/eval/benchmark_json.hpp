@@ -54,6 +54,9 @@ struct BenchProvenance {
   int laps{0};
   int n_particles{0};
   int matrix_threads{0};
+  /// std::thread::hardware_concurrency() of the host that ran the bench
+  /// (written by the throughput artifact, whose lane-scaling rule reads it).
+  int hardware_threads{0};
   bool fast_mode{false};
   // -- schema v3: flight-recorder provenance (informational, not gated) --
   bool recorder{false};          ///< grid ran with the flight recorder on

@@ -120,64 +120,63 @@ FrontierResult run_search_impl(
   }
   result.points.resize(combos.size());
 
+  // A censored point costs one probe, a bisected one up to 2 + B plus its
+  // defining failure, so lanes claim combinations one at a time.
   const ScenarioSampler sampler{config.seed};
   ThreadPool pool{config.search_threads};
-  pool.parallel_for(combos.size(), [&](int /*lane*/, std::size_t begin,
-                                       std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Combo& combo = combos[i];
-      FrontierPoint& point = result.points[i];
-      point.localizer = combo.localizer;
-      point.axis = frontier_axes()[static_cast<std::size_t>(combo.axis)];
-      point.track_class =
-          frontier_track_classes()[static_cast<std::size_t>(combo.track_class)];
-      point.variant = config.variant;
+  pool.claim_each(combos.size(), [&](int /*lane*/, std::size_t i) {
+    const Combo& combo = combos[i];
+    FrontierPoint& point = result.points[i];
+    point.localizer = combo.localizer;
+    point.axis = frontier_axes()[static_cast<std::size_t>(combo.axis)];
+    point.track_class =
+        frontier_track_classes()[static_cast<std::size_t>(combo.track_class)];
+    point.variant = config.variant;
 
-      const auto scenario_at = [&](int sev_step) {
-        ScenarioKey key;
-        key.sev_step = sev_step;
-        key.axis = combo.axis;
-        key.track_class = combo.track_class;
-        key.variant = config.variant;
-        return sampler.sample(key.pack());
-      };
-      const auto probe_at = [&](int sev_step) {
-        const SampledScenario scenario = scenario_at(sev_step);
-        point.evaluations.push_back(probe(combo, scenario));
-        return point.evaluations.back().failed;
-      };
+    const auto scenario_at = [&](int sev_step) {
+      ScenarioKey key;
+      key.sev_step = sev_step;
+      key.axis = combo.axis;
+      key.track_class = combo.track_class;
+      key.variant = config.variant;
+      return sampler.sample(key.pack());
+    };
+    const auto probe_at = [&](int sev_step) {
+      const SampledScenario scenario = scenario_at(sev_step);
+      point.evaluations.push_back(probe(combo, scenario));
+      return point.evaluations.back().failed;
+    };
 
-      // Bracket: the full-severity probe decides censoring, the clean
-      // probe decides degeneracy; only a [pass, fail] bracket is bisected.
-      int lo = 0;
-      int hi = kSeverityDenominator;
-      if (!probe_at(hi)) {
-        point.censored = true;
-        point.bracket_lo = 1.0;
-        point.bracket_hi = 1.0;
-      } else if (probe_at(lo)) {
-        point.degenerate = true;
-        hi = lo;
-      } else {
-        for (int it = 0; it < config.bisect_iterations && hi - lo > 1; ++it) {
-          const int mid = lo + (hi - lo) / 2;  // deterministic floor midpoint
-          if (probe_at(mid)) {
-            hi = mid;
-          } else {
-            lo = mid;
-          }
+    // Bracket: the full-severity probe decides censoring, the clean
+    // probe decides degeneracy; only a [pass, fail] bracket is bisected.
+    int lo = 0;
+    int hi = kSeverityDenominator;
+    if (!probe_at(hi)) {
+      point.censored = true;
+      point.bracket_lo = 1.0;
+      point.bracket_hi = 1.0;
+    } else if (probe_at(lo)) {
+      point.degenerate = true;
+      hi = lo;
+    } else {
+      for (int it = 0; it < config.bisect_iterations && hi - lo > 1; ++it) {
+        const int mid = lo + (hi - lo) / 2;  // deterministic floor midpoint
+        if (probe_at(mid)) {
+          hi = mid;
+        } else {
+          lo = mid;
         }
       }
-      if (!point.censored) {
-        point.bracket_lo =
-            static_cast<double>(lo) / kSeverityDenominator;
-        point.bracket_hi =
-            static_cast<double>(hi) / kSeverityDenominator;
-        point.breaking_severity = point.bracket_hi;
-        const SampledScenario defining = scenario_at(hi);
-        point.breaking_index = defining.index;
-        if (define_failure) define_failure(combo, defining, point);
-      }
+    }
+    if (!point.censored) {
+      point.bracket_lo =
+          static_cast<double>(lo) / kSeverityDenominator;
+      point.bracket_hi =
+          static_cast<double>(hi) / kSeverityDenominator;
+      point.breaking_severity = point.bracket_hi;
+      const SampledScenario defining = scenario_at(hi);
+      point.breaking_index = defining.index;
+      if (define_failure) define_failure(combo, defining, point);
     }
   });
   return result;

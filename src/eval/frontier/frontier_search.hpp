@@ -21,9 +21,9 @@
 /// run as not recovered (`crashed`, or an episode opened and never closed —
 /// eval/experiment.hpp). The final bracket is [highest passing severity,
 /// lowest failing severity]; its width after B bisections is 2^-B of the
-/// initial bracket. Combinations fan out over the PR-3 thread pool with
-/// per-index result writes, so the artifact is bitwise identical at any
-/// thread count.
+/// initial bracket. Combinations fan out over the PR-3 thread pool, each
+/// lane claiming the next one (`claim_each`), with per-index result
+/// writes, so the artifact is bitwise identical at any thread count.
 
 #include <cstdint>
 #include <functional>

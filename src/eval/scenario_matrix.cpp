@@ -50,97 +50,95 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
 
   // Every cell is an independent deterministic simulation (own localizer,
   // own pipeline, own runner, seeded from the config), so fanning out over
-  // the pool cannot change any cell's bits — only wall-clock.
+  // the pool cannot change any cell's bits — only wall-clock. Cell costs are
+  // uneven, so lanes claim cells one at a time instead of in fixed chunks.
   ThreadPool pool{config_.matrix_threads};
-  pool.parallel_for(cells.size(), [&](int /*lane*/, std::size_t begin,
-                                      std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      ScenarioCell& cell = cells[i];
-      ExperimentConfig experiment = config_.experiment;
-      experiment.seed = config_.seed;
-      if (cell.scenario.fault == "kidnap") {
-        // Pseudo-fault: no sensor corruption — the true vehicle teleports.
-        ExperimentConfig::KidnapSpec kidnap;
-        kidnap.t = config_.kidnap_time;
-        kidnap.advance_frac = config_.kidnap_advance * cell.scenario.severity;
-        experiment.kidnaps.push_back(kidnap);
-        // Run the clock out instead of stopping at the lap budget, so the
-        // post-kidnap recovery (or failure to recover) is fully observed.
-        experiment.laps = 1000000;
-      }
+  pool.claim_each(cells.size(), [&](int /*lane*/, std::size_t i) {
+    ScenarioCell& cell = cells[i];
+    ExperimentConfig experiment = config_.experiment;
+    experiment.seed = config_.seed;
+    if (cell.scenario.fault == "kidnap") {
+      // Pseudo-fault: no sensor corruption — the true vehicle teleports.
+      ExperimentConfig::KidnapSpec kidnap;
+      kidnap.t = config_.kidnap_time;
+      kidnap.advance_frac = config_.kidnap_advance * cell.scenario.severity;
+      experiment.kidnaps.push_back(kidnap);
+      // Run the clock out instead of stopping at the lap budget, so the
+      // post-kidnap recovery (or failure to recover) is fully observed.
+      experiment.laps = 1000000;
+    }
 
-      // The cell's recipe builds its stack and rides in its black boxes.
-      PostmortemStackSpec spec;
-      spec.track = config_.track_name;
-      spec.localizer = cell.localizer;
-      spec.n_particles = config_.n_particles;
-      spec.threads = config_.cell_threads;
-      spec.fault = cell.scenario.fault;
-      spec.severity = cell.scenario.severity;
-      spec.fault_seed = config_.fault_seed;
-      if (const auto kind = parse_stack_kind(cell.localizer)) {
-        spec.governor = kind->governor;
-      }
-      spec.budget_ms = spec.governor.empty() ? 0.0 : config_.budget_ms;
-      std::string error;
-      const std::unique_ptr<LocalizerStack> stack =
-          LocalizerStack::build(spec, map, experiment.lidar, error);
-      if (stack == nullptr) continue;  // unknown kind or fault: zeroed cell
+    // The cell's recipe builds its stack and rides in its black boxes.
+    PostmortemStackSpec spec;
+    spec.track = config_.track_name;
+    spec.localizer = cell.localizer;
+    spec.n_particles = config_.n_particles;
+    spec.threads = config_.cell_threads;
+    spec.fault = cell.scenario.fault;
+    spec.severity = cell.scenario.severity;
+    spec.fault_seed = config_.fault_seed;
+    if (const auto kind = parse_stack_kind(cell.localizer)) {
+      spec.governor = kind->governor;
+    }
+    spec.budget_ms = spec.governor.empty() ? 0.0 : config_.budget_ms;
+    std::string error;
+    const std::unique_ptr<LocalizerStack> stack =
+        LocalizerStack::build(spec, map, experiment.lidar, error);
+    if (stack == nullptr) return;  // unknown kind or fault: zeroed cell
 
-      telemetry::Telemetry telemetry;
-      telemetry::Sink sink = telemetry.sink();
-      std::unique_ptr<telemetry::FlightRecorder> recorder;
-      if (!config_.blackbox_dir.empty()) {
-        recorder = stack->make_recorder(
-            config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label(),
-            &telemetry.events);
-        sink.recorder = recorder.get();
-      }
+    telemetry::Telemetry telemetry;
+    telemetry::Sink sink = telemetry.sink();
+    std::unique_ptr<telemetry::FlightRecorder> recorder;
+    if (!config_.blackbox_dir.empty()) {
+      recorder = stack->make_recorder(
+          config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label(),
+          &telemetry.events);
+      sink.recorder = recorder.get();
+    }
 
-      ExperimentRunner runner{track, experiment};
-      cell.result = runner.run(stack->top(), nullptr, sink);
+    ExperimentRunner runner{track, experiment};
+    cell.result = runner.run(stack->top(), nullptr, sink);
 
-      cell.events_total = telemetry.events.total();
-      cell.events_warn = telemetry.events.count(telemetry::EventSeverity::kWarn);
-      cell.events_error =
-          telemetry.events.count(telemetry::EventSeverity::kError);
-      cell.events_critical = telemetry.events.critical_count();
-      cell.events_dropped = telemetry.events.dropped();
-      if (recorder != nullptr) cell.blackboxes = recorder->dump_paths();
+    cell.events_total = telemetry.events.total();
+    cell.events_warn = telemetry.events.count(telemetry::EventSeverity::kWarn);
+    cell.events_error =
+        telemetry.events.count(telemetry::EventSeverity::kError);
+    cell.events_critical = telemetry.events.critical_count();
+    cell.events_dropped = telemetry.events.dropped();
+    if (recorder != nullptr) cell.blackboxes = recorder->dump_paths();
 
-      const telemetry::MetricsRegistry& m = telemetry.metrics;
-      cell.reinjections = counter_value(m, "recovery.injections");
-      cell.global_relocs = counter_value(m, "recovery.global_relocs");
-      cell.recovery_transitions = counter_value(m, "recovery.to_suspect") +
-                                  counter_value(m, "recovery.to_diverged") +
-                                  counter_value(m, "recovery.to_recovering") +
-                                  counter_value(m, "recovery.to_healthy");
-      cell.ess_fraction_p50 = hist_quantile(m, "pf.ess_fraction_dist", 0.50);
-      const telemetry::Histogram* ess = m.find_histogram("pf.ess_fraction_dist");
-      cell.ess_fraction_min = ess != nullptr ? ess->min() : 0.0;
-      cell.resamples = counter_value(m, "pf.resamples");
-      cell.pose_jump_alarms = counter_value(m, "pf.pose_jump_alarms");
-      const char* stage = stack->synpf() != nullptr ? "pf.raycast_ms"
-                                                    : "carto.local_match_ms";
-      cell.stage_p50_ms = hist_quantile(m, stage, 0.50);
-      cell.stage_p99_ms = hist_quantile(m, stage, 0.99);
+    const telemetry::MetricsRegistry& m = telemetry.metrics;
+    cell.reinjections = counter_value(m, "recovery.injections");
+    cell.global_relocs = counter_value(m, "recovery.global_relocs");
+    cell.recovery_transitions = counter_value(m, "recovery.to_suspect") +
+                                counter_value(m, "recovery.to_diverged") +
+                                counter_value(m, "recovery.to_recovering") +
+                                counter_value(m, "recovery.to_healthy");
+    cell.ess_fraction_p50 = hist_quantile(m, "pf.ess_fraction_dist", 0.50);
+    const telemetry::Histogram* ess = m.find_histogram("pf.ess_fraction_dist");
+    cell.ess_fraction_min = ess != nullptr ? ess->min() : 0.0;
+    cell.resamples = counter_value(m, "pf.resamples");
+    cell.pose_jump_alarms = counter_value(m, "pf.pose_jump_alarms");
+    const char* stage = stack->synpf() != nullptr ? "pf.raycast_ms"
+                                                  : "carto.local_match_ms";
+    cell.stage_p50_ms = hist_quantile(m, stage, 0.50);
+    cell.stage_p99_ms = hist_quantile(m, stage, 0.99);
 
-      if (const governor::GovernedLocalizer* governed = stack->governor()) {
-        cell.governed = true;
-        cell.governor_shed = governed->config().shed;
-        cell.budget_ms = governed->config().budget_ms;
-        cell.governor_updates = governed->updates();
-        cell.deadline_misses = governed->deadline_misses();
-        cell.shed_beam_updates = governed->shed_beam_updates();
-        cell.shed_particle_updates = governed->shed_particle_updates();
-        cell.skipped_resamples = governed->skipped_resamples();
-        cell.governor_resizes = governed->resizes();
-        cell.governor_mean_particles = governed->mean_particles();
-        cell.governor_min_particles = governed->min_particles_seen();
-        cell.governor_mean_beams = governed->mean_beams();
-        cell.governor_cost_p50 = governed->cost_units_p50();
-        cell.governor_cost_p99 = governed->cost_units_p99();
-      }
+    if (const governor::GovernedLocalizer* governed = stack->governor()) {
+      cell.governed = true;
+      cell.governor_shed = governed->config().shed;
+      cell.budget_ms = governed->config().budget_ms;
+      cell.governor_updates = governed->updates();
+      cell.deadline_misses = governed->deadline_misses();
+      cell.shed_beam_updates = governed->shed_beam_updates();
+      cell.shed_particle_updates = governed->shed_particle_updates();
+      cell.skipped_resamples = governed->skipped_resamples();
+      cell.governor_resizes = governed->resizes();
+      cell.governor_mean_particles = governed->mean_particles();
+      cell.governor_min_particles = governed->min_particles_seen();
+      cell.governor_mean_beams = governed->mean_beams();
+      cell.governor_cost_p50 = governed->cost_units_p50();
+      cell.governor_cost_p99 = governed->cost_units_p99();
     }
   });
   return cells;

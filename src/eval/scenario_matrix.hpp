@@ -12,8 +12,9 @@
 /// alarms) for particle-filter cells.
 ///
 /// Cells are independent deterministic simulations (every cell re-seeds from
-/// the config), so the grid fans out over the PR-3 `ThreadPool`: results are
-/// written per-index and are bitwise identical at any `matrix_threads` —
+/// the config), so the grid fans out over the PR-3 `ThreadPool`, each lane
+/// claiming the next cell (`claim_each`): results are written per-index
+/// and are bitwise identical at any `matrix_threads` —
 /// parallelism across cells composes with the filters' own determinism
 /// guarantee because each cell pins its filter to one lane
 /// (`cell_threads = 1` by default).

@@ -25,6 +25,8 @@ json::Value throughput_to_json(const ThroughputDocument& doc) {
   provenance.set("seed",
                  json::Value::number(static_cast<double>(doc.provenance.seed)));
   provenance.set("laps", json::Value::number(doc.provenance.laps));
+  provenance.set("hardware_threads",
+                 json::Value::number(doc.provenance.hardware_threads));
   provenance.set("fast_mode", json::Value::boolean(doc.provenance.fast_mode));
   root.set("provenance", std::move(provenance));
 

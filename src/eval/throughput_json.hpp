@@ -8,7 +8,8 @@
 ///
 ///     {
 ///       "schema": "srl.bench_throughput/1",
-///       "provenance":  { compiler, build, seeds, fast_mode, ... },
+///       "provenance":  { compiler, build, seed, laps, hardware_threads,
+///                        fast_mode, ... },
 ///       "simd_active": "avx2",
 ///       "avx2_available": true,
 ///       "n_scans": 123,
@@ -25,7 +26,9 @@
 /// hash must be identical across the threads and simd columns of one
 /// particle count, and `tools/bench_compare --rerun` gates on it for
 /// same-machine self-compares. Wall-clock rates are gated separately (and
-/// generously) against a committed baseline. As with
+/// generously) against a committed baseline, and the 4-lane update against
+/// the same run's 1-lane update on hosts whose `hardware_threads` allow
+/// 4 lanes. As with
 /// `srl.bench_robustness`, fields may be added but never renamed or
 /// repurposed without bumping the version suffix.
 

@@ -70,27 +70,31 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
     const auto n_bands = static_cast<std::size_t>(
                              std::floor((v_max - v_min) / band_width_)) +
                          1;
-    bin.bands.assign(n_bands, {});
+    std::vector<std::vector<float>> bands(n_bands);
 
     for (const Vec2& p : surface) {
       const double u = p.x * bin.cos_t + p.y * bin.sin_t;
       const double v = -p.x * bin.sin_t + p.y * bin.cos_t;
       auto band = static_cast<std::size_t>((v - bin.v_min) / band_width_);
-      if (band >= bin.bands.size()) band = bin.bands.size() - 1;
-      bin.bands[band].push_back(static_cast<float>(u));
+      if (band >= bands.size()) band = bands.size() - 1;
+      bands[band].push_back(static_cast<float>(u));
     }
-    // Compress: sort each band and drop duplicates within half a cell.
+    // Compress: sort each band and drop duplicates within half a cell,
+    // then append it to the flat store.
     const float quantum = static_cast<float>(0.5 * band_width_);
-    for (auto& band : bin.bands) {
+    bin.band_start.reserve(n_bands + 1);
+    bin.band_start.push_back(obstacles_.size());
+    for (auto& band : bands) {
       std::sort(band.begin(), band.end());
       auto last = std::unique(band.begin(), band.end(),
                               [quantum](float a, float c) {
                                 return c - a < quantum;
                               });
-      band.erase(last, band.end());
-      band.shrink_to_fit();
+      obstacles_.insert(obstacles_.end(), band.begin(), last);
+      bin.band_start.push_back(obstacles_.size());
     }
   }
+  obstacles_.shrink_to_fit();
 }
 
 float Cddt::range(const Pose2& ray) const {
@@ -154,31 +158,28 @@ float Cddt::range_line(double x, double y, double theta) const {
   const double band_f = (v - bin.v_min) / band_width_;
   if (band_f < 0.0) return static_cast<float>(max_range_);
   auto band = static_cast<std::size_t>(band_f);
-  if (band >= bin.bands.size()) return static_cast<float>(max_range_);
-  const std::vector<float>& obstacles = bin.bands[band];
+  if (band + 1 >= bin.band_start.size()) {
+    return static_cast<float>(max_range_);
+  }
+  const float* first = obstacles_.data() + bin.band_start[band];
+  const float* last = obstacles_.data() + bin.band_start[band + 1];
 
   // Half-cell slack keeps a particle standing on a wall surface from seeing
   // "through" the obstacle it is touching.
   const float slack = static_cast<float>(0.5 * band_width_);
   float r = static_cast<float>(max_range_);
   if (forward) {
-    const auto it = std::upper_bound(obstacles.begin(), obstacles.end(),
-                                     static_cast<float>(u) - slack);
-    if (it != obstacles.end()) r = *it - static_cast<float>(u);
+    const float* it =
+        std::upper_bound(first, last, static_cast<float>(u) - slack);
+    if (it != last) r = *it - static_cast<float>(u);
   } else {
-    const auto it = std::lower_bound(obstacles.begin(), obstacles.end(),
-                                     static_cast<float>(u) + slack);
-    if (it != obstacles.begin()) r = static_cast<float>(u) - *std::prev(it);
+    const float* it =
+        std::lower_bound(first, last, static_cast<float>(u) + slack);
+    if (it != first) r = static_cast<float>(u) - *std::prev(it);
   }
   return std::clamp(r, 0.0F, static_cast<float>(max_range_));
 }
 
-std::size_t Cddt::total_entries() const {
-  std::size_t n = 0;
-  for (const ThetaBin& bin : bins_) {
-    for (const auto& band : bin.bands) n += band.size();
-  }
-  return n;
-}
+std::size_t Cddt::total_entries() const { return obstacles_.size(); }
 
 }  // namespace srl

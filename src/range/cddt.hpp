@@ -12,6 +12,8 @@
 /// coordinates, so a query is: locate band from v, binary-search the first
 /// obstacle ahead of u. Query cost is O(log band size); the approximation
 /// error is bounded by the angular bin width and the band discretization.
+/// All bands share one flat array: a vector per band costs more in headers
+/// than its obstacles take, and the batch jobs hold one table per lane.
 
 #include <span>
 #include <vector>
@@ -41,9 +43,11 @@ class Cddt final : public RangeMethod {
   struct ThetaBin {
     double cos_t;
     double sin_t;
-    double angle;                            ///< bin axis angle kPi * b / m
-    double v_min;                            ///< band-0 offset along v
-    std::vector<std::vector<float>> bands;   ///< sorted obstacle u per band
+    double angle;  ///< bin axis angle kPi * b / m
+    double v_min;  ///< band-0 offset along v
+    /// Band k's sorted obstacle u are obstacles_[band_start[k],
+    /// band_start[k + 1]); one entry more than the bin has bands.
+    std::vector<std::size_t> band_start;
   };
 
   /// range() after the shared precondition / occupancy checks: bin
@@ -51,6 +55,7 @@ class Cddt final : public RangeMethod {
   float range_line(double x, double y, double theta) const;
 
   std::vector<ThetaBin> bins_;
+  std::vector<float> obstacles_;  ///< every bin's bands, back to back
   double band_width_;
 };
 

@@ -180,6 +180,9 @@ __attribute__((target("avx2"))) void RangeLut::ranges_from_avx2(
     const __m256d meters = _mm256_mul_pd(_mm256_cvtepi32_pd(q), v_quantum);
     _mm_storeu_ps(out.data() + j, _mm256_cvtpd_ps(meters));
   }
+  // Clean upper-YMM state before the tail and the return (DESIGN §15); an
+  // unoptimized build emits no vzeroupper of its own.
+  _mm256_zeroupper();
   for (; j < k; ++j) scalar_beam(j);
 }
 #endif

@@ -574,6 +574,7 @@ ThroughputDocument make_throughput_doc() {
   doc.provenance.build = "release";
   doc.provenance.git_sha = "deadbeef";
   doc.provenance.seed = 1234;
+  doc.provenance.hardware_threads = 4;
   doc.provenance.fast_mode = true;
   doc.simd_active = "avx2";
   doc.avx2_available = true;
@@ -713,6 +714,55 @@ TEST(ThroughputCompare, BeamsMismatchIsStructural) {
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].metric, "beams");
+}
+
+/// The fixture plus an avx2 `update` row at 1 lane beside its 4-lane row,
+/// from a host with `hardware_threads`: the lane-scaling rule's pair.
+ThroughputDocument lane_scaling_doc(double t1_ms, double t4_ms,
+                                    int hardware_threads) {
+  ThroughputDocument doc = make_throughput_doc();
+  doc.provenance.hardware_threads = hardware_threads;
+  ThroughputCell one = doc.cells[3];
+  one.threads = 1;
+  one.mean_ms = t1_ms;
+  doc.cells.push_back(one);
+  doc.cells[3].mean_ms = t4_ms;
+  return doc;
+}
+
+TEST(ThroughputCompare, LaneScalingBreachFails) {
+  // The pre-fix baseline's shape: 4 lanes 4.8x slower than 1.
+  const ThroughputDocument candidate = lane_scaling_doc(0.73, 3.47, 4);
+  const CompareReport report =
+      compare(lane_scaling_doc(0.73, 0.5, 4), candidate);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_EQ(report.failures[0].cell, "update simd=avx2 n=1500 t=4");
+  EXPECT_EQ(report.failures[0].metric, "mean_ms");
+  EXPECT_EQ(report.failures[0].baseline.as_double(), 0.73);
+  EXPECT_EQ(report.failures[0].candidate.as_double(), 3.47);
+  // Wall clock within one run: a rerun never judges it.
+  EXPECT_TRUE(compare(candidate, candidate, GateMode::kRerun).ok());
+}
+
+TEST(ThroughputCompare, LaneScalingWithinBoundPasses) {
+  const ThroughputDocument baseline = lane_scaling_doc(0.73, 0.5, 4);
+  // 0.80 / 0.73 = 1.096 <= 1.1; a slower 4-lane row than the baseline's is
+  // no concern of this rule.
+  const CompareReport report =
+      compare(baseline, lane_scaling_doc(0.73, 0.80, 4));
+  EXPECT_TRUE(report.ok());
+  EXPECT_TRUE(report.notes.empty());
+  EXPECT_FALSE(compare(baseline, lane_scaling_doc(0.73, 0.81, 4)).ok());
+}
+
+TEST(ThroughputCompare, LaneScalingSkipsSmallHostsWithANote) {
+  // Two hardware threads cannot run four lanes at speed: no verdict.
+  const CompareReport report =
+      compare(lane_scaling_doc(0.73, 0.5, 4), lane_scaling_doc(0.73, 3.47, 2));
+  EXPECT_TRUE(report.ok());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("lane scaling not judged"), std::string::npos);
+  EXPECT_NE(report.notes[0].find("2 hardware threads"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "core/synpf.hpp"
+#include "eval/benchmark_json.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
 #include "eval/fault_replay.hpp"
+#include "eval/scenario_matrix.hpp"
 #include "fault/faulted_localizer.hpp"
 #include "fault/injector.hpp"
 #include "gridmap/track_generator.hpp"
@@ -371,6 +378,60 @@ TEST_F(FaultTest, FaultedLocalizerClosedLoopIsDeterministic) {
   EXPECT_EQ(std::memcmp(&a.scan_alignment, &b.scan_alignment,
                         sizeof(double)), 0);
   EXPECT_EQ(a.crashed, b.crashed);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario matrix: no cell bit depends on the number of cell lanes
+// ---------------------------------------------------------------------------
+
+/// Each cell's robustness-JSON row, without the wall-clock fields the rerun
+/// gate also leaves out, from a matrix run on `matrix_threads` lanes.
+std::vector<std::string> matrix_rows(int matrix_threads) {
+  ScenarioMatrixConfig config;
+  // SynPF+Governor resizes its cloud, so the weight kernel also runs
+  // particle counts that are not a multiple of 4 on the job lanes.
+  config.localizers = {"SynPF", "CartoLite", "SynPF+Governor"};
+  config.scenarios = {{"none", 0.0}, {"lidar_dropout", 1.0}};
+  config.experiment.laps = 1;
+  config.experiment.max_sim_time = 4.0;
+  config.experiment.profile.scale = 0.5;
+  config.track_name = "oval:8,2.5";
+  config.matrix_threads = matrix_threads;
+  BenchDocument doc;
+  doc.cells = ScenarioMatrix{config}.run(TrackGenerator::oval(8.0, 2.5));
+  for (const ScenarioCell& cell : doc.cells) {
+    EXPECT_GT(cell.result.sim_time, 0.0) << cell.localizer;
+  }
+
+  const char* const wall_clock[] = {"update_p50_ms", "update_p99_ms",
+                                    "update_max_ms", "load_percent",
+                                    "stage_p50_ms",  "stage_p99_ms"};
+  const json::Value json = bench_to_json(doc);
+  const json::Value& cells = *json.find("cells");
+  std::vector<std::string> rows;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    json::Value kept = json::Value::object();
+    for (const auto& [name, value] : cells.at(i)->members()) {
+      if (std::find(std::begin(wall_clock), std::end(wall_clock), name) ==
+          std::end(wall_clock)) {
+        kept.set(name, value);
+      }
+    }
+    rows.push_back(kept.dump(0));
+  }
+  return rows;
+}
+
+TEST(ScenarioMatrixLanes, CellRowsAreByteEqualAtAnyMatrixThreads) {
+  const std::vector<std::string> serial = matrix_rows(1);
+  ASSERT_EQ(serial.size(), 6U);
+  for (const int threads : {3, 8}) {
+    const std::vector<std::string> rows = matrix_rows(threads);
+    ASSERT_EQ(rows.size(), serial.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i], serial[i]) << "matrix_threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 /// Unit wall for the deterministic parallel primitives (common/parallel.hpp):
 /// chunk geometry, full coverage at any lane count (including heavy
-/// oversubscription), lane pinning, reduction determinism and the
-/// fixed-association cascade structure.
+/// oversubscription) for static chunks and the claim-next cursor, lane
+/// pinning, reduction determinism and the fixed-association cascade
+/// structure.
 
 #include "common/parallel.hpp"
 
@@ -11,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -117,6 +120,64 @@ TEST(ThreadPool, ExceptionOnCallingLaneStillJoinsWorkers) {
   EXPECT_EQ(total.load(), 100);
 }
 
+TEST(ThreadPool, ClaimEachVisitsEveryIndexExactlyOnce) {
+  for (const int lanes : {1, 2, 4, 8}) {
+    ThreadPool pool{lanes};
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                std::size_t{45}, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> bad_lane{0};
+      pool.claim_each(n, [&](int lane, std::size_t i) {
+        if (lane < 0 || lane >= lanes) bad_lane.fetch_add(1);
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      EXPECT_EQ(bad_lane.load(), 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " n " << n << " lanes " << lanes;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ClaimEachExceptionOnCallingLaneStillJoinsWorkers) {
+  ThreadPool pool{4};
+  // Large enough that the workers cannot drain it while lane 0 unwinds.
+  const std::size_t n = std::size_t{1} << 20;
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<bool> thrown{false};
+  std::atomic<int> inside{0};
+  EXPECT_THROW(
+      pool.claim_each(n,
+                      [&](int lane, std::size_t i) {
+                        inside.fetch_add(1);
+                        hits[i].fetch_add(1);
+                        if (lane == 0) {
+                          thrown.store(true);
+                          inside.fetch_sub(1);
+                          throw std::runtime_error{"boom"};
+                        }
+                        // Workers hold their first index until lane 0 has
+                        // thrown, so lane 0 is sure to claim one.
+                        while (!thrown.load()) std::this_thread::yield();
+                        inside.fetch_sub(1);
+                      }),
+      std::runtime_error);
+  // Joined: no worker is still inside the body, none ran an index twice,
+  // and the cursor closed before the workers drained the job.
+  EXPECT_EQ(inside.load(), 0);
+  std::size_t ran = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_LE(hits[i].load(), 1) << "index " << i;
+    ran += static_cast<std::size_t>(hits[i].load());
+  }
+  EXPECT_LT(ran, n);
+  // The pool must be reusable after the unwound region.
+  std::atomic<int> total{0};
+  pool.claim_each(100, [&](int, std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 100);
+}
+
 TEST(PairwiseReduce, MatchesExactSumOnIntegers) {
   // Integer-valued doubles add exactly, so cascade == sequential == n(n+1)/2.
   std::vector<double> v(1000);
@@ -163,31 +224,38 @@ TEST(PairwiseReduce, BetterConditionedThanSequentialSum) {
             std::abs(sequential - (1e8 + exact_tail)) + 1e-12);
 }
 
-/// The determinism keystone at the primitive level: a chunked computation
-/// whose per-index values come from slot substreams produces bitwise
-/// identical output at every lane count.
+/// The determinism keystone at the primitive level: a computation whose
+/// per-index values come from slot substreams produces bitwise identical
+/// output at every lane count, in static chunks or claimed index by index.
 TEST(DeterministicParallel, SubstreamedWorkIsLaneCountInvariant) {
   const std::size_t n = 4096;
   const Rng master{2024};
-  const auto run = [&](int lanes) {
+  const auto value = [&](std::size_t i) {
+    Rng slot = master.substream(1, i);
+    return slot.gaussian(2.0) + slot.uniform();
+  };
+  const auto run = [&](int lanes, bool claim) {
     ThreadPool pool{lanes};
     std::vector<double> out(n);
-    pool.parallel_for(n, [&](int, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        Rng slot = master.substream(1, i);
-        out[i] = slot.gaussian(2.0) + slot.uniform();
-      }
-    });
+    if (claim) {
+      pool.claim_each(n, [&](int, std::size_t i) { out[i] = value(i); });
+    } else {
+      pool.parallel_for(n, [&](int, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) out[i] = value(i);
+      });
+    }
     return out;
   };
-  const std::vector<double> r1 = run(1);
-  for (const int lanes : {2, 3, 8}) {
-    const std::vector<double> r = run(lanes);
-    ASSERT_EQ(std::memcmp(r.data(), r1.data(), n * sizeof(double)), 0)
-        << "lanes=" << lanes;
-    const double s1 = pairwise_sum(r1);
-    const double s = pairwise_sum(r);
-    ASSERT_EQ(std::memcmp(&s, &s1, sizeof(double)), 0);
+  const std::vector<double> r1 = run(1, false);
+  const double s1 = pairwise_sum(r1);
+  for (const bool claim : {false, true}) {
+    for (const int lanes : {1, 2, 3, 8}) {
+      const std::vector<double> r = run(lanes, claim);
+      ASSERT_EQ(std::memcmp(r.data(), r1.data(), n * sizeof(double)), 0)
+          << "lanes=" << lanes << " claim=" << claim;
+      const double s = pairwise_sum(r);
+      ASSERT_EQ(std::memcmp(&s, &s1, sizeof(double)), 0);
+    }
   }
 }
 

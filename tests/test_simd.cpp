@@ -7,7 +7,12 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
+
+#if defined(SRL_SIMD_X86_AVX2)
+#include <cpuid.h>
+#endif
 
 #include "common/angles.hpp"
 #include "core/particle_cloud.hpp"
@@ -379,6 +384,96 @@ TEST(RangesFrom, CddtBatchMatchesPerRayBitwise) {
       const Pose2 ray{sensor.x, sensor.y, sensor.theta + angles[j]};
       EXPECT_EQ(bits(out[j]), bits(cddt.range(ray))) << j;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AVX state: every AVX2 kernel returns with clean upper-YMM state
+// ---------------------------------------------------------------------------
+
+/// Why the running CPU cannot check the AVX state; empty when it can. XINUSE
+/// (XGETBV with ECX = 1) exists where CPUID.(EAX=0DH, ECX=1):EAX[2] says
+/// so, and cpu_has_avx2() already implies OSXSAVE.
+std::string xinuse_skip_reason() {
+  if (!simd::cpu_has_avx2()) return "host CPU lacks AVX2; no AVX2 kernel ran";
+#if defined(SRL_SIMD_X86_AVX2)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) != 0 &&
+      (eax & (1U << 2)) != 0) {
+    return {};
+  }
+#endif
+  return "host CPU cannot read XINUSE (XGETBV with ECX = 1)";
+}
+
+/// XINUSE bit 2: the upper halves of the YMM registers are in use. While it
+/// is set, every legacy-SSE instruction pays the AVX-SSE transition cost.
+/// The memory clobber keeps the read right after the preceding call.
+bool avx_upper_in_use() {
+#if defined(SRL_SIMD_X86_AVX2)
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1) : "memory");
+  return (lo & (1U << 2)) != 0;
+#else
+  return false;
+#endif
+}
+
+TEST(AvxState, WeightKernelReturnsCleanAfterItsScalarRemainder) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  const BeamModel model;
+  const std::size_t k = 13;
+  LaserScan scan;
+  scan.ranges.assign(k, 4.0F);
+  std::vector<int> beam_indices(k);
+  for (std::size_t j = 0; j < k; ++j) beam_indices[j] = static_cast<int>(j);
+  pf_kernels::ScanContext ctx;
+  ctx.build(model, scan, beam_indices);
+
+  // 5 = one vector block plus one remainder particle; 375 is one lane's
+  // chunk of 1500 particles on 4 lanes.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{375}}) {
+    const std::vector<float> expected = hostile_expected(n, k, model);
+    std::vector<double> out(n, 0.0);
+    pf_kernels::accumulate_log_weights(simd::Backend::kAvx2, ctx,
+                                       expected.data(), k, 0, n, out.data());
+    const bool dirty = avx_upper_in_use();
+    EXPECT_FALSE(dirty) << "n=" << n;
+    EXPECT_TRUE(std::isfinite(out[n - 1])) << "n=" << n;
+  }
+}
+
+TEST(AvxState, LutBatchReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  auto room = make_room();
+  const RangeLut lut{room, 12.0, 60, 4};  // coarse: only the state matters
+  const Pose2 sensor{5.0, 5.0, 0.3};
+  // 61 beams: 15 vector groups plus a scalar tail beam.
+  std::vector<double> fan(61);
+  for (std::size_t j = 0; j < fan.size(); ++j) {
+    fan[j] = -2.35 + 4.7 * static_cast<double>(j) / 60.0;
+  }
+  // The same fan with its second group outside [-2pi, 4pi), which sends
+  // that group down the scalar fallback.
+  std::vector<double> wide = fan;
+  wide[5] = 5.0 * kPi;
+
+  for (const std::vector<double>* angles : {&fan, &wide}) {
+    std::vector<float> out(angles->size(), -1.0F);
+    simd::force(simd::Backend::kAvx2);
+    lut.ranges_from(sensor, *angles, out);
+    const bool dirty = avx_upper_in_use();
+    simd::reset();
+    EXPECT_FALSE(dirty) << (angles == &fan ? "61 beams" : "wide group");
+    EXPECT_GT(out[5], 0.0F);
   }
 }
 
