@@ -20,7 +20,8 @@ std::vector<Vec2> scan_to_points(const LaserScan& scan,
   const int n = static_cast<int>(scan.ranges.size());
   for (int i = 0; i < n; i += step) {
     const float r = scan.ranges[static_cast<std::size_t>(i)];
-    if (r < config.min_range || r >= config.max_range) continue;
+    // Negated so that a NaN range is dropped too.
+    if (!(r >= config.min_range && r < config.max_range)) continue;
     const double a = config.beam_angle(i);
     const Vec2 in_sensor{r * std::cos(a), r * std::sin(a)};
     pts.push_back(config.mount.transform(in_sensor));
@@ -37,7 +38,7 @@ std::vector<Vec2> deskew_scan(const LaserScan& scan, const LidarConfig& config,
   const double period = config.rate_hz > 0.0 ? 1.0 / config.rate_hz : 0.0;
   for (int i = 0; i < n; i += step) {
     const float r = scan.ranges[static_cast<std::size_t>(i)];
-    if (r < config.min_range || r >= config.max_range) continue;
+    if (!(r >= config.min_range && r < config.max_range)) continue;
     const double a = config.beam_angle(i);
     const Vec2 in_sensor{r * std::cos(a), r * std::sin(a)};
     const Vec2 in_body = config.mount.transform(in_sensor);

@@ -39,7 +39,8 @@ struct LaserScan {
 };
 
 /// Convert scan returns to 2-D points in the *body* frame, skipping invalid
-/// (< min_range) and no-hit (>= max_range) returns. `stride` subsamples.
+/// (< min_range or NaN) and no-hit (>= max_range) returns. `stride`
+/// subsamples.
 std::vector<Vec2> scan_to_points(const LaserScan& scan,
                                  const LidarConfig& config, int stride = 1);
 

@@ -47,23 +47,6 @@ ProbabilityGrid ProbabilityGrid::likelihood_field(const OccupancyGrid& map,
   return grid;
 }
 
-double ProbabilityGrid::interpolate(const Vec2& w) const {
-  if (width_ < 2 || height_ < 2) return probability(0, 0);
-  const double gx = (w.x - origin_.x) / resolution_ - 0.5;
-  const double gy = (w.y - origin_.y) / resolution_ - 0.5;
-  const int x0 = static_cast<int>(std::floor(gx));
-  const int y0 = static_cast<int>(std::floor(gy));
-  const double tx = gx - x0;
-  const double ty = gy - y0;
-  const double d00 = probability(x0, y0);
-  const double d10 = probability(x0 + 1, y0);
-  const double d01 = probability(x0, y0 + 1);
-  const double d11 = probability(x0 + 1, y0 + 1);
-  const double top = d00 + tx * (d10 - d00);
-  const double bot = d01 + tx * (d11 - d01);
-  return top + ty * (bot - top);
-}
-
 void ProbabilityGrid::apply_odds(int ix, int iy, float odds_factor) {
   if (!in_bounds(ix, iy)) return;
   float& p = prob_[cell_index(ix, iy)];

@@ -58,9 +58,47 @@ class ProbabilityGrid {
     return in_bounds(ix, iy) && prob_[cell_index(ix, iy)] != kUnknownP;
   }
 
+  /// One axis of `interpolate`: the lower of the two sample sites (cell
+  /// centers) that bracket a world coordinate, and the fraction of the way
+  /// to the upper one. The correlative matcher computes each half once per
+  /// candidate angle and reuses it across its whole window.
+  struct AxisSample {
+    int cell{0};
+    double frac{0.0};
+  };
+  AxisSample axis_x(double wx) const {
+    return axis_sample((wx - origin_.x) / resolution_ - 0.5);
+  }
+  AxisSample axis_y(double wy) const {
+    return axis_sample((wy - origin_.y) / resolution_ - 0.5);
+  }
+
+  /// Bilinear blend of the four samples around (x, y). A grid with fewer
+  /// than two samples on either axis has nothing to blend and returns cell
+  /// (0, 0).
+  double combine(AxisSample x, AxisSample y) const {
+    if (width_ < 2 || height_ < 2) return probability(0, 0);
+    const double d00 = probability(x.cell, y.cell);
+    const double d10 = probability(x.cell + 1, y.cell);
+    const double d01 = probability(x.cell, y.cell + 1);
+    const double d11 = probability(x.cell + 1, y.cell + 1);
+    const double top = d00 + x.frac * (d10 - d00);
+    const double bot = d01 + x.frac * (d11 - d01);
+    return top + y.frac * (bot - top);
+  }
+
   /// Bilinearly interpolated probability at a world point (cell centers are
   /// the sample sites); clamps at the border.
-  double interpolate(const Vec2& w) const;
+  double interpolate(const Vec2& w) const {
+    return combine(axis_x(w.x), axis_y(w.y));
+  }
+
+  /// Row-major cell store for vector kernels that reproduce `probability()`:
+  /// `kUnknownP` marks never-updated cells.
+  const float* cells() const { return prob_.data(); }
+  float out_of_bounds_p() const { return out_of_bounds_p_; }
+  /// Sentinel for never-updated cells (outside the valid (0,1) range).
+  static constexpr float kUnknownP = -1.0F;
 
   /// Evidence updates (clamped log-odds, Cartographer-style hit/miss odds).
   void update_hit(int ix, int iy);
@@ -72,9 +110,11 @@ class ProbabilityGrid {
   void insert_scan(const Pose2& sensor, std::span<const Vec2> hits,
                    std::span<const Vec2> passthrough);
 
+  /// Non-finite and far-off points map to an out-of-bounds sentinel cell
+  /// (`floor_to_cell`) instead of an undefined double-to-int cast.
   GridIndex world_to_grid(const Vec2& w) const {
-    return {static_cast<int>(std::floor((w.x - origin_.x) / resolution_)),
-            static_cast<int>(std::floor((w.y - origin_.y) / resolution_))};
+    return {floor_to_cell((w.x - origin_.x) / resolution_),
+            floor_to_cell((w.y - origin_.y) / resolution_)};
   }
   Vec2 grid_to_world(int ix, int iy) const {
     return {origin_.x + (ix + 0.5) * resolution_,
@@ -89,9 +129,10 @@ class ProbabilityGrid {
   std::size_t known_cells() const;
 
  private:
-  /// Sentinel for never-updated cells (outside the valid (0,1) range).
-  static constexpr float kUnknownP = -1.0F;
-
+  static AxisSample axis_sample(double g) {
+    const int cell = floor_to_cell(g);
+    return {cell, g - cell};
+  }
   std::size_t cell_index(int ix, int iy) const {
     return static_cast<std::size_t>(iy) * width_ + ix;
   }

@@ -126,6 +126,16 @@ TEST(ScanToPoints, FiltersInvalidReturns) {
   EXPECT_EQ(pts.size(), 3U);  // beam 1 too close, beam 2 is max range
 }
 
+TEST(ScanToPoints, DropsNanReturns) {
+  LidarConfig cfg;
+  cfg.n_beams = 4;
+  cfg.fov = deg2rad(90.0);
+  LaserScan scan;
+  scan.ranges = {1.0F, std::nanf(""), 2.0F, -std::nanf("")};
+  EXPECT_EQ(scan_to_points(scan, cfg).size(), 2U);
+  EXPECT_EQ(deskew_scan(scan, cfg, Twist2{1.0, 0.0, 0.5}).size(), 2U);
+}
+
 TEST(ScanToPoints, GeometryCorrect) {
   LidarConfig cfg;
   cfg.n_beams = 3;

@@ -120,6 +120,32 @@ TEST(ProbabilityGrid, ToOccupancyThresholds) {
   EXPECT_EQ(occ.at(3, 0), OccupancyGrid::kUnknown);  // never touched
 }
 
+TEST(ProbabilityGrid, NonFinitePointsMapOutOfBounds) {
+  ProbabilityGrid g{4, 4, 0.1, Vec2{}};
+  const double nan = std::nan("");
+  for (const Vec2& w : {Vec2{nan, 0.2}, Vec2{0.2, nan}, Vec2{1e300, 0.2},
+                        Vec2{0.2, -HUGE_VAL}}) {
+    const GridIndex c = g.world_to_grid(w);
+    EXPECT_FALSE(g.in_bounds(c.ix, c.iy)) << w.x << ", " << w.y;
+    EXPECT_FALSE(g.in_bounds(g.axis_x(w.x).cell, g.axis_y(w.y).cell));
+  }
+}
+
+TEST(ProbabilityGrid, AxisHalvesBracketTheSampleSites) {
+  ProbabilityGrid g{10, 10, 0.25, Vec2{-0.5, 1.0}};
+  // Cell centers are the sample sites: x = -0.375 is site 0, x = -0.25 is
+  // halfway to site 1.
+  EXPECT_EQ(g.axis_x(-0.375).cell, 0);
+  EXPECT_EQ(g.axis_x(-0.375).frac, 0.0);
+  EXPECT_EQ(g.axis_x(-0.25).cell, 0);
+  EXPECT_EQ(g.axis_x(-0.25).frac, 0.5);
+  EXPECT_EQ(g.axis_y(0.9).cell, -1);  // below the first site
+  EXPECT_NEAR(g.axis_y(0.9).frac, 0.1, 1e-12);
+  for (int i = 0; i < 30; ++i) g.update_hit(3, 4);
+  const Vec2 w{-0.1234, 1.4321};
+  EXPECT_EQ(g.interpolate(w), g.combine(g.axis_x(w.x), g.axis_y(w.y)));
+}
+
 TEST(ProbabilityGrid, OutOfBoundsPessimistic) {
   ProbabilityGrid g{4, 4, 0.1, Vec2{}};
   EXPECT_LT(g.probability(-1, 0), 0.2F);

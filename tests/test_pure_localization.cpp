@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/angles.hpp"
+#include "common/timer.hpp"
 #include "gridmap/track_generator.hpp"
 #include "range/bresenham.hpp"
 #include "sensor/lidar_sim.hpp"
@@ -164,6 +168,45 @@ TEST(PureLocalization, ReportsTiming) {
   loc.on_scan(run.sim.scan(run.truth, 0.0, run.rng));
   EXPECT_GT(loc.mean_scan_update_ms(), 0.0);
   EXPECT_EQ(loc.name(), "Cartographer");
+}
+
+
+TEST(PureLocalization, NanBeamsActLikeMaxRangeBeams) {
+  // A NaN range used to pass the beam filter, reach the submap's line walk
+  // as a cell index from an undefined cast, and stall one update for
+  // seconds. Dropped like a no-return beam, it must leave the same bits.
+  LocRun run;
+  const PureLocalizationOptions opt;
+  CartoLocalizer with_nan{opt, run.map, run.lidar};
+  CartoLocalizer with_max{opt, run.map, run.lidar};
+  run.truth = run.start();
+  with_nan.initialize(run.truth);
+  with_max.initialize(run.truth);
+  const auto max_range = static_cast<float>(run.lidar.max_range);
+  double slowest_s = 0.0;
+  // 30 scans: local matches, submap inserts and one global correction.
+  for (int k = 0; k < 30; ++k) {
+    OdometryDelta odom;
+    odom.dt = 0.025;
+    with_nan.on_odometry(odom);
+    with_max.on_odometry(odom);
+    LaserScan nan_scan = run.sim.scan(run.truth, 0.025 * k, run.rng);
+    LaserScan max_scan = nan_scan;
+    // Every 7th beam is one the matcher's subsampled cloud keeps.
+    for (std::size_t i = static_cast<std::size_t>(k % 5);
+         i < nan_scan.ranges.size(); i += 35) {
+      nan_scan.ranges[i] = std::numeric_limits<float>::quiet_NaN();
+      max_scan.ranges[i] = max_range;
+    }
+    const Stopwatch watch;
+    const Pose2 a = with_nan.on_scan(nan_scan);
+    slowest_s = std::max(slowest_s, watch.elapsed_s());
+    const Pose2 b = with_max.on_scan(max_scan);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(Pose2)), 0) << "scan " << k;
+  }
+  EXPECT_GT(with_nan.global_fixes(), 0L);
+  // An update takes milliseconds; the stall took seconds.
+  EXPECT_LT(slowest_s, 1.0);
 }
 
 }  // namespace

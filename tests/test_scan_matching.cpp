@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/angles.hpp"
+#include "common/simd.hpp"
 #include "gridmap/track_generator.hpp"
 #include "range/bresenham.hpp"
 #include "sensor/lidar.hpp"
 #include "sensor/lidar_sim.hpp"
+#include "slam/pure_localization.hpp"
 
 namespace srl {
 namespace {
@@ -172,6 +178,334 @@ TEST(Pipeline, CsmPlusGnBeatsEither) {
   // below the unanchored correlative optimum.
   EXPECT_GE(fine.score + 0.01, coarse.score);
 }
+
+
+// ---------------------------------------------------------------------------
+// Differential tests: both matchers against the loops they replaced
+// ---------------------------------------------------------------------------
+
+/// The matchers as they were before the per-angle axis tables: one full
+/// bilinear interpolation per (candidate, point). Test-only reference; the
+/// library's scalar and AVX2 paths must reproduce it bit for bit.
+namespace oracle {
+
+double interpolate(const ProbabilityGrid& grid, const Vec2& w) {
+  if (grid.width() < 2 || grid.height() < 2) return grid.probability(0, 0);
+  const double gx = (w.x - grid.origin().x) / grid.resolution() - 0.5;
+  const double gy = (w.y - grid.origin().y) / grid.resolution() - 0.5;
+  const int x0 = static_cast<int>(std::floor(gx));
+  const int y0 = static_cast<int>(std::floor(gy));
+  const double tx = gx - x0;
+  const double ty = gy - y0;
+  const double d00 = grid.probability(x0, y0);
+  const double d10 = grid.probability(x0 + 1, y0);
+  const double d01 = grid.probability(x0, y0 + 1);
+  const double d11 = grid.probability(x0 + 1, y0 + 1);
+  const double top = d00 + tx * (d10 - d00);
+  const double bot = d01 + tx * (d11 - d01);
+  return top + ty * (bot - top);
+}
+
+double score_pose(const ProbabilityGrid& grid, const Pose2& pose,
+                  const std::vector<Vec2>& points) {
+  if (points.empty()) return 0.0;
+  double sum = 0.0;
+  for (const Vec2& p : points) sum += interpolate(grid, pose.transform(p));
+  return sum / static_cast<double>(points.size());
+}
+
+ScanMatchResult match(const CorrelativeOptions& options,
+                      const ProbabilityGrid& grid, const Pose2& seed,
+                      const std::vector<Vec2>& points) {
+  ScanMatchResult best;
+  best.pose = seed;
+  best.score = -1.0;
+  const int n_ang = std::max(
+      1, static_cast<int>(std::round(options.angular_window /
+                                     options.angular_step)));
+  const int n_lin = std::max(
+      1, static_cast<int>(std::round(options.linear_window /
+                                     options.linear_step)));
+  constexpr double kTieBreak = 2e-3;
+  double best_penalized = -1.0;
+  std::vector<Vec2> rotated(points.size());
+  for (int ia = -n_ang; ia <= n_ang; ++ia) {
+    const double theta =
+        normalize_angle(seed.theta + ia * options.angular_step);
+    const double c = std::cos(theta);
+    const double s = std::sin(theta);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      rotated[i] = {c * points[i].x - s * points[i].y,
+                    s * points[i].x + c * points[i].y};
+    }
+    const double ang_frac = static_cast<double>(ia) / std::max(n_ang, 1);
+    for (int iy = -n_lin; iy <= n_lin; ++iy) {
+      for (int ix = -n_lin; ix <= n_lin; ++ix) {
+        const double tx = seed.x + ix * options.linear_step;
+        const double ty = seed.y + iy * options.linear_step;
+        double sum = 0.0;
+        for (const Vec2& p : rotated) {
+          sum += interpolate(grid, {tx + p.x, ty + p.y});
+        }
+        const double score =
+            points.empty() ? 0.0 : sum / static_cast<double>(points.size());
+        const double lin_frac_sq =
+            (static_cast<double>(ix) * ix + static_cast<double>(iy) * iy) /
+            (static_cast<double>(n_lin) * n_lin + 1e-9);
+        const double penalized =
+            score - kTieBreak * (lin_frac_sq + ang_frac * ang_frac);
+        if (penalized > best_penalized) {
+          best_penalized = penalized;
+          best.score = score;
+          best.pose = Pose2{tx, ty, theta};
+        }
+      }
+    }
+  }
+  best.ok = best.score >= options.min_score;
+  return best;
+}
+
+ScanMatchResult refine(const GaussNewtonOptions& options,
+                       const ProbabilityGrid& grid, const Pose2& anchor,
+                       const Pose2& start, const std::vector<Vec2>& points) {
+  Pose2 est = start;
+  const Pose2& seed = anchor;
+  const double res = grid.resolution();
+  const double inv_n =
+      points.empty() ? 0.0 : 1.0 / static_cast<double>(points.size());
+  for (int it = 0; it < options.max_iterations; ++it) {
+    double h[3][3] = {{0.0}};
+    double b[3] = {0.0, 0.0, 0.0};
+    const double c = std::cos(est.theta);
+    const double s = std::sin(est.theta);
+    for (const Vec2& p : points) {
+      const Vec2 w = est.transform(p);
+      const double pc = interpolate(grid, w);
+      const double gx = (interpolate(grid, {w.x + 0.5 * res, w.y}) -
+                         interpolate(grid, {w.x - 0.5 * res, w.y})) /
+                        res;
+      const double gy = (interpolate(grid, {w.x, w.y + 0.5 * res}) -
+                         interpolate(grid, {w.x, w.y - 0.5 * res})) /
+                        res;
+      const double dxt = -s * p.x - c * p.y;
+      const double dyt = c * p.x - s * p.y;
+      const double jt = gx * dxt + gy * dyt;
+      const double r = 1.0 - pc;
+      const double j[3] = {-gx, -gy, -jt};
+      for (int a = 0; a < 3; ++a) {
+        b[a] += -j[a] * r * inv_n;
+        for (int bb = 0; bb < 3; ++bb) h[a][bb] += j[a] * j[bb] * inv_n;
+      }
+    }
+    const double wt = options.translation_anchor;
+    const double wr = options.rotation_anchor;
+    h[0][0] += wt;
+    h[1][1] += wt;
+    h[2][2] += wr;
+    b[0] += -wt * (est.x - seed.x);
+    b[1] += -wt * (est.y - seed.y);
+    b[2] += -wr * angle_diff(est.theta, seed.theta);
+    for (int a = 0; a < 3; ++a) h[a][a] += options.damping;
+    double m[3][4] = {{h[0][0], h[0][1], h[0][2], b[0]},
+                      {h[1][0], h[1][1], h[1][2], b[1]},
+                      {h[2][0], h[2][1], h[2][2], b[2]}};
+    bool singular = false;
+    for (int col = 0; col < 3; ++col) {
+      int piv = col;
+      for (int r2 = col + 1; r2 < 3; ++r2) {
+        if (std::abs(m[r2][col]) > std::abs(m[piv][col])) piv = r2;
+      }
+      if (std::abs(m[piv][col]) < 1e-12) {
+        singular = true;
+        break;
+      }
+      std::swap(m[piv], m[col]);
+      for (int r2 = 0; r2 < 3; ++r2) {
+        if (r2 == col) continue;
+        const double f = m[r2][col] / m[col][col];
+        for (int c2 = col; c2 < 4; ++c2) m[r2][c2] -= f * m[col][c2];
+      }
+    }
+    if (singular) break;
+    const double dx = m[0][3] / m[0][0];
+    const double dy = m[1][3] / m[1][1];
+    const double dt = m[2][3] / m[2][2];
+    est.x += dx;
+    est.y += dy;
+    est.theta = normalize_angle(est.theta + dt);
+    if (dx * dx + dy * dy + dt * dt <
+        options.converge_eps * options.converge_eps) {
+      break;
+    }
+  }
+  ScanMatchResult out;
+  out.pose = est;
+  out.score = score_pose(grid, est, points);
+  out.ok = true;
+  return out;
+}
+
+}  // namespace oracle
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+::testing::AssertionResult BitwiseEqual(const ScanMatchResult& got,
+                                        const ScanMatchResult& want) {
+  if (same_bits(got.pose.x, want.pose.x) &&
+      same_bits(got.pose.y, want.pose.y) &&
+      same_bits(got.pose.theta, want.pose.theta) &&
+      same_bits(got.score, want.score) && got.ok == want.ok) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "got (" << got.pose.x << ", " << got.pose.y << ", "
+         << got.pose.theta << ") score " << got.score << " ok " << got.ok
+         << ", want (" << want.pose.x << ", " << want.pose.y << ", "
+         << want.pose.theta << ") score " << want.score << " ok " << want.ok;
+}
+
+/// The three correlative windows of CartoLite: local (5 x 5 translation
+/// candidates), global (15 x 15) and reloc (41 x 41). No width is a
+/// multiple of four, so every row of the AVX2 path has remainder lanes.
+std::vector<std::pair<std::string, CorrelativeOptions>> carto_windows() {
+  const PureLocalizationOptions o;
+  return {{"local", o.local_csm},
+          {"global", o.global_csm},
+          {"reloc", o.reloc_csm}};
+}
+
+/// A live-submap-like grid: a small window of the oval, evidence from one
+/// scan, most cells never touched (unknown), and scan points that reach
+/// well beyond its border.
+ProbabilityGrid partial_submap(const MatchFixture& f) {
+  ProbabilityGrid g{90, 70, 0.05, Vec2{f.truth.x - 2.0, f.truth.y - 1.5}};
+  std::vector<Vec2> hits;
+  for (const Vec2& p : f.points) hits.push_back(f.truth.transform(p));
+  g.insert_scan(f.truth, hits, {});
+  return g;
+}
+
+ProbabilityGrid uniform_grid(int width, int height) {
+  ProbabilityGrid g{width, height, 0.05, Vec2{}};
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) g.update_hit(x, y);
+  }
+  return g;
+}
+
+/// Every point subset the cases use: the full fixture scan, and a sparser
+/// one that keeps the 41 x 41 reloc oracle cheap under the sanitizers.
+std::vector<Vec2> every_nth(const std::vector<Vec2>& points, std::size_t n) {
+  std::vector<Vec2> out;
+  for (std::size_t i = 0; i < points.size(); i += n) out.push_back(points[i]);
+  return out;
+}
+
+/// Runs each case on one SIMD backend, pinned for the test's duration.
+class MatcherBackend : public ::testing::TestWithParam<simd::Backend> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == simd::Backend::kAvx2 && !simd::cpu_has_avx2()) {
+      GTEST_SKIP() << "host CPU lacks AVX2; only the scalar half runs";
+    }
+    simd::force(GetParam());
+  }
+  void TearDown() override { simd::reset(); }
+
+  /// match() and refine() on every CartoLite window against the oracle.
+  static void expect_oracle_bits(const ProbabilityGrid& grid,
+                                 const Pose2& seed,
+                                 const std::vector<Vec2>& points) {
+    for (const auto& [name, options] : carto_windows()) {
+      const ScanMatchResult want = oracle::match(options, grid, seed, points);
+      EXPECT_TRUE(BitwiseEqual(
+          CorrelativeScanMatcher{options}.match(grid, seed, points), want))
+          << name << " window";
+    }
+    const PureLocalizationOptions o;
+    GaussNewtonOptions loose = o.gn;
+    loose.translation_anchor = 0.2;
+    loose.rotation_anchor = 0.1;
+    for (const GaussNewtonOptions& gn : {o.gn, loose}) {
+      const Pose2 start{seed.x + 0.03, seed.y - 0.02, seed.theta + 0.01};
+      EXPECT_TRUE(BitwiseEqual(
+          GaussNewtonMatcher{gn}.refine(grid, seed, start, points),
+          oracle::refine(gn, grid, seed, start, points)))
+          << "refine, translation anchor " << gn.translation_anchor;
+    }
+  }
+};
+
+TEST_P(MatcherBackend, LikelihoodFieldMatchesOracle) {
+  const MatchFixture f;
+  const std::vector<Vec2> sparse = every_nth(f.points, 3);
+  expect_oracle_bits(f.field, Pose2{f.truth.x + 0.05, f.truth.y - 0.04,
+                                    f.truth.theta + 0.03},
+                     sparse);
+}
+
+TEST_P(MatcherBackend, UnknownCellsAndPointsBeyondTheBorder) {
+  const MatchFixture f;
+  const ProbabilityGrid submap = partial_submap(f);
+  ASSERT_LT(submap.known_cells(),
+            static_cast<std::size_t>(submap.width() * submap.height()));
+  const std::vector<Vec2> sparse = every_nth(f.points, 3);
+  // Seeds in the middle of the window and on its left and bottom edges, so
+  // candidate rows and columns straddle the border.
+  for (const Pose2& seed :
+       {Pose2{f.truth.x + 0.02, f.truth.y + 0.01, f.truth.theta - 0.02},
+        Pose2{f.truth.x - 2.0, f.truth.y, 0.4},
+        Pose2{f.truth.x, f.truth.y - 1.5, -0.7}}) {
+    expect_oracle_bits(submap, seed, sparse);
+  }
+}
+
+TEST_P(MatcherBackend, SeedOutsideTheGrid) {
+  const MatchFixture f;
+  const std::vector<Vec2> sparse = every_nth(f.points, 3);
+  const Vec2 far = f.field.origin() - Vec2{3.0, 1.0};
+  expect_oracle_bits(f.field, Pose2{far.x, far.y, 1.1}, sparse);
+}
+
+TEST_P(MatcherBackend, FlatPlateauReturnsTheSeed) {
+  const ProbabilityGrid flat = uniform_grid(100, 100);
+  const std::vector<Vec2> pts = {{0.5, 0.0}, {0.0, 0.5}, {-0.5, 0.2}};
+  const Pose2 seed{2.5, 2.5, 0.3};
+  expect_oracle_bits(flat, seed, pts);
+  for (const auto& [name, options] : carto_windows()) {
+    const ScanMatchResult r =
+        CorrelativeScanMatcher{options}.match(flat, seed, pts);
+    EXPECT_TRUE(same_bits(r.pose.x, seed.x) && same_bits(r.pose.y, seed.y) &&
+                same_bits(r.pose.theta, seed.theta))
+        << name << " window left the seed on a flat plateau";
+  }
+}
+
+TEST_P(MatcherBackend, GridOneCellWide) {
+  ProbabilityGrid strip{1, 40, 0.05, Vec2{}};
+  for (int y = 0; y < 40; y += 3) strip.update_hit(0, y);
+  const std::vector<Vec2> pts = {{0.0, 0.3}, {0.1, -0.2}, {0.0, 0.9}};
+  expect_oracle_bits(strip, Pose2{0.025, 1.0, 0.0}, pts);
+}
+
+TEST_P(MatcherBackend, EmptyPointSet) {
+  const MatchFixture f;
+  expect_oracle_bits(f.field, f.truth, {});
+  const ScanMatchResult r =
+      CorrelativeScanMatcher{CorrelativeOptions{}}.match(f.field, f.truth, {});
+  EXPECT_TRUE(same_bits(r.pose.x, f.truth.x) && same_bits(r.pose.y, f.truth.y));
+  EXPECT_EQ(r.score, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, MatcherBackend,
+                         ::testing::Values(simd::Backend::kScalar,
+                                           simd::Backend::kAvx2),
+                         [](const auto& info) {
+                           return std::string{simd::name(info.param)};
+                         });
 
 }  // namespace
 }  // namespace srl

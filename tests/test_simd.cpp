@@ -21,6 +21,7 @@
 #include "range/lookup_table.hpp"
 #include "sensor/beam_model.hpp"
 #include "sensor/lidar.hpp"
+#include "slam/scan_matching.hpp"
 
 namespace srl {
 namespace {
@@ -475,6 +476,28 @@ TEST(AvxState, LutBatchReturnsClean) {
     EXPECT_FALSE(dirty) << (angles == &fan ? "61 beams" : "wide group");
     EXPECT_GT(out[5], 0.0F);
   }
+}
+
+
+TEST(AvxState, CorrelativeMatchReturnsCleanAfterItsRemainderLane) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  ProbabilityGrid grid{60, 60, 0.05, Vec2{}};
+  for (int i = 0; i < 60; ++i) grid.update_hit(i, 30);
+  const std::vector<Vec2> points = {{0.4, 0.1}, {-0.3, 0.05}, {0.2, -0.2}};
+  // Window width 5: each row is one four-candidate pass plus one scalar
+  // remainder lane.
+  CorrelativeOptions options;
+  options.linear_window = 0.06;
+  options.linear_step = 0.03;
+  simd::force(simd::Backend::kAvx2);
+  const ScanMatchResult r = CorrelativeScanMatcher{options}.match(
+      grid, Pose2{1.5, 1.5, 0.1}, points);
+  const bool dirty = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty);
+  EXPECT_GT(r.score, 0.0);
 }
 
 }  // namespace

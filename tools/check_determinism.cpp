@@ -35,9 +35,10 @@
 ///   9. across SIMD backends: a replay forced to the scalar kernels and one
 ///      forced to the AVX2 kernels must land on the reference bits at 1 and
 ///      8 worker lanes (the SoA sensor-update guarantee: vectorization is
-///      an implementation detail, never a numeric choice). Hosts without
-///      AVX2 print an explicit SKIP for the vector half — never a silent
-///      pass,
+///      an implementation detail, never a numeric choice), and so must
+///      CartoLite replays of the same lap, whose correlative search has an
+///      AVX2 kernel too. Hosts without AVX2 print an explicit SKIP for the
+///      vector half — never a silent pass,
 ///  10. under the compute governor (PR-10): a governed replay — adaptive
 ///      sizing + shedding ladder under a squeezed budget — is bitwise
 ///      stable across reruns and worker-lane counts (resize draws come
@@ -72,6 +73,7 @@
 #include "governor/governor.hpp"
 #include "gridmap/track_generator.hpp"
 #include "recovery/supervised_localizer.hpp"
+#include "slam/pure_localization.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -420,8 +422,9 @@ int main(int argc, char** argv) {
   }
 
   // 9. SIMD dispatch determinism: force each backend explicitly (the
-  // ambient reference `ra` ran under whatever SRL_SIMD / the CPU resolved
-  // to) and demand the reference bits back at 1 and 8 worker lanes. The
+  // ambient references `ra` and `rcarto` ran under whatever SRL_SIMD / the
+  // CPU resolved to) and demand the reference bits back, for SynPF at 1
+  // and 8 worker lanes. The
   // scalar half always runs; the vector half skips *loudly* on hosts
   // without AVX2 so a fleet of scalar-only runners can't fake coverage.
   {
@@ -434,17 +437,35 @@ int main(int argc, char** argv) {
       simd::reset();
       return r;
     };
+    // CartoLite's correlative search dispatches through the same seam.
+    auto carto_replay = [&] {
+      CartoLocalizer carto{PureLocalizationOptions{}, map, LidarConfig{}};
+      return trace.replay(carto);
+    };
+    auto carto_forced = [&](simd::Backend backend) {
+      simd::force(backend);
+      const auto r = carto_replay();
+      simd::reset();
+      return r;
+    };
+    const auto rcarto = carto_replay();
     ok = compare(ra, replay_forced(simd::Backend::kScalar, 1),
                  "simd-scalar") &&
          ok;
     ok = compare(ra, replay_forced(simd::Backend::kScalar, 8),
                  "simd-scalar-threads=8") &&
          ok;
+    ok = compare(rcarto, carto_forced(simd::Backend::kScalar),
+                 "simd-scalar-cartolite") &&
+         ok;
     if (simd::cpu_has_avx2()) {
       ok = compare(ra, replay_forced(simd::Backend::kAvx2, 1), "simd-avx2") &&
            ok;
       ok = compare(ra, replay_forced(simd::Backend::kAvx2, 8),
                    "simd-avx2-threads=8") &&
+           ok;
+      ok = compare(rcarto, carto_forced(simd::Backend::kAvx2),
+                   "simd-avx2-cartolite") &&
            ok;
     } else {
       std::printf(
