@@ -7,6 +7,8 @@
 ///  - one full SynPF measurement update (predict + correct, 60 beams per
 ///    particle) per backend — the number the paper reports as "scan
 ///    matching computation time" on the GPU-less NUC;
+///  - one moving 1081-beam truth scan of the simulated LiDAR per SIMD
+///    backend (the closed loop's truth cast);
 ///  - acceleration-structure build time (the LUT's precompute trade-off).
 ///
 /// Run via google-benchmark; absolute numbers are machine-dependent, the
@@ -15,11 +17,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "core/particle_filter.hpp"
 #include "core/synpf.hpp"
 #include "eval/table.hpp"
@@ -137,6 +141,37 @@ BENCHMARK(BM_SensorUpdate)
     ->Args({static_cast<int>(RangeMethodKind::kCddt), 1500})
     ->Args({static_cast<int>(RangeMethodKind::kLut), 1500})
     ->Unit(benchmark::kMillisecond);
+
+/// One simulated LiDAR revolution while the car moves: the truth cast of
+/// every closed-loop tick (1081 beams through the ray-marching batch, each
+/// from the pose the sensor held when it fired), per SIMD backend.
+void BM_TruthScan(benchmark::State& state) {
+  const auto backend = static_cast<simd::Backend>(state.range(0));
+  if (backend == simd::Backend::kAvx2 && !simd::cpu_has_avx2()) {
+    state.SkipWithError("host CPU lacks AVX2");
+    return;
+  }
+  const LidarConfig lidar;
+  const LidarSim sim{lidar,
+                     std::make_shared<RayMarching>(map_ptr(), lidar.max_range),
+                     LidarNoise{}};
+  const auto& cl = track().centerline;
+  const Vec2 ahead = cl[1] - cl[0];
+  const Pose2 body{cl[0].x, cl[0].y, std::atan2(ahead.y, ahead.x)};
+  const Twist2 twist{7.0, 0.1, 0.4};
+  Rng rng{3};
+  simd::force(backend);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.scan(body, twist, 0.0, rng));
+  }
+  simd::reset();
+  state.SetLabel(simd::name(backend));
+  state.SetItemsProcessed(state.iterations() * lidar.n_beams);
+}
+BENCHMARK(BM_TruthScan)
+    ->Arg(static_cast<int>(simd::Backend::kScalar))
+    ->Arg(static_cast<int>(simd::Backend::kAvx2))
+    ->Unit(benchmark::kMicrosecond);
 
 /// Acceleration-structure construction cost (the LUT's trade-off).
 void BM_Build(benchmark::State& state) {

@@ -12,12 +12,17 @@
 /// coordinates, so a query is: locate band from v, binary-search the first
 /// obstacle ahead of u. Query cost is O(log band size); the approximation
 /// error is bounded by the angular bin width and the band discretization.
-/// All bands share one flat array: a vector per band costs more in headers
-/// than its obstacles take, and the batch jobs hold one table per lane.
+/// Every bin's bands share one flat obstacle array and one flat 32-bit
+/// offset array: a vector per band costs more in headers than its
+/// obstacles take, and the batch jobs hold one table per lane. The
+/// per-bin fields are struct-of-arrays so the AVX2 batch gathers them
+/// for four beams at a time (DESIGN §15).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "range/range_method.hpp"
 
 namespace srl {
@@ -31,30 +36,40 @@ class Cddt final : public RangeMethod {
   std::string name() const override { return "cddt"; }
 
   /// Per-particle batch: hoists the shared grid lookup / occupancy test
-  /// out of the beam loop; per-beam results are bit-identical to range().
+  /// out of the beam loop and, under AVX2, scores eight beams per pass as
+  /// two four-lane groups; per-beam results are bit-identical to range().
   void ranges_from(const Pose2& sensor, std::span<const double> beam_angles,
                    std::span<float> out) const override;
 
-  int theta_bins() const { return static_cast<int>(bins_.size()); }
+  int theta_bins() const { return static_cast<int>(cos_t_.size()); }
   /// Total stored obstacle projections (memory diagnostic).
   std::size_t total_entries() const;
 
  private:
-  struct ThetaBin {
-    double cos_t;
-    double sin_t;
-    double angle;  ///< bin axis angle kPi * b / m
-    double v_min;  ///< band-0 offset along v
-    /// Band k's sorted obstacle u are obstacles_[band_start[k],
-    /// band_start[k + 1]); one entry more than the bin has bands.
-    std::vector<std::size_t> band_start;
-  };
-
   /// range() after the shared precondition / occupancy checks: bin
   /// selection, direction test, band search for the ray (x, y, theta).
   float range_line(double x, double y, double theta) const;
 
-  std::vector<ThetaBin> bins_;
+#if defined(SRL_SIMD_X86_AVX2)
+  /// AVX2 beam loop of ranges_from() for an origin in free space,
+  /// bitwise identical to range_line() per beam.
+  void ranges_from_avx2(const Pose2& sensor,
+                        std::span<const double> beam_angles,
+                        std::span<float> out) const;
+#endif
+
+  // Theta bin b, one entry per bin.
+  std::vector<double> cos_t_;
+  std::vector<double> sin_t_;
+  std::vector<double> angle_;  ///< bin axis angle kPi * b / m
+  std::vector<double> v_min_;  ///< band-0 offset along v
+  /// Band k of bin b holds obstacles_[band_start_[first_band_[b] + k],
+  /// band_start_[first_band_[b] + k + 1]), for k < band_count_[b]. A bin's
+  /// last bound is the next bin's first, so band_start_ has one entry more
+  /// than all bins have bands.
+  std::vector<std::int32_t> first_band_;
+  std::vector<std::int32_t> band_count_;
+  std::vector<std::uint32_t> band_start_;
   std::vector<float> obstacles_;  ///< every bin's bands, back to back
   double band_width_;
 };

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/angles.hpp"
+#include "range/avx2_lanes.hpp"
 #include "range/bresenham.hpp"
 
 #if defined(SRL_SIMD_X86_AVX2)
@@ -123,10 +124,7 @@ __attribute__((target("avx2"))) void RangeLut::ranges_from_avx2(
   const std::size_t k = beam_angles.size();
 
   const __m256d v_theta0 = _mm256_set1_pd(theta0);
-  const __m256d v_zero = _mm256_setzero_pd();
   const __m256d v_period = _mm256_set1_pd(kTwoPi);
-  const __m256d v_neg_period = _mm256_set1_pd(-kTwoPi);
-  const __m256d v_two_period = _mm256_set1_pd(2.0 * kTwoPi);
   const __m256d v_half = _mm256_set1_pd(0.5);
   const __m256d v_bins = _mm256_set1_pd(static_cast<double>(theta_bins_));
   const __m128i v_bins_i = _mm_set1_epi32(theta_bins_);
@@ -145,27 +143,15 @@ __attribute__((target("avx2"))) void RangeLut::ranges_from_avx2(
   for (; j + 4 <= k; j += 4) {
     const __m256d a = _mm256_add_pd(v_theta0,
                                     _mm256_loadu_pd(beam_angles.data() + j));
-    // wrap_into(a, 2pi), vectorized over its three branch-free regions.
-    // Lanes outside [-2pi, 4pi) would need the scalar fmod tail — punt the
-    // whole group to the scalar path (headings plus beam offsets are a few
+    // Lanes outside [-2pi, 4pi) would need the scalar fmod tail: the whole
+    // group takes the scalar path (headings plus beam offsets are a few
     // radians; this is the NaN/huge-angle escape hatch, not the hot case).
-    const __m256d in_lo = _mm256_cmp_pd(a, v_neg_period, _CMP_GE_OQ);
-    const __m256d in_hi = _mm256_cmp_pd(a, v_two_period, _CMP_LT_OQ);
-    if (_mm256_movemask_pd(_mm256_and_pd(in_lo, in_hi)) != 0xF) {
+    const range_avx2::Wrapped4 w = range_avx2::wrap_into(a, kTwoPi);
+    if (!range_avx2::all_inside(w)) {
       for (std::size_t l = 0; l < 4; ++l) scalar_beam(j + l);
       continue;
     }
-    const __m256d is_neg = _mm256_cmp_pd(a, v_zero, _CMP_LT_OQ);
-    const __m256d is_high = _mm256_cmp_pd(a, v_period, _CMP_GE_OQ);
-    // Same single add / subtract as the scalar branches (unfused).
-    const __m256d plus = _mm256_add_pd(a, v_period);
-    // "-eps + period can round up to exactly period" guard: keep the sum
-    // only while it is < period, else 0.0 (bitwise AND with the mask).
-    const __m256d plus_ok = _mm256_cmp_pd(plus, v_period, _CMP_LT_OQ);
-    const __m256d plus_guarded = _mm256_and_pd(plus, plus_ok);
-    const __m256d minus = _mm256_sub_pd(a, v_period);
-    __m256d phi = _mm256_blendv_pd(a, plus_guarded, is_neg);
-    phi = _mm256_blendv_pd(phi, minus, is_high);
+    const __m256d phi = w.value;
     // range()'s bin math, same operation order: mul, div, add, truncate.
     const __m256d t =
         _mm256_add_pd(_mm256_div_pd(_mm256_mul_pd(phi, v_bins), v_period),

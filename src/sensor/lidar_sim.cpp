@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 namespace srl {
 
@@ -21,26 +22,30 @@ LaserScan LidarSim::scan(const Pose2& body, const Twist2& twist, double t,
       period > 0.0 && (std::abs(twist.vx) > 1e-6 ||
                        std::abs(twist.vy) > 1e-6 || std::abs(twist.wz) > 1e-6);
   const int n = config_.n_beams;
+  // Cast the whole revolution in one batch, then perturb beam by beam.
+  // Casting draws nothing, so the RNG sequence is the per-beam loop's; a
+  // beam that drops out is cast anyway and its range discarded.
+  std::vector<Pose2> rays(out.ranges.size());
   for (int i = 0; i < n; ++i) {
-    float r;
+    // Beam i fired tau seconds before scan end (beam n-1 is the newest).
+    Pose2 body_i = body;
+    if (moving) {
+      const double tau =
+          period * (static_cast<double>(i) / std::max(n - 1, 1) - 1.0);
+      body_i = integrate_twist(body, twist, tau);
+    }
+    const Pose2 sensor = body_i * config_.mount;
+    rays[static_cast<std::size_t>(i)] = {sensor.x, sensor.y,
+                                         sensor.theta + config_.beam_angle(i)};
+  }
+  caster_->ranges(rays, out.ranges);
+  for (float& r : out.ranges) {
     if (rng.chance(noise_.dropout_prob)) {
       r = max_r;
-    } else {
-      // Beam i fired tau seconds before scan end (beam n-1 is the newest).
-      Pose2 body_i = body;
-      if (moving) {
-        const double tau =
-            period * (static_cast<double>(i) / std::max(n - 1, 1) - 1.0);
-        body_i = integrate_twist(body, twist, tau);
-      }
-      const Pose2 sensor = body_i * config_.mount;
-      const double a = sensor.theta + config_.beam_angle(i);
-      r = caster_->range({sensor.x, sensor.y, a});
-      if (r < max_r) {
-        r += static_cast<float>(rng.gaussian(noise_.sigma_range));
-      }
+    } else if (r < max_r) {
+      r += static_cast<float>(rng.gaussian(noise_.sigma_range));
     }
-    out.ranges[static_cast<std::size_t>(i)] = std::clamp(r, 0.0F, max_r);
+    r = std::clamp(r, 0.0F, max_r);
   }
   return out;
 }

@@ -22,10 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -130,6 +133,11 @@ GoldenEstimates read_estimates(const char* path) {
   return g;
 }
 
+std::string read_bytes(const char* path) {
+  std::ifstream is{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{is}, std::istreambuf_iterator<char>{}};
+}
+
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -222,6 +230,27 @@ TEST(GoldenTrace, CartoLiteReplayMatchesCommittedBits) {
   EXPECT_TRUE(bits_equal(result.heading_rmse_rad, golden.heading_rmse_rad))
       << std::hexfloat << result.heading_rmse_rad << " vs "
       << golden.heading_rmse_rad;
+}
+
+/// The simulator's own bits: recording the golden lap again must write the
+/// committed file byte for byte. The replay tests above read that file, so
+/// without this one nothing fails when the truth cast, the vehicle model or
+/// the sensor noise stream moves.
+TEST(GoldenTrace, RecordingReproducesCommittedTrace) {
+  if (regen_requested()) GTEST_SKIP() << "regeneration run";
+  const std::string path =
+      ::testing::TempDir() + "golden_oval_rerecorded.srlt";
+  ASSERT_TRUE(record_golden_trace().save(path)) << "cannot write " << path;
+  const std::string recorded = read_bytes(path.c_str());
+  std::remove(path.c_str());
+  const std::string committed = read_bytes(kTracePath);
+  ASSERT_FALSE(committed.empty()) << "missing " << kTracePath;
+  ASSERT_EQ(recorded.size(), committed.size());
+  const auto diverge = std::mismatch(recorded.begin(), recorded.end(),
+                                     committed.begin());
+  EXPECT_TRUE(diverge.first == recorded.end())
+      << "re-recorded trace differs from " << kTracePath << " at byte "
+      << (diverge.first - recorded.begin());
 }
 
 /// The committed trace itself must stay parseable and internally coherent —

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/angles.hpp"
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "gridmap/track_generator.hpp"
+#include "range/avx2_lanes.hpp"
 #include "range/bresenham.hpp"
 #include "range/cddt.hpp"
 #include "range/lookup_table.hpp"
@@ -16,6 +24,9 @@
 
 namespace srl {
 namespace {
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// A square room: free interior, one-cell walls, 10 m x 10 m at 5 cm.
 std::shared_ptr<const OccupancyGrid> make_room() {
@@ -93,7 +104,7 @@ TEST(RangeMethods, BatchMatchesScalar) {
   std::vector<float> out(rays.size());
   cddt.ranges(rays, out);
   for (std::size_t i = 0; i < rays.size(); ++i) {
-    EXPECT_FLOAT_EQ(out[i], cddt.range(rays[i]));
+    EXPECT_EQ(bits(out[i]), bits(cddt.range(rays[i]))) << i;
   }
 }
 
@@ -261,6 +272,329 @@ TEST(RayMarching, NeverOvershootsWalls) {
     if (room->blocks_ray(g.ix, g.iy)) continue;
     EXPECT_LE(rm.range(ray), exact.range(ray) + 0.08);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Batch kernels against the per-ray reference, bit for bit, on both backends
+// ---------------------------------------------------------------------------
+
+/// Pins one SIMD backend for a scope; a failed ASSERT still unpins.
+struct ForcedBackend {
+  explicit ForcedBackend(simd::Backend backend) { simd::force(backend); }
+  ~ForcedBackend() { simd::reset(); }
+  ForcedBackend(const ForcedBackend&) = delete;
+  ForcedBackend& operator=(const ForcedBackend&) = delete;
+};
+
+/// The backends this host runs: scalar always, AVX2 where the CPU has it.
+std::vector<simd::Backend> host_backends() {
+  if (simd::cpu_has_avx2()) {
+    return {simd::Backend::kScalar, simd::Backend::kAvx2};
+  }
+  std::fprintf(stderr,
+               "[range] NOTE: host CPU lacks AVX2; batch kernels checked "
+               "against the scalar backend only\n");
+  return {simd::Backend::kScalar};
+}
+
+/// Free 8 m x 6 m at 5 cm with a few isolated obstacle cells and a short
+/// wall: almost every CDDT band is empty or holds one entry, and rays that
+/// miss every obstacle end at the map border.
+std::shared_ptr<const OccupancyGrid> make_sparse() {
+  auto grid = std::make_shared<OccupancyGrid>(160, 120, 0.05, Vec2{-2.0, 1.0},
+                                              OccupancyGrid::kFree);
+  grid->at(80, 60) = OccupancyGrid::kOccupied;
+  grid->at(20, 100) = OccupancyGrid::kOccupied;
+  grid->at(140, 15) = OccupancyGrid::kUnknown;
+  for (int i = 30; i < 36; ++i) grid->at(i, 30) = OccupancyGrid::kOccupied;
+  return grid;
+}
+
+/// Beam counts of the contract: empty, single, sub-group, group plus one,
+/// the filter's 60 plus one, and the simulated LiDAR's 1081.
+constexpr std::size_t kBeamCounts[] = {0, 1, 3, 5, 61, 1081};
+
+/// A LiDAR-like fan of `n` beams over 270 degrees.
+std::vector<double> fan(std::size_t n) {
+  std::vector<double> angles(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    angles[j] = n > 1 ? -0.75 * kPi + 1.5 * kPi * static_cast<double>(j) /
+                                          static_cast<double>(n - 1)
+                      : 0.4;
+  }
+  return angles;
+}
+
+/// Headings of the wrap regions: zero and its neighbours, each side of +-pi
+/// and +-2pi, the (-2pi, -pi) region, and beyond +-2pi (the scalar
+/// fallback), up to magnitudes where wrap_into needs fmod.
+std::vector<double> wrap_headings() {
+  std::vector<double> headings = {0.0, -0.0, 0.3, -0.3, 1.0e7, -1.0e7, 7.0,
+                                  -7.0, 12.6, -12.6, -1.5 * kPi, 1.5 * kPi};
+  for (const double edge : {kPi, kTwoPi}) {
+    for (const double a : {edge, -edge}) {
+      headings.push_back(a);
+      headings.push_back(std::nextafter(a, 0.0));
+      headings.push_back(std::nextafter(a, 2.0 * a));
+    }
+  }
+  return headings;
+}
+
+/// Beam offsets that land a heading of 0 exactly on, and one ulp either
+/// side of, every wrap boundary.
+std::vector<double> boundary_angles() {
+  std::vector<double> angles;
+  for (const double edge : {0.0, kPi, kTwoPi, 2.0 * kTwoPi}) {
+    for (const double a : {edge, -edge}) {
+      angles.push_back(a);
+      angles.push_back(std::nextafter(a, -1e9));
+      angles.push_back(std::nextafter(a, 1e9));
+    }
+  }
+  return angles;
+}
+
+/// Every CDDT batch equals range() beam by beam, under the pinned backend.
+void expect_cddt_batch_matches(const Cddt& cddt, const Pose2& sensor,
+                               const std::vector<double>& angles) {
+  std::vector<float> out(angles.size(), -1.0F);
+  cddt.ranges_from(sensor, angles, out);
+  for (std::size_t j = 0; j < angles.size(); ++j) {
+    const float want =
+        cddt.range({sensor.x, sensor.y, sensor.theta + angles[j]});
+    ASSERT_EQ(bits(out[j]), bits(want))
+        << "beam " << j << " of " << angles.size() << " at (" << sensor.x
+        << ", " << sensor.y << ", " << sensor.theta << ") + " << angles[j]
+        << ": " << out[j] << " vs " << want;
+  }
+}
+
+TEST(BatchKernels, CddtRangesFromMatchesRangeBitwise) {
+  const Track track = TrackGenerator::test_track();
+  const auto track_map = std::make_shared<const OccupancyGrid>(track.grid);
+  // Seven bins and one bin (always the scalar loop) as well as the default.
+  const Cddt maps[] = {Cddt{make_room(), 12.0}, Cddt{make_sparse(), 12.0},
+                       Cddt{track_map, 12.0}, Cddt{make_room(), 3.0, 7},
+                       Cddt{make_room(), 12.0, 1}};
+  // Free cells, an origin on a wall surface, one off the map and one in an
+  // unknown cell; the last two return zeros for the whole fan.
+  const Vec2 origins[] = {{5.0, 5.0},  {0.4, 9.3},  {9.96, 5.0},
+                          {2.0, 4.0},  {1.55, 2.53}, {-3.0, 2.0},
+                          {5.04, 1.78}, {track.centerline[10].x,
+                                         track.centerline[10].y}};
+  const std::vector<double> headings = wrap_headings();
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    for (const Cddt& cddt : maps) {
+      for (const Vec2& o : origins) {
+        for (const double heading : headings) {
+          for (const std::size_t n : kBeamCounts) {
+            expect_cddt_batch_matches(cddt, {o.x, o.y, heading}, fan(n));
+          }
+        }
+        expect_cddt_batch_matches(cddt, {o.x, o.y, 0.0}, boundary_angles());
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, CddtRangesFromMatchesRangeOnTrackPoses) {
+  // Filter-shaped work: 60 beams from particles scattered on the corridor.
+  const Track track = TrackGenerator::test_track();
+  const auto map = std::make_shared<const OccupancyGrid>(track.grid);
+  const Cddt cddt{map, 12.0};
+  const std::vector<double> angles = fan(60);
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    Rng rng{11};
+    for (int i = 0; i < 400; ++i) {
+      const Vec2 base = track.centerline[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(track.centerline.size()) - 1))];
+      expect_cddt_batch_matches(
+          cddt,
+          {base.x + rng.gaussian(0.4), base.y + rng.gaussian(0.4),
+           rng.uniform(-kPi, kPi)},
+          angles);
+    }
+  }
+}
+
+TEST(BatchKernels, CddtSearchKeyEqualToAnObstacle) {
+  // A 3 cm grid with walls in columns 11 and 30. Along bin 0, from x =
+  // 11 * 0.03 (in cell 10) the key u + slack equals the column-11 wall's u
+  // exactly, and from x = 31 * 0.03 the key u - slack equals the column-30
+  // wall's u. Looking away from those walls nothing is in the way, so the
+  // ray reads max range; with upper_bound and lower_bound swapped it would
+  // read the wall behind it, clamped to 0.
+  auto grid = std::make_shared<OccupancyGrid>(40, 40, 0.03, Vec2{0.0, 0.0},
+                                              OccupancyGrid::kFree);
+  for (int iy = 0; iy < 40; ++iy) {
+    grid->at(11, iy) = OccupancyGrid::kOccupied;
+    grid->at(30, iy) = OccupancyGrid::kOccupied;
+  }
+  const Cddt cddt{grid, 12.0};
+  const std::vector<double> angles = {0.0, kPi, 0.0, kPi, kPi, 0.0, kPi, 0.0};
+  const Pose2 behind_wall{11 * 0.03, 0.61, 0.0};
+  const Pose2 ahead_of_wall{31 * 0.03, 0.61, 0.0};
+  EXPECT_EQ(cddt.range({behind_wall.x, behind_wall.y, kPi}), 12.0F);
+  EXPECT_EQ(cddt.range({ahead_of_wall.x, ahead_of_wall.y, 0.0}), 12.0F);
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    expect_cddt_batch_matches(cddt, behind_wall, angles);
+    expect_cddt_batch_matches(cddt, ahead_of_wall, angles);
+  }
+}
+
+TEST(BatchKernels, CddtNonFiniteBeamAnglesMatchRange) {
+  // Release only: range() on a non-finite heading is a contract violation
+  // in a checked build, while the batch only checks the sensor pose.
+  if (contracts::enabled()) GTEST_SKIP() << "checked build";
+  const Cddt cddt{make_room(), 12.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> angles = fan(13);
+  angles[1] = nan;
+  angles[6] = inf;
+  angles[11] = -inf;
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    expect_cddt_batch_matches(cddt, {5.0, 5.0, 0.2}, angles);
+  }
+}
+
+/// Every ray-marching batch equals range() ray by ray, under the pinned
+/// backend.
+void expect_marching_batch_matches(const RayMarching& caster,
+                                   const std::vector<Pose2>& rays) {
+  std::vector<float> out(rays.size(), -1.0F);
+  caster.ranges(rays, out);
+  for (std::size_t i = 0; i < rays.size(); ++i) {
+    const float want = caster.range(rays[i]);
+    ASSERT_EQ(bits(out[i]), bits(want))
+        << "ray " << i << " of " << rays.size() << " at (" << rays[i].x
+        << ", " << rays[i].y << ", " << rays[i].theta << "): " << out[i]
+        << " vs " << want;
+  }
+}
+
+/// `n` LiDAR-like rays cycling over the given origins, so one block of
+/// eight mixes free, blocked and off-map origins.
+std::vector<Pose2> ray_fan(std::size_t n, const std::vector<Pose2>& origins) {
+  const std::vector<double> angles = fan(n);
+  std::vector<Pose2> rays;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Pose2& o = origins[i % origins.size()];
+    rays.push_back({o.x, o.y, o.theta + angles[i]});
+  }
+  return rays;
+}
+
+TEST(BatchKernels, RayMarchingRangesMatchesRangeBitwise) {
+  const Track track = TrackGenerator::test_track();
+  const auto track_map = std::make_shared<const OccupancyGrid>(track.grid);
+  // A short max range ends rays in open space; the sparse map ends them at
+  // its border, which reads as blocking.
+  const RayMarching casters[] = {
+      RayMarching{make_room(), 12.0}, RayMarching{make_room(), 2.5},
+      RayMarching{make_sparse(), 20.0}, RayMarching{track_map, 12.0}};
+  const Vec2 c = track.centerline[25];
+  const std::vector<Pose2> origins = {
+      {5.0, 5.0, 0.0},   {0.4, 9.3, 2.0},    {9.99, 9.99, -2.0},
+      {-0.01, 5.0, 0.0}, {1e6, -1e6, 1.0},   {1e300, 2.0, 0.5},
+      {c.x, c.y, 1.0e7}, {2.0, 4.0, -7.0},   {1.55, 2.53, 0.1},
+      {5.04, 1.78, -2.9}, {c.x, c.y, -3.1},
+  };
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    for (const RayMarching& caster : casters) {
+      for (const std::size_t n : kBeamCounts) {
+        expect_marching_batch_matches(caster, ray_fan(n, origins));
+      }
+      // One origin per call: the whole block shares its fate.
+      for (const Pose2& o : origins) {
+        expect_marching_batch_matches(caster, ray_fan(61, {o}));
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, RayMarchingNonFiniteHeadingsMatchRange) {
+  if (contracts::enabled()) GTEST_SKIP() << "checked build";
+  const RayMarching caster{make_room(), 12.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Pose2> rays = ray_fan(11, {{5.0, 5.0, 0.0}, {2.0, 7.5, 1.0}});
+  rays[0].theta = nan;
+  rays[4].theta = inf;
+  rays[9].theta = -inf;
+  for (const simd::Backend backend : host_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const ForcedBackend pin{backend};
+    expect_marching_batch_matches(caster, rays);
+  }
+}
+
+#if defined(SRL_SIMD_X86_AVX2)
+/// range_avx2::wrap_into (or its wide form) on four inputs, unpacked.
+__attribute__((target("avx2"))) void wrap4(const double* a, double period,
+                                           bool wide, double* value,
+                                           double* inside) {
+  const __m256d v = _mm256_loadu_pd(a);
+  const range_avx2::Wrapped4 w = wide ? range_avx2::wrap_into_wide(v, period)
+                                      : range_avx2::wrap_into(v, period);
+  _mm256_storeu_pd(value, w.value);
+  _mm256_storeu_pd(inside, w.inside);
+  _mm256_zeroupper();
+}
+#endif
+
+TEST(BatchKernels, VectorWrapMatchesScalarWrapInto) {
+#if defined(SRL_SIMD_X86_AVX2)
+  if (!simd::cpu_has_avx2()) GTEST_SKIP() << "host CPU lacks AVX2";
+  for (const double p : {kPi, kTwoPi}) {
+    std::vector<double> inputs = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 0.5 * p, -0.5 * p,
+        1.5 * p, -1.5 * p, 3.0 * p, -3.0 * p, 1e-300, -1e-300};
+    for (const double edge : {0.0, p, 2.0 * p}) {
+      for (const double a : {edge, -edge}) {
+        inputs.push_back(a);
+        inputs.push_back(std::nextafter(a, -1e9));
+        inputs.push_back(std::nextafter(a, 1e9));
+      }
+    }
+    while (inputs.size() % 4 != 0) inputs.push_back(0.0);
+    for (const bool wide : {false, true}) {
+      for (std::size_t i = 0; i < inputs.size(); i += 4) {
+        double value[4] = {};
+        double inside[4] = {};
+        wrap4(inputs.data() + i, p, wide, value, inside);
+        for (std::size_t l = 0; l < 4; ++l) {
+          const double a = inputs[i + l];
+          const bool covered =
+              wide ? a > -2.0 * p && a < 2.0 * p : a >= -p && a < 2.0 * p;
+          EXPECT_EQ(bits(inside[l]) != 0, covered)
+              << a << " period " << p << (wide ? " wide" : "");
+          if (covered) {
+            EXPECT_EQ(bits(value[l]), bits(wrap_into(a, p)))
+                << std::hexfloat << a << " period " << p
+                << (wide ? " wide: " : ": ") << value[l] << " vs "
+                << wrap_into(a, p);
+          }
+        }
+      }
+    }
+  }
+#else
+  GTEST_SKIP() << "no AVX2 kernels in this build";
+#endif
 }
 
 }  // namespace

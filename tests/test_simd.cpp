@@ -19,6 +19,7 @@
 #include "core/pf_kernels.hpp"
 #include "range/cddt.hpp"
 #include "range/lookup_table.hpp"
+#include "range/ray_marching.hpp"
 #include "sensor/beam_model.hpp"
 #include "sensor/lidar.hpp"
 #include "slam/scan_matching.hpp"
@@ -478,6 +479,55 @@ TEST(AvxState, LutBatchReturnsClean) {
   }
 }
 
+
+TEST(AvxState, CddtBatchReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  auto room = make_room();
+  const Cddt cddt{room, 12.0, 108};
+  const Pose2 sensor{5.0, 5.0, 0.3};
+  // 61 beams: seven eight-beam passes, one four-beam group and a scalar
+  // tail beam.
+  std::vector<double> fan(61);
+  for (std::size_t j = 0; j < fan.size(); ++j) {
+    fan[j] = -2.35 + 4.7 * static_cast<double>(j) / 60.0;
+  }
+  // The same fan with its second group outside (-2pi, 2pi), which sends
+  // that group down the scalar fallback.
+  std::vector<double> wide = fan;
+  wide[5] = 3.0 * kPi;
+
+  for (const std::vector<double>* angles : {&fan, &wide}) {
+    std::vector<float> out(angles->size(), -1.0F);
+    simd::force(simd::Backend::kAvx2);
+    cddt.ranges_from(sensor, *angles, out);
+    const bool dirty = avx_upper_in_use();
+    simd::reset();
+    EXPECT_FALSE(dirty) << (angles == &fan ? "61 beams" : "wide group");
+    EXPECT_GT(out[5], 0.0F);
+  }
+}
+
+TEST(AvxState, RayMarchingBatchReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  auto room = make_room();
+  const RayMarching caster{room, 12.0};
+  // 1081 rays: 135 blocks of eight plus a block with one live lane.
+  std::vector<Pose2> rays(1081);
+  for (std::size_t i = 0; i < rays.size(); ++i) {
+    rays[i] = {5.0, 5.0, -2.35 + 4.7 * static_cast<double>(i) / 1080.0};
+  }
+  std::vector<float> out(rays.size(), -1.0F);
+  simd::force(simd::Backend::kAvx2);
+  caster.ranges(rays, out);
+  const bool dirty = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty);
+  EXPECT_GT(out.back(), 0.0F);
+}
 
 TEST(AvxState, CorrelativeMatchReturnsCleanAfterItsRemainderLane) {
   if (const std::string why = xinuse_skip_reason(); !why.empty()) {

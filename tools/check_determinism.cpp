@@ -34,11 +34,13 @@
 ///      `srl.frontier/1` CI gate rests on),
 ///   9. across SIMD backends: a replay forced to the scalar kernels and one
 ///      forced to the AVX2 kernels must land on the reference bits at 1 and
-///      8 worker lanes (the SoA sensor-update guarantee: vectorization is
-///      an implementation detail, never a numeric choice), and so must
-///      CartoLite replays of the same lap, whose correlative search has an
-///      AVX2 kernel too. Hosts without AVX2 print an explicit SKIP for the
-///      vector half — never a silent pass,
+///      8 worker lanes, for SynPF on the LUT and on CDDT (the SoA
+///      sensor-update guarantee: vectorization is an implementation
+///      detail, never a numeric choice), and so must CartoLite replays of
+///      the same lap, whose correlative search has an AVX2 kernel too. The
+///      lap recorded under each backend (the truth LiDAR's batch cast)
+///      must hash to the reference trace. Hosts without AVX2 print an
+///      explicit SKIP for the vector half — never a silent pass,
 ///  10. under the compute governor (PR-10): a governed replay — adaptive
 ///      sizing + shedding ladder under a squeezed budget — is bitwise
 ///      stable across reruns and worker-lane counts (resize draws come
@@ -133,16 +135,18 @@ int main(int argc, char** argv) {
   telemetry::ContractMonitor monitor{contract_registry};
 
   const Track track = TrackGenerator::oval(8.0, 2.5);
-  SensorTrace trace;
-  {
+  auto record_lap = [&] {
     ExperimentConfig cfg;
     cfg.laps = 1;
     cfg.max_sim_time = max_sim_time;
     cfg.profile.scale = 0.5;
     ExperimentRunner runner{track, cfg};
     DeadReckoning driver;
-    runner.run(driver, &trace);
-  }
+    SensorTrace lap;
+    runner.run(driver, &lap);
+    return lap;
+  };
+  const SensorTrace trace = record_lap();
   if (trace.scans().empty()) {
     std::fprintf(stderr, "recorded trace is empty\n");
     return 1;
@@ -422,15 +426,37 @@ int main(int argc, char** argv) {
   }
 
   // 9. SIMD dispatch determinism: force each backend explicitly (the
-  // ambient references `ra` and `rcarto` ran under whatever SRL_SIMD / the
-  // CPU resolved to) and demand the reference bits back, for SynPF at 1
-  // and 8 worker lanes. The
-  // scalar half always runs; the vector half skips *loudly* on hosts
-  // without AVX2 so a fleet of scalar-only runners can't fake coverage.
+  // ambient references ran under whatever SRL_SIMD / the CPU resolved to)
+  // and demand the reference bits back: the recorded lap itself (the
+  // truth cast's batch kernel), SynPF on the LUT and on CDDT at 1 and 8
+  // worker lanes, and CartoLite. The scalar half always runs; the vector
+  // half skips *loudly* on hosts without AVX2 so a fleet of scalar-only
+  // runners can't fake coverage.
   {
-    auto replay_forced = [&](simd::Backend backend, int threads) {
+    const std::uint64_t want = trace_hash(trace);
+    auto record_forced = [&](simd::Backend backend) {
       simd::force(backend);
-      SynPfConfig tcfg = cfg;
+      const SensorTrace lap = record_lap();
+      simd::reset();
+      const std::uint64_t got = trace_hash(lap);
+      if (got != want) {
+        std::fprintf(stderr,
+                     "[simd-%s-record] recorded trace hash diverges: "
+                     "%016llx vs %016llx\n",
+                     simd::name(backend), static_cast<unsigned long long>(got),
+                     static_cast<unsigned long long>(want));
+        return false;
+      }
+      std::printf("[simd-%s-record] OK — recorded trace hash %016llx\n",
+                  simd::name(backend), static_cast<unsigned long long>(got));
+      return true;
+    };
+    SynPfConfig cddt_cfg = cfg;
+    cddt_cfg.range = RangeMethodKind::kCddt;
+    auto replay_forced = [&](const SynPfConfig& base, simd::Backend backend,
+                             int threads) {
+      simd::force(backend);
+      SynPfConfig tcfg = base;
       tcfg.filter.n_threads = threads;
       SynPf pf{tcfg, map, LidarConfig{}};
       const auto r = trace.replay(pf);
@@ -448,25 +474,29 @@ int main(int argc, char** argv) {
       simd::reset();
       return r;
     };
+    SynPf cddt_ref{cddt_cfg, map, LidarConfig{}};
+    const auto rcddt = trace.replay(cddt_ref);
     const auto rcarto = carto_replay();
-    ok = compare(ra, replay_forced(simd::Backend::kScalar, 1),
-                 "simd-scalar") &&
-         ok;
-    ok = compare(ra, replay_forced(simd::Backend::kScalar, 8),
-                 "simd-scalar-threads=8") &&
-         ok;
-    ok = compare(rcarto, carto_forced(simd::Backend::kScalar),
-                 "simd-scalar-cartolite") &&
-         ok;
+    auto check_backend = [&](simd::Backend backend) {
+      const std::string tag = std::string{"simd-"} + simd::name(backend);
+      bool same = record_forced(backend);
+      same = compare(ra, replay_forced(cfg, backend, 1), tag.c_str()) && same;
+      same = compare(ra, replay_forced(cfg, backend, 8),
+                     (tag + "-threads=8").c_str()) &&
+             same;
+      same = compare(rcddt, replay_forced(cddt_cfg, backend, 1),
+                     (tag + "-cddt").c_str()) &&
+             same;
+      same = compare(rcddt, replay_forced(cddt_cfg, backend, 8),
+                     (tag + "-cddt-threads=8").c_str()) &&
+             same;
+      return compare(rcarto, carto_forced(backend),
+                     (tag + "-cartolite").c_str()) &&
+             same;
+    };
+    ok = check_backend(simd::Backend::kScalar) && ok;
     if (simd::cpu_has_avx2()) {
-      ok = compare(ra, replay_forced(simd::Backend::kAvx2, 1), "simd-avx2") &&
-           ok;
-      ok = compare(ra, replay_forced(simd::Backend::kAvx2, 8),
-                   "simd-avx2-threads=8") &&
-           ok;
-      ok = compare(rcarto, carto_forced(simd::Backend::kAvx2),
-                   "simd-avx2-cartolite") &&
-           ok;
+      ok = check_backend(simd::Backend::kAvx2) && ok;
     } else {
       std::printf(
           "[simd] SKIP — host CPU lacks AVX2; scalar-vs-vector cross-check "
