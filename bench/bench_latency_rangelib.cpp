@@ -29,6 +29,7 @@
 #include "eval/table.hpp"
 #include "gridmap/track_generator.hpp"
 #include "motion/tum_model.hpp"
+#include "range/lookup_table.hpp"
 #include "range/range_method.hpp"
 #include "range/ray_marching.hpp"
 #include "sensor/lidar_sim.hpp"
@@ -173,15 +174,19 @@ BENCHMARK(BM_TruthScan)
     ->Arg(static_cast<int>(simd::Backend::kAvx2))
     ->Unit(benchmark::kMicrosecond);
 
-/// Acceleration-structure construction cost (the LUT's trade-off).
+/// Acceleration-structure construction cost (the LUT's trade-off), at the
+/// race configuration (the default options: LUT stride 1, 120 bins).
 void BM_Build(benchmark::State& state) {
   const auto kind = static_cast<RangeMethodKind>(state.range(0));
-  RangeMethodOptions opt;
-  opt.lut_theta_bins = 90;
-  opt.lut_stride = 2;  // keep the bench itself quick
+  const RangeMethodOptions opt;
+  std::unique_ptr<RangeMethod> m;
   for (auto _ : state) {
-    auto m = make_range_method(kind, map_ptr(), opt);
+    m = make_range_method(kind, map_ptr(), opt);
     benchmark::DoNotOptimize(m);
+  }
+  if (const auto* lut = dynamic_cast<const RangeLut*>(m.get())) {
+    state.counters["memory_bytes"] =
+        static_cast<double>(lut->memory_bytes());
   }
   state.SetLabel(to_string(kind));
 }

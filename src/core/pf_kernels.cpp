@@ -42,11 +42,13 @@ void accumulate_log_weights_scalar(const ScanContext& ctx,
     const float* row = expected + i * k;
     double log_w = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
-      // Exactly BeamModel::range_bin on the expected value; the measured
-      // half of the lookup is already folded into rows[j].
-      std::int32_t b = static_cast<std::int32_t>(
-          static_cast<double>(row[cols[j]]) * inv_res + 0.5);
-      b = b < 0 ? 0 : (b > dim_m1 ? dim_m1 : b);
+      // Exactly BeamModel::range_bin on the expected value, bounds compared
+      // before the cast; the measured half of the lookup is already folded
+      // into rows[j].
+      const double x = static_cast<double>(row[cols[j]]) * inv_res + 0.5;
+      const std::int32_t b = !(x < dim_m1)
+                                 ? dim_m1
+                                 : (x < 0.0 ? 0 : static_cast<std::int32_t>(x));
       log_w += table[static_cast<std::size_t>(rows[j] + b)];
     }
     out[i] = log_w;
@@ -70,7 +72,7 @@ __attribute__((target("avx2"))) void accumulate_log_weights_avx2(
   const __m256d inv_res = _mm256_set1_pd(ctx.inv_resolution);
   const __m256d half = _mm256_set1_pd(0.5);
   const __m128i zero = _mm_setzero_si128();
-  const __m128i dim_m1 = _mm_set1_epi32(ctx.table_dim - 1);
+  const __m256d dim_m1 = _mm256_set1_pd(ctx.table_dim - 1);
   const auto kk = static_cast<std::int32_t>(k);
   // Lane l reads particle (i + l)'s row: stride k floats apart.
   const __m128i row_stride = _mm_setr_epi32(0, kk, 2 * kk, 3 * kk);
@@ -97,8 +99,10 @@ __attribute__((target("avx2"))) void accumulate_log_weights_avx2(
           __m256d ed = _mm256_cvtps_pd(beams[l]);
           // Unfused mul then add — same two roundings as the scalar path.
           ed = _mm256_add_pd(_mm256_mul_pd(ed, inv_res), half);
-          __m128i b = _mm256_cvttpd_epi32(ed);
-          b = _mm_min_epi32(_mm_max_epi32(b, zero), dim_m1);
+          // range_bin's clamp: the top bound (NaN included: min_pd returns
+          // its second operand) before the truncation, 0 after it.
+          const __m128i b = _mm_max_epi32(
+              _mm256_cvttpd_epi32(_mm256_min_pd(ed, dim_m1)), zero);
           const __m128i idx =
               _mm_add_epi32(b, _mm_set1_epi32(rows[j + static_cast<std::size_t>(l)]));
           acc = _mm256_add_pd(acc, _mm256_i32gather_pd(table, idx, 8));
@@ -111,8 +115,8 @@ __attribute__((target("avx2"))) void accumulate_log_weights_avx2(
       __m256d ed = _mm256_cvtps_pd(e4);
       // Unfused mul then add — same two roundings as the scalar path.
       ed = _mm256_add_pd(_mm256_mul_pd(ed, inv_res), half);
-      __m128i b = _mm256_cvttpd_epi32(ed);
-      b = _mm_min_epi32(_mm_max_epi32(b, zero), dim_m1);
+      const __m128i b =
+          _mm_max_epi32(_mm256_cvttpd_epi32(_mm256_min_pd(ed, dim_m1)), zero);
       const __m128i idx = _mm_add_epi32(b, _mm_set1_epi32(rows[j]));
       acc = _mm256_add_pd(acc, _mm256_i32gather_pd(table, idx, 8));
     }

@@ -43,9 +43,18 @@ class BeamModel {
   /// uses for both axes. Exposed so the vectorized weight kernels
   /// (src/core/pf_kernels.cpp) can reproduce the lookup bit-for-bit;
   /// any change here is a golden-trace regeneration event.
+  ///
+  /// Defined for every float: the bounds are compared before the cast,
+  /// because a NaN, an infinity or a double past INT_MAX cast to int is
+  /// undefined behaviour, and a measured range reaches here unchecked.
+  /// NaN, +Inf and anything at or past the last bin take the last
+  /// (max-range) bin; -Inf and negatives take bin 0. Every other value
+  /// keeps the bin of the plain truncate-and-clamp.
   int range_bin(float v) const {
-    const int b = static_cast<int>(static_cast<double>(v) * inv_res_ + 0.5);
-    return b < 0 ? 0 : (b > dim_ - 1 ? dim_ - 1 : b);
+    const double x = static_cast<double>(v) * inv_res_ + 0.5;
+    if (!(x < dim_ - 1)) return dim_ - 1;
+    if (x < 0.0) return 0;
+    return static_cast<int>(x);
   }
 
   /// Raw log-likelihood table (dim x dim, [measured][expected]) and the

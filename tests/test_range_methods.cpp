@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/angles.hpp"
@@ -120,8 +123,232 @@ TEST(Cddt, HasCompressedEntries) {
 TEST(Lut, MemoryAccounting) {
   auto room = make_room();
   const RangeLut lut{room, 12.0, 60, 2};
-  // 100 x 100 sampled cells x 60 bins x 2 bytes.
-  EXPECT_EQ(lut.memory_bytes(), 100U * 100U * 60U * 2U);
+  // One 60-bin row of uint16 per sample whose cell does not block, plus the
+  // shared zero row, plus a uint32 row offset for each of the 100 x 100
+  // samples.
+  std::size_t free_samples = 0;
+  for (int iy = 0; iy < 200; iy += 2) {
+    for (int ix = 0; ix < 200; ix += 2) {
+      if (!room->blocks_ray(ix, iy)) ++free_samples;
+    }
+  }
+  EXPECT_EQ(free_samples, 99U * 99U);  // the walls hold row 0 and column 0
+  EXPECT_EQ(lut.memory_bytes(),
+            (free_samples + 1) * 60U * 2U + 100U * 100U * 4U);
+}
+
+// ---------------------------------------------------------------------------
+// LUT build: every entry against the exact caster
+// ---------------------------------------------------------------------------
+
+/// Test-only oracle for the LUT build: the entry every free cell's centre
+/// must hold per bin, filled one BresenhamCaster::range at a time (a
+/// strided table samples a subset of these cells). Blocking cells hold 0.
+std::vector<std::uint16_t> lut_oracle(
+    const std::shared_ptr<const OccupancyGrid>& map, double max_range,
+    int bins) {
+  const BresenhamCaster exact{map, max_range};
+  const double quantum = max_range / 65535.0;
+  const auto n_bins = static_cast<std::size_t>(bins);
+  std::vector<std::uint16_t> entries(map->size() * n_bins, 0);
+  for (int iy = 0; iy < map->height(); ++iy) {
+    for (int ix = 0; ix < map->width(); ++ix) {
+      if (map->blocks_ray(ix, iy)) continue;
+      const Vec2 p = map->grid_to_world(ix, iy);
+      const std::size_t cell =
+          static_cast<std::size_t>(iy) * map->width() + ix;
+      for (int bt = 0; bt < bins; ++bt) {
+        const float r = exact.range({p.x, p.y, kTwoPi * bt / bins});
+        entries[cell * n_bins + bt] = static_cast<std::uint16_t>(
+            std::clamp(std::lround(r / quantum), 0L, 65535L));
+      }
+    }
+  }
+  return entries;
+}
+
+/// Holds `lut` to the oracle through range(): at every sample centre and
+/// bin heading, the oracle's entry; at a free cell whose sample blocks
+/// (stride > 1), the zero row, also through ranges_from().
+void expect_lut_matches_oracle(const RangeLut& lut,
+                               const std::vector<std::uint16_t>& oracle,
+                               int bins, int stride,
+                               const std::string& label) {
+  const OccupancyGrid& grid = lut.map();
+  const double quantum = lut.max_range() / 65535.0;
+  const auto n_bins = static_cast<std::size_t>(bins);
+  const std::vector<double> beams = {0.0, 1.0, -2.5, 3.0};
+  std::size_t checked = 0;
+  for (int iy = 0; iy < grid.height(); ++iy) {
+    for (int ix = 0; ix < grid.width(); ++ix) {
+      if (grid.blocks_ray(ix, iy)) continue;  // range() answers 0 unread
+      const Vec2 p = grid.grid_to_world(ix, iy);
+      const int sx = ix / stride * stride;
+      const int sy = iy / stride * stride;
+      if (sx == ix && sy == iy) {
+        const std::size_t cell =
+            static_cast<std::size_t>(iy) * grid.width() + ix;
+        for (int bt = 0; bt < bins; ++bt) {
+          const std::uint16_t q = oracle[cell * n_bins + bt];
+          const float want = static_cast<float>(q * quantum);
+          const float got = lut.range({p.x, p.y, kTwoPi * bt / bins});
+          ASSERT_EQ(bits(got), bits(want))
+              << label << ": cell (" << ix << ", " << iy << ") bin " << bt
+              << ": " << got << " vs " << want;
+          ++checked;
+        }
+      } else if (grid.blocks_ray(sx, sy)) {
+        for (int bt = 0; bt < bins; ++bt) {
+          ASSERT_EQ(bits(lut.range({p.x, p.y, kTwoPi * bt / bins})),
+                    bits(0.0F))
+              << label << ": cell (" << ix << ", " << iy << ") bin " << bt;
+        }
+        std::vector<float> out(beams.size(), -1.0F);
+        lut.ranges_from({p.x, p.y, 0.5}, beams, out);
+        for (const float r : out) {
+          ASSERT_EQ(bits(r), bits(0.0F)) << label << ": batch at cell ("
+                                         << ix << ", " << iy << ")";
+        }
+      }
+    }
+  }
+  // Every free sample was checked: the build cast no row it then lost.
+  std::size_t free_samples = 0;
+  for (int iy = 0; iy < grid.height(); iy += stride) {
+    for (int ix = 0; ix < grid.width(); ix += stride) {
+      if (!grid.blocks_ray(ix, iy)) ++free_samples;
+    }
+  }
+  EXPECT_EQ(checked, free_samples * n_bins) << label;
+  const std::size_t samples =
+      static_cast<std::size_t>((grid.width() + stride - 1) / stride) *
+      static_cast<std::size_t>((grid.height() + stride - 1) / stride);
+  EXPECT_EQ(lut.memory_bytes(),
+            (free_samples + 1) * n_bins * 2U + samples * 4U)
+      << label;
+}
+
+/// Builds the LUT of `map` at every stride, bin count and max range given,
+/// under each SIMD backend, and holds every entry to the oracle.
+void expect_lut_builds_exact(const std::string& name,
+                             const std::shared_ptr<const OccupancyGrid>& map,
+                             std::initializer_list<int> bin_counts,
+                             std::initializer_list<double> max_ranges,
+                             std::initializer_list<int> strides) {
+  for (const double max_range : max_ranges) {
+    for (const int bins : bin_counts) {
+      const std::vector<std::uint16_t> oracle =
+          lut_oracle(map, max_range, bins);
+      for (const int stride : strides) {
+        for (const simd::Backend backend :
+             {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+          simd::force(backend);
+          const RangeLut lut{map, max_range, bins, stride};
+          simd::reset();
+          expect_lut_matches_oracle(
+              lut, oracle, bins, stride,
+              name + " " + std::to_string(bins) + " bins, stride " +
+                  std::to_string(stride) + ", max range " +
+                  std::to_string(max_range) + ", " + simd::name(backend));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+/// 41 x 29 cells at 5 cm whose origin is negative and off the cell lattice,
+/// so `origin + ix * res` rounds per cell; scattered occupied and unknown
+/// cells, and free cells on the border.
+std::shared_ptr<const OccupancyGrid> make_unaligned() {
+  auto grid = std::make_shared<OccupancyGrid>(
+      41, 29, 0.05, Vec2{-3.1234567, -1.7654321}, OccupancyGrid::kFree);
+  Rng rng{11};
+  for (int iy = 0; iy < 29; ++iy) {
+    for (int ix = 0; ix < 41; ++ix) {
+      const double u = rng.uniform();
+      if (u < 0.10) {
+        grid->at(ix, iy) = OccupancyGrid::kOccupied;
+      } else if (u < 0.13) {
+        grid->at(ix, iy) = OccupancyGrid::kUnknown;
+      }
+    }
+  }
+  return grid;
+}
+
+/// Free up to its border except a 3 x 3 block: most rays leave the map,
+/// where the first off-map cell ends them.
+std::shared_ptr<const OccupancyGrid> make_open() {
+  auto grid = std::make_shared<OccupancyGrid>(30, 20, 0.1, Vec2{0.5, -1.0},
+                                              OccupancyGrid::kFree);
+  for (int iy = 8; iy < 11; ++iy) {
+    for (int ix = 12; ix < 15; ++ix) {
+      grid->at(ix, iy) = OccupancyGrid::kOccupied;
+    }
+  }
+  return grid;
+}
+
+/// One row or one column of free cells with one occupied cell.
+std::shared_ptr<const OccupancyGrid> make_line(bool row) {
+  auto grid = std::make_shared<OccupancyGrid>(row ? 40 : 1, row ? 1 : 40,
+                                              0.05, Vec2{-0.2, 0.3},
+                                              OccupancyGrid::kFree);
+  if (row) {
+    grid->at(25, 0) = OccupancyGrid::kOccupied;
+  } else {
+    grid->at(0, 25) = OccupancyGrid::kOccupied;
+  }
+  return grid;
+}
+
+TEST(LutBuild, SmallMapsMatchTheExactCaster) {
+  // Bins 1, 7, 120 and 360: the last two put headings on multiples of 45
+  // degrees, where rays pass through cell corners and the < tie rule picks
+  // the path. A 0.3 m max range ends most walks on the over-range test.
+  expect_lut_builds_exact("unaligned", make_unaligned(), {1, 7, 120, 360},
+                          {0.3, 12.0}, {1, 2, 3});
+  expect_lut_builds_exact("open", make_open(), {1, 7, 120, 360}, {0.3, 12.0},
+                          {1, 2, 3});
+  expect_lut_builds_exact("row", make_line(true), {1, 7, 120, 360},
+                          {0.3, 12.0}, {1, 2, 3});
+  expect_lut_builds_exact("column", make_line(false), {1, 7, 120, 360},
+                          {0.3, 12.0}, {1, 2, 3});
+}
+
+TEST(LutBuild, MapWithoutFreeCellsIsTheZeroRow) {
+  auto grid = std::make_shared<OccupancyGrid>(12, 9, 0.05, Vec2{0.0, 0.0},
+                                              OccupancyGrid::kUnknown);
+  for (int ix = 0; ix < 12; ++ix) grid->at(ix, 4) = OccupancyGrid::kOccupied;
+  expect_lut_builds_exact("solid", grid, {1, 120}, {12.0}, {1, 3});
+  const RangeLut lut{grid, 12.0, 120, 1};
+  EXPECT_EQ(lut.memory_bytes(), 120U * 2U + 12U * 9U * 4U);
+}
+
+TEST(LutBuild, SlabPastTheUint32RangeThrows) {
+  // 100 free cells of INT_MAX bins: the slab would need about 2^38
+  // entries, and the constructor refuses before allocating it.
+  auto grid = std::make_shared<const OccupancyGrid>(
+      10, 10, 0.05, Vec2{0.0, 0.0}, OccupancyGrid::kFree);
+  EXPECT_THROW((RangeLut{grid, 12.0, std::numeric_limits<int>::max(), 1}),
+               std::length_error);
+}
+
+TEST(LutBuild, RoomMatchesTheExactCaster) {
+  // Long walks at 7 bins; the fine bin counts at the short range, which
+  // keeps the oracle cheap.
+  expect_lut_builds_exact("room", make_room(), {7, 120}, {0.3},
+                          {1, 2, 3});
+  expect_lut_builds_exact("room", make_room(), {7}, {12.0}, {1, 2, 3});
+}
+
+TEST(LutBuild, TestTrackMatchesTheExactCaster) {
+  // The race configuration: 120 bins, 12 m.
+  const Track track = TrackGenerator::test_track();
+  expect_lut_builds_exact("test track",
+                          std::make_shared<const OccupancyGrid>(track.grid),
+                          {120}, {12.0}, {1, 2});
 }
 
 struct MethodCase {

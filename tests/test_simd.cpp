@@ -183,7 +183,7 @@ std::vector<float> hostile_expected(std::size_t n, std::size_t k,
       max_range - res,          // near the top
       max_range,                // top bin
       max_range + 5.0F,         // clamps to the top bin
-      1e30F,                    // cvttpd saturates; clamps either way
+      1e30F,                    // past INT_MAX once scaled: the top bin
       3.37F,
       0.051F,
   };
@@ -479,6 +479,25 @@ TEST(AvxState, LutBatchReturnsClean) {
   }
 }
 
+TEST(AvxState, LutBuildReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  // 5 x 5 free cells inside a one-cell wall: 25 origins, one claim, so the
+  // build runs on this thread alone: three full eight-lane passes and one
+  // pass with a single live lane, per bin.
+  auto box = std::make_shared<OccupancyGrid>(7, 7, 0.05, Vec2{0.0, 0.0},
+                                             OccupancyGrid::kOccupied);
+  for (int iy = 1; iy < 6; ++iy) {
+    for (int ix = 1; ix < 6; ++ix) box->at(ix, iy) = OccupancyGrid::kFree;
+  }
+  simd::force(simd::Backend::kAvx2);
+  const RangeLut lut{box, 12.0, 7, 1};
+  const bool dirty = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty);
+  EXPECT_GT(lut.range({0.175, 0.175, 0.0}), 0.0F);
+}
 
 TEST(AvxState, CddtBatchReturnsClean) {
   if (const std::string why = xinuse_skip_reason(); !why.empty()) {
