@@ -13,7 +13,9 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 /// Wrap an angle into (-pi, pi].
 inline double normalize_angle(double a) {
-  a = std::fmod(a, kTwoPi);
+  // fmod is exact and returns `a` itself for |a| < 2pi, so the call is
+  // skipped there; NaN and +-Inf fail the test and still take it.
+  if (!(std::abs(a) < kTwoPi)) a = std::fmod(a, kTwoPi);
   if (a <= -kPi) {
     a += kTwoPi;
   } else if (a > kPi) {

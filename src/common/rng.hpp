@@ -14,8 +14,12 @@
 /// and its slot index, regardless of which thread advances it or how many
 /// draws other components have made.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <ios>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <random>
 
@@ -32,17 +36,28 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// `static_cast<double>(x)`, correctly rounded, without the branch GCC emits
+/// for `uint64_t -> double` on x86-64 (it tests the top bit first). Both
+/// 32-bit halves convert exactly, hi * 2^32 is exact, and the one addition
+/// rounds the exact sum x once, to nearest even, as the cast does.
+inline double uint64_to_double(std::uint64_t x) {
+  return static_cast<double>(static_cast<std::uint32_t>(x >> 32)) * 0x1p32 +
+         static_cast<double>(static_cast<std::uint32_t>(x));
+}
+
 /// A seeded pseudo-random generator with the distributions the library needs.
-/// Thin wrapper over std::mt19937_64; copyable, so particle clouds can fork
-/// deterministic sub-streams if needed.
+/// An std::mt19937_64 engine under samplers that reproduce libstdc++'s
+/// `uniform_real_distribution` and `normal_distribution` bit for bit
+/// (DESIGN.md §15); copyable, so particle clouds can fork deterministic
+/// sub-streams if needed.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eedULL)
       : seed_{seed}, engine_{seed} {}
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi), as `uniform_real_distribution` computes it.
   double uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>{lo, hi}(engine_);
+    return canonical() * (hi - lo) + lo;
   }
 
   /// Uniform integer in [lo, hi] inclusive.
@@ -50,13 +65,12 @@ class Rng {
     return std::uniform_int_distribution<int>{lo, hi}(engine_);
   }
 
-  /// Zero-mean Gaussian with the given standard deviation. Draws from a
-  /// persistent standard-normal distribution and scales, so the
-  /// Box-Muller pair cache survives across calls (this sits in the
-  /// particle filter's prediction hot loop).
+  /// Zero-mean Gaussian with the given standard deviation; draws nothing
+  /// when `stddev <= 0`. The standard normal keeps its second deviate across
+  /// calls (this sits in the particle filter's prediction hot loop).
   double gaussian(double stddev) {
     if (stddev <= 0.0) return 0.0;
-    return stddev * standard_normal_(engine_);
+    return stddev * standard_normal();
   }
 
   /// Gaussian with explicit mean.
@@ -86,24 +100,91 @@ class Rng {
     return Rng{s};
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
   /// Serialize the *complete* generator state — the master seed (which keys
-  /// every substream derivation), the engine, and the cached Box-Muller pair
-  /// of the persistent normal distribution — so a restored Rng reproduces
-  /// the exact remaining stream, and every substream, bit for bit (the
-  /// determinism checker round-trips this across a save/restore).
+  /// every substream derivation), the engine, and the cached second normal
+  /// deviate — so a restored Rng reproduces the exact remaining stream, and
+  /// every substream, bit for bit (the determinism checker round-trips this
+  /// across a save/restore). The normal state is written as libstdc++
+  /// writes a standard `std::normal_distribution<double>`: mean, stddev,
+  /// flag and cached value, scientific, left-aligned, at max_digits10.
   friend std::ostream& operator<<(std::ostream& os, const Rng& rng) {
-    return os << rng.seed_ << ' ' << rng.engine_ << ' ' << rng.standard_normal_;
+    os << rng.seed_ << ' ' << rng.engine_ << ' ';
+    const std::ios_base::fmtflags flags = os.flags();
+    const char fill = os.fill();
+    const std::streamsize precision = os.precision();
+    os.flags(std::ios_base::scientific | std::ios_base::left);
+    os.fill(' ');
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << 0.0 << ' ' << 1.0 << ' ' << rng.saved_available_;
+    if (rng.saved_available_) os << ' ' << rng.saved_;
+    os.flags(flags);
+    os.fill(fill);
+    os.precision(precision);
+    return os;
   }
+  /// Reads what operator<< writes. A normal state whose mean and stddev are
+  /// not 0 and 1 was not written by an Rng and sets failbit.
   friend std::istream& operator>>(std::istream& is, Rng& rng) {
-    return is >> rng.seed_ >> rng.engine_ >> rng.standard_normal_;
+    is >> rng.seed_ >> rng.engine_;
+    const std::ios_base::fmtflags flags = is.flags();
+    is.flags(std::ios_base::dec | std::ios_base::skipws);
+    double mean = 0.0;
+    double stddev = 0.0;
+    bool available = false;
+    if (is >> mean >> stddev >> available) {
+      double saved = 0.0;
+      if (mean != 0.0 || stddev != 1.0) {
+        is.setstate(std::ios_base::failbit);
+      } else if (!available || (is >> saved)) {
+        rng.saved_available_ = available;
+        rng.saved_ = saved;
+      }
+    }
+    is.flags(flags);
+    return is;
   }
 
  private:
+  static constexpr double kBelowOne = 0x1.fffffffffffffp-1;  // nextafter(1, 0)
+
+  /// Uniform double in [0, 1): `std::generate_canonical<double, 53>` over
+  /// the engine, which is one draw x as double(x) * 2^-64, clamped to the
+  /// largest double below 1 (x near 2^64 rounds up to 2^64).
+  double canonical() {
+    return std::min(uint64_to_double(engine_()) * 0x1p-64, kBelowOne);
+  }
+
+  /// libstdc++'s Marsaglia polar method, draw for draw: a pair of
+  /// 2u - 1 deviates, rejected while r2 > 1 or r2 == 0, yields y * mult
+  /// now and caches x * mult for the next call.
+  double standard_normal() {
+    double z;
+    if (saved_available_) {
+      saved_available_ = false;
+      z = saved_;
+    } else {
+      double x;
+      double y;
+      double r2;
+      do {
+        x = 2.0 * canonical() - 1.0;
+        y = 2.0 * canonical() - 1.0;
+        r2 = x * x + y * y;
+      } while (r2 > 1.0 || r2 == 0.0);
+      const double mult = std::sqrt(-2 * std::log(r2) / r2);
+      saved_ = x * mult;
+      saved_available_ = true;
+      z = y * mult;
+    }
+    // The distribution's `z * stddev + mean` with (0, 1): the product is z
+    // itself, and adding +0.0 turns a -0.0 into +0.0.
+    return z + 0.0;
+  }
+
   std::uint64_t seed_;
   std::mt19937_64 engine_;
-  std::normal_distribution<double> standard_normal_{0.0, 1.0};
+  double saved_{0.0};
+  bool saved_available_{false};
 };
 
 }  // namespace srl

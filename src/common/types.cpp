@@ -5,7 +5,7 @@
 
 namespace srl {
 
-Pose2 integrate_twist(const Pose2& pose, const Twist2& twist, double dt) {
+Pose2 twist_increment(const Twist2& twist, double dt) {
   const double wt = twist.wz * dt;
   double dx;
   double dy;
@@ -20,7 +20,7 @@ Pose2 integrate_twist(const Pose2& pose, const Twist2& twist, double dt) {
     dx = (twist.vx * s - twist.vy * (1.0 - c)) / twist.wz;
     dy = (twist.vx * (1.0 - c) + twist.vy * s) / twist.wz;
   }
-  return pose * Pose2{dx, dy, wt};
+  return Pose2{dx, dy, wt};
 }
 
 std::ostream& operator<<(std::ostream& os, const Vec2& v) {

@@ -88,19 +88,10 @@ struct Pose2 {
   Vec2 heading_vec() const { return {std::cos(theta), std::sin(theta)}; }
 
   /// Group composition: `this` followed by `o` expressed in `this`'s frame.
-  Pose2 operator*(const Pose2& o) const {
-    const double c = std::cos(theta);
-    const double s = std::sin(theta);
-    return {x + c * o.x - s * o.y, y + s * o.x + c * o.y,
-            normalize_angle(theta + o.theta)};
-  }
+  Pose2 operator*(const Pose2& o) const;
 
   /// Transform a point from this pose's frame into the world frame.
-  Vec2 transform(const Vec2& p) const {
-    const double c = std::cos(theta);
-    const double s = std::sin(theta);
-    return {x + c * p.x - s * p.y, y + s * p.x + c * p.y};
-  }
+  Vec2 transform(const Vec2& p) const;
 
   /// Transform a world point into this pose's frame.
   Vec2 inverse_transform(const Vec2& p) const {
@@ -125,6 +116,36 @@ struct Pose2 {
   Pose2 normalized() const { return {x, y, normalize_angle(theta)}; }
 };
 
+/// A pose with the cosine and sine of its heading taken once. Composing
+/// many operands onto one pose, or transforming many points by it, then pays
+/// one cos/sin pair instead of one per call. Pose2's operator* and
+/// transform() are these same expressions, so the results carry their bits.
+struct PoseFrame {
+  Pose2 pose;
+  double c;  ///< cos(pose.theta)
+  double s;  ///< sin(pose.theta)
+
+  explicit PoseFrame(const Pose2& p)
+      : pose{p}, c{std::cos(p.theta)}, s{std::sin(p.theta)} {}
+
+  /// `pose * o`.
+  Pose2 operator*(const Pose2& o) const {
+    return {pose.x + c * o.x - s * o.y, pose.y + s * o.x + c * o.y,
+            normalize_angle(pose.theta + o.theta)};
+  }
+  /// `pose.transform(p)`.
+  Vec2 transform(const Vec2& p) const {
+    return {pose.x + c * p.x - s * p.y, pose.y + s * p.x + c * p.y};
+  }
+};
+
+inline Pose2 Pose2::operator*(const Pose2& o) const {
+  return PoseFrame{*this} * o;
+}
+inline Vec2 Pose2::transform(const Vec2& p) const {
+  return PoseFrame{*this}.transform(p);
+}
+
 /// A planar body-frame velocity.
 struct Twist2 {
   double vx{0.0};  ///< longitudinal velocity, m/s (body frame, + forward)
@@ -138,9 +159,16 @@ struct Twist2 {
   double speed() const { return std::hypot(vx, vy); }
 };
 
-/// Exact SE(2) exponential of a body twist applied for `dt` seconds,
-/// composed onto `pose`. Handles the wz -> 0 limit analytically.
-Pose2 integrate_twist(const Pose2& pose, const Twist2& twist, double dt);
+/// Exact SE(2) exponential of a body twist applied for `dt` seconds: the
+/// body-frame increment {dx, dy, wz * dt}, heading not wrapped. Handles the
+/// wz -> 0 limit analytically.
+Pose2 twist_increment(const Twist2& twist, double dt);
+
+/// The increment of `twist` over `dt` composed onto `pose`.
+inline Pose2 integrate_twist(const Pose2& pose, const Twist2& twist,
+                             double dt) {
+  return pose * twist_increment(twist, dt);
+}
 
 /// Componentwise finiteness — the contract helpers used by preconditions on
 /// geometry-consuming seams (range queries, motion prediction, simulation).

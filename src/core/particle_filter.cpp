@@ -127,21 +127,20 @@ void ParticleFilter::predict(const OdometryDelta& odom) {
   // Scalar per lane by design: each slot consumes its own RNG substream
   // draw sequence and the motion model's libm trig pins the bits, so a
   // vectorized predict could not stay bitwise identical (DESIGN.md §15).
+  // One prepared motion step per chunk; slot i's noise comes from its own
+  // substream, so the sample is the same whichever lane runs it.
   pool_.parallel_for(cloud_.size(), [&](int /*lane*/, std::size_t begin,
                                         std::size_t end) {
     telemetry::ScopedSpan chunk{sink_.trace, "pf.predict.chunk"};
-    // srl-lint: realtime
-    for (std::size_t i = begin; i < end; ++i) {
-      // Slot i's noise comes from its own substream, so the sample is the
-      // same whichever lane runs it.
-      cloud_.set_pose(i, motion_->sample(cloud_.pose(i), odom, slot_rngs_[i]));
-    }
-    // srl-lint: end-realtime
+    motion_->sample_slice(
+        odom, PoseSlice{cloud_.x() + begin, cloud_.y() + begin,
+                        cloud_.theta() + begin, slot_rngs_.data() + begin,
+                        end - begin});
   });
   timer.stop();
 }
 
-void ParticleFilter::correct(const LaserScan& scan) {
+Pose2 ParticleFilter::correct(const LaserScan& scan) {
   const std::size_t n = cloud_.size();
   // Governor beam decimation: at stride 1 the full layout vectors are used
   // directly, so a filter whose stride never changed runs the exact
@@ -173,7 +172,7 @@ void ParticleFilter::correct(const LaserScan& scan) {
       telemetry::ScopedSpan chunk{sink_.trace, "pf.raycast.chunk"};
       // srl-lint: realtime
       for (std::size_t i = begin; i < end; ++i) {
-        const Pose2 sensor = cloud_.pose(i) * lidar_.mount;
+        const Pose2 sensor = lidar_.sensor_pose(cloud_.pose(i));
         caster_->ranges_from(sensor, angles,
                              std::span<float>{expected_}.subspan(i * k, k));
       }
@@ -250,9 +249,10 @@ void ParticleFilter::correct(const LaserScan& scan) {
     }
   }
 
+  const Pose2 updated = estimate();
   if (health_on) {
     health_.resample_count = resamples_;
-    jump_detector_.update(predicted, estimate(), health_);
+    jump_detector_.update(predicted, updated, health_);
     if (health_.pose_jump_alarm) {
       if (c_jump_alarms_ != nullptr) c_jump_alarms_->add();
       if (sink_.events != nullptr) {
@@ -267,6 +267,7 @@ void ParticleFilter::correct(const LaserScan& scan) {
     g_particles_->set(static_cast<double>(cloud_.size()));
     c_updates_->add();
   }
+  return updated;
 }
 
 void ParticleFilter::sample_health() {

@@ -133,8 +133,9 @@ class ParticleFilter {
   void predict(const OdometryDelta& odom);
 
   /// Measurement update: re-weight with the beam model, then resample if the
-  /// effective sample size has degenerated.
-  void correct(const LaserScan& scan);
+  /// effective sample size has degenerated. Returns the post-update
+  /// estimate(), computed once for the caller and the pose-jump detector.
+  Pose2 correct(const LaserScan& scan);
 
   /// Weighted mean position and weighted circular mean heading.
   Pose2 estimate() const;

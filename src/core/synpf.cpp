@@ -58,8 +58,7 @@ Pose2 SynPf::on_scan(const LaserScan& scan) {
   Stopwatch watch;
   pf_->predict(pending_);
   pending_ = OdometryDelta{};
-  pf_->correct(scan);
-  propagated_ = pf_->estimate();
+  propagated_ = pf_->correct(scan);
   const double busy_s = watch.elapsed_s();
   load_.add_busy(busy_s);
   if (h_update_ != nullptr) h_update_->record(busy_s * 1e3);

@@ -27,8 +27,8 @@ class DiffDriveModel final : public MotionModel {
   explicit DiffDriveModel(const DiffDriveParams& params = {})
       : params_{params} {}
 
-  Pose2 sample(const Pose2& pose, const OdometryDelta& odom,
-               Rng& rng) const override;
+  void sample_slice(const OdometryDelta& odom,
+                    const PoseSlice& slice) const override;
   std::string name() const override { return "diff_drive"; }
 
   const DiffDriveParams& params() const { return params_; }

@@ -17,26 +17,26 @@ double TumMotionModel::heading_sigma(double trans, double v) const {
   return std::min(uncapped, cap) + p.sigma_floor_theta;
 }
 
-Pose2 TumMotionModel::sample(const Pose2& pose, const OdometryDelta& odom,
-                             Rng& rng) const {
+void TumMotionModel::sample_slice(const OdometryDelta& odom,
+                                  const PoseSlice& slice) const {
   const TumModelParams& p = params_;
   const Pose2& d = odom.delta;
+  // The prepared step: every term below depends on the odometry alone.
   const double trans = std::hypot(d.x, d.y);
   const double v = std::max(std::abs(odom.v),
                             odom.dt > 0.0 ? trans / odom.dt : 0.0);
+  const double kappa = max_curvature(p.ackermann, v);
 
   // Longitudinal slip noise: applied along the motion direction, growing
   // with distance traveled (slip scales with commanded wheel travel).
   const double sigma_trans = p.alpha_trans * trans + p.sigma_floor_xy;
-  const double trans_hat = trans + rng.gaussian(sigma_trans);
 
   // Heading increment: optionally clamped to what the steering geometry and
   // grip could physically have produced over this step.
   double dtheta_mean = normalize_angle(d.theta);
   if (p.clamp_mean_heading) {
     const double envelope =
-        p.envelope_margin * max_curvature(p.ackermann, v) * trans +
-        p.sigma_floor_theta;
+        p.envelope_margin * kappa * trans + p.sigma_floor_theta;
     dtheta_mean = std::clamp(dtheta_mean, -envelope, envelope);
   }
 
@@ -44,26 +44,33 @@ Pose2 TumMotionModel::sample(const Pose2& pose, const OdometryDelta& odom,
   // translation term (the TUM correction).
   const double sigma_rot =
       p.alpha_rot * std::abs(dtheta_mean) + heading_sigma(trans, v);
-  const double dtheta_hat = dtheta_mean + rng.gaussian(sigma_rot);
 
   // Lateral noise: bounded by the lateral offset a maximally curved path
   // would accumulate over this step (0.5 * kappa * s^2), never more than the
   // uncapped diff-drive-style lateral jitter.
-  const double lat_cap = 0.5 * p.beta_curvature *
-                         max_curvature(p.ackermann, v) * trans * trans;
+  const double lat_cap = 0.5 * p.beta_curvature * kappa * trans * trans;
   const double sigma_lat =
       std::min(p.alpha_trans * trans, lat_cap) + p.sigma_floor_xy;
-  const double lat_hat = rng.gaussian(sigma_lat);
 
-  // Advance along the arc: half the heading change before translating
-  // (midpoint integration keeps the sample on the commanded arc).
-  const double mid_heading = pose.theta + 0.5 * dtheta_hat +
-                             (trans > 1e-6 ? std::atan2(d.y, d.x) : 0.0);
-  const double cx = std::cos(mid_heading);
-  const double sx = std::sin(mid_heading);
-  return Pose2{pose.x + trans_hat * cx - lat_hat * sx,
-               pose.y + trans_hat * sx + lat_hat * cx,
-               normalize_angle(pose.theta + dtheta_hat)};
+  const double direction = trans > 1e-6 ? std::atan2(d.y, d.x) : 0.0;
+
+  // srl-lint: realtime
+  for (std::size_t i = 0; i < slice.n; ++i) {
+    Rng& rng = slice.rngs[i];
+    const double trans_hat = trans + rng.gaussian(sigma_trans);
+    const double dtheta_hat = dtheta_mean + rng.gaussian(sigma_rot);
+    const double lat_hat = rng.gaussian(sigma_lat);
+    // Advance along the arc: half the heading change before translating
+    // (midpoint integration keeps the sample on the commanded arc).
+    const double theta = slice.theta[i];
+    const double mid_heading = theta + 0.5 * dtheta_hat + direction;
+    const double cx = std::cos(mid_heading);
+    const double sx = std::sin(mid_heading);
+    slice.x[i] = slice.x[i] + trans_hat * cx - lat_hat * sx;
+    slice.y[i] = slice.y[i] + trans_hat * sx + lat_hat * cx;
+    slice.theta[i] = normalize_angle(theta + dtheta_hat);
+  }
+  // srl-lint: end-realtime
 }
 
 }  // namespace srl

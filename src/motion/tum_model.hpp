@@ -48,8 +48,8 @@ class TumMotionModel final : public MotionModel {
   explicit TumMotionModel(const TumModelParams& params = {})
       : params_{params} {}
 
-  Pose2 sample(const Pose2& pose, const OdometryDelta& odom,
-               Rng& rng) const override;
+  void sample_slice(const OdometryDelta& odom,
+                    const PoseSlice& slice) const override;
   std::string name() const override { return "tum"; }
 
   const TumModelParams& params() const { return params_; }

@@ -26,15 +26,18 @@ LaserScan LidarSim::scan(const Pose2& body, const Twist2& twist, double t,
   // Casting draws nothing, so the RNG sequence is the per-beam loop's; a
   // beam that drops out is cast anyway and its range discarded.
   std::vector<Pose2> rays(out.ranges.size());
+  // cos and sin of the body heading, taken once for every beam's
+  // `integrate_twist(body, twist, tau)`.
+  const PoseFrame frame{body};
   for (int i = 0; i < n; ++i) {
     // Beam i fired tau seconds before scan end (beam n-1 is the newest).
     Pose2 body_i = body;
     if (moving) {
       const double tau =
           period * (static_cast<double>(i) / std::max(n - 1, 1) - 1.0);
-      body_i = integrate_twist(body, twist, tau);
+      body_i = frame * twist_increment(twist, tau);
     }
-    const Pose2 sensor = body_i * config_.mount;
+    const Pose2 sensor = config_.sensor_pose(body_i);
     rays[static_cast<std::size_t>(i)] = {sensor.x, sensor.y,
                                          sensor.theta + config_.beam_angle(i)};
   }

@@ -22,6 +22,7 @@ CartoLocalizer::CartoLocalizer(PureLocalizationOptions options,
                                LidarConfig lidar)
     : options_{options},
       lidar_{std::move(lidar)},
+      beam_dirs_{beam_directions(lidar_)},
       field_{ProbabilityGrid::likelihood_field(*map,
                                                options.likelihood_sigma)},
       local_gn_{options.gn},
@@ -86,8 +87,12 @@ void CartoLocalizer::set_telemetry(const telemetry::Sink& sink) {
 Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
   telemetry::ScopedSpan span{sink_.trace, "carto.on_scan"};
   Stopwatch watch;
-  const std::vector<Vec2> points =
-      deskew_scan(scan, lidar_, odom_twist_, options_.points_stride);
+  // One deskew pass: `dense` (every beam) is inserted, `points` (every
+  // points_stride-th beam) is matched.
+  std::vector<Vec2> dense;
+  std::vector<Vec2> points;
+  deskew_scan(scan, lidar_, beam_dirs_, odom_twist_, options_.points_stride,
+              dense, points);
 
   // Local SLAM: anchored Gauss-Newton against the live submap. The first
   // couple of scans of a fresh submap have too little evidence to match.
@@ -109,7 +114,6 @@ Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
   // Insertion is dense (every beam, like Cartographer): subsampled hits
   // would leave dotted walls at range whose lattice aliases the
   // correlative search and pulls the match toward the denser region.
-  const std::vector<Vec2> dense = deskew_scan(scan, lidar_, odom_twist_, 1);
   if (!dense.empty()) {
     telemetry::ScopedSpan insert_span{sink_.trace, "carto.submap_insert"};
     telemetry::StageTimer timer{h_insert_};

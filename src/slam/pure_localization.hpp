@@ -22,6 +22,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/localizer.hpp"
@@ -114,6 +115,7 @@ class CartoLocalizer final : public Localizer {
 
   PureLocalizationOptions options_;
   LidarConfig lidar_;
+  std::vector<Vec2> beam_dirs_;  ///< beam_directions(lidar_), for deskewing
   ProbabilityGrid field_;  ///< likelihood field of the frozen prior map
   GaussNewtonMatcher local_gn_;
   GaussNewtonMatcher global_gn_;

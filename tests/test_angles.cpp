@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "reference_math.hpp"
 
 namespace srl {
 namespace {
@@ -138,6 +142,31 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AngleSweep,
                          ::testing::Values(-100.0, -7.5, -3.2, -1.0, -1e-9,
                                            0.0, 1e-9, 0.5, 3.13, 3.15, 42.0,
                                            1000.0));
+
+
+// normalize_angle skips its fmod below 2pi in magnitude; it must agree bit
+// for bit with the form that always calls it.
+TEST(NormalizeAngleReference, MatchesFmodForm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, 1e-300, std::numeric_limits<double>::denorm_min(), 1.0, 3.0 * kPi,
+      4.0 * kPi, 1e6, 123456.789, 1e300, std::numeric_limits<double>::max(),
+      inf, std::numeric_limits<double>::quiet_NaN()};
+  for (const double edge : {kPi, kTwoPi, 0.5 * kPi}) {
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(std::nextafter(edge, inf));
+  }
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; ++i) values.push_back(-values[i]);
+  Rng rng{2026};
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.uniform(-20.0, 20.0));
+  for (const double v : values) {
+    EXPECT_EQ(reference::bits(normalize_angle(v)),
+              reference::bits(reference::normalize_angle(v)))
+        << "a = " << v;
+  }
+}
 
 }  // namespace
 }  // namespace srl

@@ -11,9 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <ios>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/synpf.hpp"
@@ -328,6 +335,208 @@ TEST(PfStreamSplit, PredictNoiseDecoupledFromMasterStream) {
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_TRUE(bitwise_equal(pa[i].pose, pb[i].pose)) << "particle " << i;
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// The sampler against libstdc++: Rng's uniform, chance and gaussian must draw
+// what uniform_real_distribution and normal_distribution draw from the same
+// engine, and its text must be the text those distributions write.
+// ---------------------------------------------------------------------------
+
+#ifndef SRL_TEST_DATA_DIR
+#define SRL_TEST_DATA_DIR "tests/data"
+#endif
+
+// srl-lint-allow(det-rand): the libstdc++ engine is the reference under test
+using ReferenceEngine = std::mt19937_64;
+
+/// The generator as it was: the engine under libstdc++'s distributions.
+struct ReferenceRng {
+  explicit ReferenceRng(std::uint64_t s) : seed{s}, engine{s} {}
+  double uniform(double lo = 0.0, double hi = 1.0) {
+    return std::uniform_real_distribution<double>{lo, hi}(engine);
+  }
+  int uniform_int(int lo, int hi) {
+    return std::uniform_int_distribution<int>{lo, hi}(engine);
+  }
+  double gaussian(double stddev) {
+    if (stddev <= 0.0) return 0.0;
+    return stddev * normal(engine);
+  }
+  bool chance(double p) { return uniform() < p; }
+  std::string text() const {
+    std::ostringstream os;
+    os << seed << ' ' << engine << ' ' << normal;
+    return os.str();
+  }
+
+  std::uint64_t seed;
+  ReferenceEngine engine;
+  std::normal_distribution<double> normal{0.0, 1.0};
+};
+
+std::string text_of(const Rng& rng) {
+  std::ostringstream os;
+  os << rng;
+  return os.str();
+}
+
+/// One draw of a mixed sequence, the kind picked by `op`, as a double.
+template <typename R>
+double mixed_draw(R& r, int op, int i) {
+  switch (op % 8) {
+    case 0: return r.uniform();
+    case 1: return r.uniform(-3.0 + 0.01 * (i % 7), 5.5);
+    case 2: return r.chance(0.3) ? 1.0 : 0.0;
+    case 3: return r.gaussian(1.0);
+    case 4: return r.gaussian(0.05 * (i % 5));  // stddev 0 draws nothing
+    case 5: return r.gaussian(-0.5);            // negative draws nothing
+    case 6: return static_cast<double>(r.uniform_int(-10, 1000));
+    default: return r.gaussian(2.5);
+  }
+}
+
+TEST(RngSampler, MixedDrawsMatchLibstdcxx) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (std::uint64_t stream = 0; stream < 3; ++stream) {
+      Rng rng = stream == 0 ? Rng{seed} : Rng{seed}.substream(stream, seed);
+      ReferenceRng ref{rng.master_seed()};
+      for (int i = 0; i < 700; ++i) {
+        const int op = static_cast<int>((seed * 31 + stream * 7) +
+                                        static_cast<std::uint64_t>(i) * 5 +
+                                        static_cast<std::uint64_t>(i / 3));
+        const double got = mixed_draw(rng, op, i);
+        const double want = mixed_draw(ref, op, i);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "seed " << seed << " stream " << stream << " draw " << i;
+      }
+      ASSERT_EQ(text_of(rng), ref.text());
+    }
+  }
+}
+
+TEST(RngSampler, TextAfterEvenAndOddNormalsMatchesLibstdcxx) {
+  for (int normals = 0; normals < 8; ++normals) {
+    Rng rng{99 + static_cast<std::uint64_t>(normals)};
+    ReferenceRng ref{rng.master_seed()};
+    for (int i = 0; i < normals; ++i) {
+      rng.gaussian(1.0);
+      ref.gaussian(1.0);
+    }
+    EXPECT_EQ(text_of(rng), ref.text()) << normals << " normals";
+
+    // A stream with other formatting: only the seed takes it, and the
+    // stream's own flags, fill and precision come back unchanged.
+    std::ostringstream got;
+    std::ostringstream want;
+    for (std::ostringstream* os : {&got, &want}) {
+      os->setf(std::ios_base::hex | std::ios_base::boolalpha |
+               std::ios_base::showpos);
+      os->fill('*');
+      os->precision(3);
+    }
+    const std::ios_base::fmtflags flags = got.flags();
+    got << rng;
+    want << ref.seed << ' ' << ref.engine << ' ' << ref.normal;
+    EXPECT_EQ(got.str(), want.str());
+    EXPECT_EQ(got.flags(), flags);
+    EXPECT_EQ(got.fill(), '*');
+    EXPECT_EQ(got.precision(), 3);
+
+    // The reference's text loads into an Rng and continues its stream.
+    std::istringstream in{ref.text()};
+    Rng restored{1};
+    ASSERT_TRUE(in >> restored);
+    for (int i = 0; i < 50; ++i) {
+      const double a = mixed_draw(restored, i, i);
+      const double b = mixed_draw(ref, i, i);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+    }
+  }
+}
+
+TEST(RngSampler, ForeignNormalParametersFailTheRead) {
+  Rng rng{5};
+  std::string text = text_of(rng);
+  const std::string standard = "0.00000000000000000e+00 1.00000000000000000e+00";
+  const std::size_t at = text.rfind(standard);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, standard.size(), "0.00000000000000000e+00 2.00000000000000000e+00");
+  std::istringstream in{text};
+  Rng restored{1};
+  EXPECT_FALSE(in >> restored);
+}
+
+/// Two states written by the libstdc++-backed Rng (tests/data), one with a
+/// cached second deviate and one without, and the draws it made next.
+TEST(RngSampler, LoadsStateTextOfTheLibstdcxxSampler) {
+  std::ifstream file{SRL_TEST_DATA_DIR "/rng_states_libstdcxx.txt"};
+  ASSERT_TRUE(file) << "missing fixture";
+  const std::vector<std::vector<double>> next = {
+      {-0x1.39d912c9492f7p+0, 0x1.84798b9516038p+0, 0x1.a565112f44ee3p-4,
+       0x0p+0, 0x1.0837a193f20e7p+2, 0x0p+0, 0x1.ep+3, -0x1.c2232c7006c5bp-1,
+       0x1.c7ea3764eb376p-1},
+      {0x1.7000a72251e09p-3, 0x1.b7d0520ab9614p-1, -0x1.b5aa3deae2d19p-2,
+       0x0p+0, 0x1.a2e0afb2aa43p+0, 0x0p+0, 0x1.6p+6, -0x1.6bc6565b4415fp+0,
+       0x1.7dd5da3a51c2fp-3}};
+  const std::vector<std::uint64_t> next_seed = {6072651424978828919ULL,
+                                                10180339853699099812ULL};
+  for (std::size_t k = 0; k < next.size(); ++k) {
+    std::string line;
+    ASSERT_TRUE(std::getline(file, line));
+    std::istringstream in{line};
+    Rng rng{1};
+    ASSERT_TRUE(in >> rng);
+    EXPECT_EQ(text_of(rng), line) << "the text must round-trip byte for byte";
+    const std::vector<double> got = {
+        rng.gaussian(1.0),     rng.uniform(-2.0, 3.0),
+        rng.gaussian(0.25),    rng.gaussian(0.0),
+        rng.gaussian(2.0),     rng.chance(0.5) ? 1.0 : 0.0,
+        static_cast<double>(rng.uniform_int(0, 99)),
+        rng.gaussian(-1.5, 0.75), rng.uniform()};
+    ASSERT_EQ(got.size(), next[k].size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(next[k][i]))
+          << "state " << k << " draw " << i;
+    }
+    EXPECT_EQ(rng.next_seed(), next_seed[k]);
+  }
+}
+
+TEST(RngSampler, ConversionIsTheCorrectlyRoundedCast) {
+  std::vector<std::uint64_t> xs = {0, 1, 2, 3, ~std::uint64_t{0},
+                                   ~std::uint64_t{0} - 1};
+  // Every power-of-two neighbourhood, and the round-to-even ties just past
+  // 2^53 at every shift (where one addition has to round).
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    for (std::uint64_t d = 0; d < 8; ++d) {
+      xs.push_back(p + d);
+      xs.push_back(p - d);
+      xs.push_back(p ^ (d << (k > 3 ? k - 3 : 0)));
+    }
+  }
+  for (int shift = 0; shift <= 11; ++shift) {
+    const std::uint64_t base = (std::uint64_t{1} << 53) << shift;
+    for (std::uint64_t m = 0; m < 16; ++m) {
+      const std::uint64_t tie = std::uint64_t{1} << shift;
+      xs.push_back(base + m * tie * 2 + tie);      // exactly halfway
+      xs.push_back(base + m * tie * 2 + tie - 1);  // just below
+      xs.push_back(base + m * tie * 2 + tie + 1);  // just above
+    }
+  }
+  Rng rng{8};
+  for (int i = 0; i < 200000; ++i) xs.push_back(rng.next_seed());
+  for (const std::uint64_t x : xs) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(uint64_to_double(x)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(x)))
+        << "x = " << x;
+  }
+  // The largest draws round up to 2^64, which canonical() clamps below 1.
+  EXPECT_EQ(uint64_to_double(~std::uint64_t{0}) * 0x1p-64, 1.0);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/synpf.hpp"
@@ -97,6 +100,63 @@ TEST_F(TraceTest, LoadRejectsGarbage) {
   EXPECT_FALSE(SensorTrace::load(path).has_value());
   std::remove(path.c_str());
   EXPECT_FALSE(SensorTrace::load("nonexistent.srlt").has_value());
+}
+
+/// The loader's damaged-file corpus: a small trace, truncated at every byte
+/// offset and with every single-bit flip, must load as std::nullopt or as a
+/// trace and never crash (the CI san preset runs it under ASan and UBSan).
+/// Every record is required, so every truncation is rejected. Non-finite
+/// field values are left to ingress validation, not to the loader.
+TEST(TraceFuzz, TruncatedAndBitFlippedFilesNeverCrashTheLoader) {
+  SensorTrace trace;
+  for (int i = 0; i < 4; ++i) {
+    trace.add_odometry(0.01 * i,
+                       OdometryDelta{Pose2{0.02, 0.001 * i, 0.003}, 2.0, 0.01});
+  }
+  for (int k = 0; k < 3; ++k) {
+    LaserScan scan;
+    scan.t = 0.025 * k;
+    scan.ranges = {1.0F, 2.5F, 12.0F, 0.3F, 7.0F};
+    trace.add_scan(scan, Pose2{1.0 * k, 2.0, 0.1});
+  }
+  const std::string path = "trace_fuzz_tmp.srlt";
+  ASSERT_TRUE(trace.save(path));
+  std::vector<char> bytes;
+  {
+    std::ifstream in{path, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{in},
+                 std::istreambuf_iterator<char>{});
+  }
+  const auto load = [&path](const std::vector<char>& data, std::size_t len) {
+    {
+      std::ofstream out{path, std::ios::binary | std::ios::trunc};
+      out.write(data.data(), static_cast<std::streamsize>(len));
+    }
+    return SensorTrace::load(path);
+  };
+
+  const auto whole = load(bytes, bytes.size());
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->odometry().size(), 4U);
+  EXPECT_EQ(whole->scans().size(), 3U);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(load(bytes, len).has_value()) << "truncated at " << len;
+  }
+
+  std::size_t loaded = 0;
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<char> flipped = bytes;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      if (load(flipped, flipped.size()).has_value()) ++loaded;
+    }
+  }
+  // Flips inside field values still load; flips in the magic, the version
+  // and the counts are rejected.
+  EXPECT_GT(loaded, 0U);
+  EXPECT_LT(loaded, bytes.size() * 8);
+  std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, ReplayIntoSynPfIsAccurateAndDeterministic) {
