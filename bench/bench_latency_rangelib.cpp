@@ -9,7 +9,10 @@
 ///    matching computation time" on the GPU-less NUC;
 ///  - one moving 1081-beam truth scan of the simulated LiDAR per SIMD
 ///    backend (the closed loop's truth cast);
-///  - acceleration-structure build time (the LUT's precompute trade-off).
+///  - acceleration-structure build time (the LUT's precompute trade-off);
+///  - CartoLite's three scan-update stages (correlative search, Gauss-Newton
+///    refinement, submap insertion) on a submap and scan from a recorded
+///    test-track lap, per SIMD backend.
 ///
 /// Run via google-benchmark; absolute numbers are machine-dependent, the
 /// *ordering* (LUT/CDDT are query-fast, Bresenham is exact but slow) is the
@@ -21,12 +24,16 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/simd.hpp"
 #include "core/particle_filter.hpp"
 #include "core/synpf.hpp"
+#include "eval/dead_reckoning.hpp"
+#include "eval/experiment.hpp"
 #include "eval/table.hpp"
+#include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
 #include "motion/tum_model.hpp"
 #include "range/lookup_table.hpp"
@@ -34,6 +41,9 @@
 #include "range/ray_marching.hpp"
 #include "sensor/lidar_sim.hpp"
 #include "sensor/scanline_layout.hpp"
+#include "slam/pure_localization.hpp"
+#include "slam/scan_matching.hpp"
+#include "slam/submap.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -195,6 +205,123 @@ BENCHMARK(BM_Build)
     ->Arg(static_cast<int>(RangeMethodKind::kCddt))
     ->Arg(static_cast<int>(RangeMethodKind::kLut))
     ->Unit(benchmark::kMillisecond);
+
+/// CartoLite's inputs, taken from a recorded test-track lap: the live
+/// submap after a full span of scans (inserted at their true poses, every
+/// beam), the next scan's matching cloud (every `points_stride`-th beam)
+/// and insertion cloud, and the prior map's likelihood field. The seeds sit
+/// a few centimetres and a degree off the scan's true pose, as odometry
+/// leaves them.
+struct CartoInputs {
+  PureLocalizationOptions options;
+  ProbabilityGrid field;
+  Submap submap{Pose2{}, options.submap_resolution, options.submap_extent};
+  std::vector<Vec2> points;
+  std::vector<Vec2> dense;
+  Pose2 seed_world;
+  Pose2 seed_local;
+};
+
+const CartoInputs& carto_inputs() {
+  static const CartoInputs inputs = [] {
+    CartoInputs in;
+    in.field = ProbabilityGrid::likelihood_field(
+        *map_ptr(), in.options.likelihood_sigma);
+    ExperimentConfig cfg;
+    cfg.laps = 1;
+    cfg.max_sim_time = 5.0;
+    ExperimentRunner runner{track(), cfg};
+    DeadReckoning driver;
+    SensorTrace lap;
+    runner.run(driver, &lap);
+    const auto& scans = lap.scans();
+    const auto span = static_cast<std::size_t>(in.options.scans_per_submap);
+    const std::size_t first = scans.size() - span - 1;
+    const LidarConfig lidar;
+    in.submap = Submap{scans[first].truth, in.options.submap_resolution,
+                       in.options.submap_extent};
+    for (std::size_t i = first; i < first + span; ++i) {
+      in.submap.insert(scans[i].truth,
+                       scan_to_points(scans[i].scan, lidar), {});
+    }
+    const auto& probe = scans.back();
+    in.points = scan_to_points(probe.scan, lidar, in.options.points_stride);
+    in.dense = scan_to_points(probe.scan, lidar);
+    in.seed_world = Pose2{probe.truth.x + 0.03, probe.truth.y - 0.02,
+                          probe.truth.theta + 0.015};
+    in.seed_local = in.submap.to_local(in.seed_world);
+    return in;
+  }();
+  return inputs;
+}
+
+bool pin_backend(benchmark::State& state, simd::Backend backend) {
+  if (backend == simd::Backend::kAvx2 && !simd::cpu_has_avx2()) {
+    state.SkipWithError("host CPU lacks AVX2");
+    return false;
+  }
+  simd::force(backend);
+  return true;
+}
+
+/// One correlative search: the local window on the live submap (arg 0) or
+/// the global constraint window on the likelihood field (arg 1).
+void BM_CorrelativeMatch(benchmark::State& state) {
+  const CartoInputs& in = carto_inputs();
+  const bool global = state.range(0) == 1;
+  const auto backend = static_cast<simd::Backend>(state.range(1));
+  const CorrelativeScanMatcher csm{global ? in.options.global_csm
+                                          : in.options.local_csm};
+  const ProbabilityGrid& grid = global ? in.field : in.submap.grid();
+  const Pose2& seed = global ? in.seed_world : in.seed_local;
+  if (!pin_backend(state, backend)) return;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(csm.match(grid, seed, in.points));
+  }
+  simd::reset();
+  state.SetLabel(std::string{global ? "global/" : "local/"} +
+                 simd::name(backend) + "/" +
+                 std::to_string(in.points.size()) + "pts");
+}
+BENCHMARK(BM_CorrelativeMatch)
+    ->ArgsProduct({{0, 1},
+                   {static_cast<int>(simd::Backend::kScalar),
+                    static_cast<int>(simd::Backend::kAvx2)}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The local Gauss-Newton refinement on the live submap, started from the
+/// seed itself (the iteration runs until it converges or hits its cap).
+void BM_GaussNewtonRefine(benchmark::State& state) {
+  const CartoInputs& in = carto_inputs();
+  const auto backend = static_cast<simd::Backend>(state.range(0));
+  const GaussNewtonMatcher gn{in.options.gn};
+  if (!pin_backend(state, backend)) return;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        gn.refine(in.submap.grid(), in.seed_local, in.points));
+  }
+  simd::reset();
+  state.SetLabel(simd::name(backend));
+}
+BENCHMARK(BM_GaussNewtonRefine)
+    ->Arg(static_cast<int>(simd::Backend::kScalar))
+    ->Arg(static_cast<int>(simd::Backend::kAvx2))
+    ->Unit(benchmark::kMicrosecond);
+
+/// One dense scan inserted into the live submap. Every iteration inserts
+/// the same scan into the same copy, so it touches the same cells with the
+/// same number of updates.
+void BM_SubmapInsert(benchmark::State& state) {
+  const CartoInputs& in = carto_inputs();
+  Submap submap = in.submap;
+  for (auto _ : state) {
+    submap.insert(in.seed_world, in.dense, {});
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(in.dense.size()));
+}
+BENCHMARK(BM_SubmapInsert)->Unit(benchmark::kMicrosecond);
 
 /// Percentile study: run repeated full sensor updates per backend with a
 /// metrics registry attached and print the per-stage latency distribution

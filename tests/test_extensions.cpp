@@ -1,5 +1,4 @@
-/// Tests for the extension features: gyro-fused odometry and KLD-adaptive
-/// particle counts.
+/// Tests for the KLD-adaptive particle count extension.
 
 #include <gtest/gtest.h>
 
@@ -11,64 +10,9 @@
 #include "range/bresenham.hpp"
 #include "sensor/lidar_sim.hpp"
 #include "sensor/scanline_layout.hpp"
-#include "vehicle/odometry_fusion.hpp"
 
 namespace srl {
 namespace {
-
-// ---------------------------------------------------------------- fusion --
-
-TEST(GyroFusedOdometry, ReplacesSteeringYawWithGyro) {
-  GyroFusedOdometry fusion;
-  OdometryDelta wheel;
-  // Steering geometry claims a hard left that the car (understeering)
-  // did not perform.
-  wheel.delta = Pose2{0.2, 0.01, 0.10};
-  wheel.v = 4.0;
-  wheel.dt = 0.05;
-  ImuReading imu;
-  imu.yaw_rate = 0.4;  // the true yaw rate: 0.02 rad over the interval
-  const OdometryDelta fused = fusion.fuse(wheel, imu);
-  EXPECT_NEAR(fused.delta.theta, 0.02, 1e-6);
-  // Longitudinal distance preserved.
-  EXPECT_NEAR(std::hypot(fused.delta.x, fused.delta.y),
-              std::hypot(wheel.delta.x, wheel.delta.y), 0.01);
-  EXPECT_DOUBLE_EQ(fused.v, wheel.v);
-  EXPECT_DOUBLE_EQ(fused.dt, wheel.dt);
-}
-
-TEST(GyroFusedOdometry, LearnsBiasAtStandstill) {
-  GyroFusedOdometry fusion{0.2};
-  OdometryDelta still;
-  still.delta = Pose2{};
-  still.v = 0.0;
-  still.dt = 0.01;
-  ImuReading imu;
-  imu.yaw_rate = 0.05;  // pure bias: the car is not moving
-  for (int i = 0; i < 200; ++i) fusion.fuse(still, imu);
-  EXPECT_NEAR(fusion.bias(), 0.05, 0.005);
-
-  // After convergence, a moving fuse subtracts the learned bias.
-  OdometryDelta moving;
-  moving.delta = Pose2{0.1, 0.0, 0.0};
-  moving.v = 2.0;
-  moving.dt = 0.05;
-  imu.yaw_rate = 0.05;  // gyro still reads only the bias -> no rotation
-  const OdometryDelta fused = fusion.fuse(moving, imu);
-  EXPECT_NEAR(fused.delta.theta, 0.0, 0.001);
-}
-
-TEST(GyroFusedOdometry, NoBiasLearningWhileMoving) {
-  GyroFusedOdometry fusion{0.2};
-  OdometryDelta moving;
-  moving.delta = Pose2{0.1, 0.0, 0.05};
-  moving.v = 3.0;
-  moving.dt = 0.05;
-  ImuReading imu;
-  imu.yaw_rate = 1.0;
-  for (int i = 0; i < 100; ++i) fusion.fuse(moving, imu);
-  EXPECT_NEAR(fusion.bias(), 0.0, 1e-9);
-}
 
 // ------------------------------------------------------------------- KLD --
 

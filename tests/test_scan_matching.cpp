@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -189,12 +190,14 @@ TEST(Pipeline, CsmPlusGnBeatsEither) {
 /// library's scalar and AVX2 paths must reproduce it bit for bit.
 namespace oracle {
 
+/// Cells floor through `floor_to_cell`, so a point far off the grid lands on
+/// its +-1e9 sentinel cell instead of an undefined int cast.
 double interpolate(const ProbabilityGrid& grid, const Vec2& w) {
   if (grid.width() < 2 || grid.height() < 2) return grid.probability(0, 0);
   const double gx = (w.x - grid.origin().x) / grid.resolution() - 0.5;
   const double gy = (w.y - grid.origin().y) / grid.resolution() - 0.5;
-  const int x0 = static_cast<int>(std::floor(gx));
-  const int y0 = static_cast<int>(std::floor(gy));
+  const int x0 = floor_to_cell(gx);
+  const int y0 = floor_to_cell(gy);
   const double tx = gx - x0;
   const double ty = gy - y0;
   const double d00 = grid.probability(x0, y0);
@@ -368,8 +371,10 @@ bool same_bits(double a, double b) {
 }
 
 /// The three correlative windows of CartoLite: local (5 x 5 translation
-/// candidates), global (15 x 15) and reloc (41 x 41). No width is a
-/// multiple of four, so every row of the AVX2 path has remainder lanes.
+/// candidates), global (15 x 15) and reloc (41 x 41). On a 5 cm grid their
+/// steps are 0.6, 1 and 1.2 cells, so the AVX2 rows run in passes of up to
+/// 8, 7 and 6 lanes, and the last pass of a row takes what is left: 5, 1
+/// and 5 lanes.
 std::vector<std::pair<std::string, CorrelativeOptions>> carto_windows() {
   const PureLocalizationOptions o;
   return {{"local", o.local_csm},
@@ -415,15 +420,23 @@ class MatcherBackend : public ::testing::TestWithParam<simd::Backend> {
   }
   void TearDown() override { simd::reset(); }
 
+  /// match() on one window against the oracle.
+  static void expect_match_bits(const CorrelativeOptions& options,
+                                const ProbabilityGrid& grid, const Pose2& seed,
+                                const std::vector<Vec2>& points,
+                                const std::string& name) {
+    EXPECT_TRUE(
+        BitwiseEqual(CorrelativeScanMatcher{options}.match(grid, seed, points),
+                     oracle::match(options, grid, seed, points)))
+        << name << " window, " << points.size() << " points";
+  }
+
   /// match() and refine() on every CartoLite window against the oracle.
   static void expect_oracle_bits(const ProbabilityGrid& grid,
                                  const Pose2& seed,
                                  const std::vector<Vec2>& points) {
     for (const auto& [name, options] : carto_windows()) {
-      const ScanMatchResult want = oracle::match(options, grid, seed, points);
-      EXPECT_TRUE(BitwiseEqual(
-          CorrelativeScanMatcher{options}.match(grid, seed, points), want))
-          << name << " window";
+      expect_match_bits(options, grid, seed, points, name);
     }
     const PureLocalizationOptions o;
     GaussNewtonOptions loose = o.gn;
@@ -434,7 +447,8 @@ class MatcherBackend : public ::testing::TestWithParam<simd::Backend> {
       EXPECT_TRUE(BitwiseEqual(
           GaussNewtonMatcher{gn}.refine(grid, seed, start, points),
           oracle::refine(gn, grid, seed, start, points)))
-          << "refine, translation anchor " << gn.translation_anchor;
+          << "refine, translation anchor " << gn.translation_anchor << ", "
+          << points.size() << " points";
     }
   }
 };
@@ -498,6 +512,118 @@ TEST_P(MatcherBackend, EmptyPointSet) {
       CorrelativeScanMatcher{CorrelativeOptions{}}.match(f.field, f.truth, {});
   EXPECT_TRUE(same_bits(r.pose.x, f.truth.x) && same_bits(r.pose.y, f.truth.y));
   EXPECT_EQ(r.score, 0.0);
+}
+
+/// A grid whose cells differ from their neighbours and from the
+/// out-of-bounds value: one to three hits, a miss or no evidence at all
+/// (unknown) in a fixed pattern, so that reading a wrong cell changes a sum.
+ProbabilityGrid patterned_grid(int width, int height) {
+  ProbabilityGrid g{width, height, 0.05, Vec2{-1.0, -0.5}};
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const int k = (x * 7 + y * 13) % 11;
+      for (int u = 0; u < k % 4; ++u) g.update_hit(x, y);
+      if (k >= 6) g.update_miss(x, y);
+    }
+  }
+  return g;
+}
+
+/// 24 points on rings of 0.2-0.4 m around the body.
+std::vector<Vec2> ring_points() {
+  std::vector<Vec2> out;
+  for (int j = 0; j < 24; ++j) {
+    const double a = j * 2.0 * kPi / 24.0;
+    const double r = 0.2 + 0.05 * (j % 5);
+    out.push_back({r * std::cos(a), r * std::sin(a)});
+  }
+  return out;
+}
+
+// The AVX2 row pass loads a point's eight cells from each of its two grid
+// rows, starting at its first lane's x cell, where that window lies inside
+// the grid; elsewhere it gathers. Seeds a few cells inside the right and top
+// edges put many points' windows across the right edge and their upper row
+// off the grid, next to points whose windows fit.
+TEST_P(MatcherBackend, WindowsCrossingTheRightAndTopEdges) {
+  const ProbabilityGrid g = patterned_grid(60, 50);
+  const double right = g.origin().x + g.width() * g.resolution();
+  const double top = g.origin().y + g.height() * g.resolution();
+  for (const Pose2& seed : {Pose2{right - 0.12, 0.6, 0.1},
+                            Pose2{0.4, top - 0.07, 1.4},
+                            Pose2{right - 0.3, top - 0.2, 2.3}}) {
+    expect_oracle_bits(g, seed, ring_points());
+  }
+}
+
+// A negative step walks the window backwards, so a pass's x cells fall from
+// its first lane's and leave the window: every point gathers.
+TEST_P(MatcherBackend, NegativeStep) {
+  const ProbabilityGrid g = patterned_grid(60, 50);
+  CorrelativeOptions backwards;
+  backwards.linear_step = -0.03;
+  expect_match_bits(backwards, g, Pose2{0.5, 0.7, 0.2}, ring_points(),
+                    "negative step");
+}
+
+// The loop-closure search's linear step, 2 x resolution: each pass narrows
+// to four lanes, whose eight cells fit the window; the windows of 7 and 11
+// candidates end in passes of three.
+TEST_P(MatcherBackend, LoopClosureStep) {
+  const MatchFixture f;
+  const std::vector<Vec2> sparse = every_nth(f.points, 3);
+  CorrelativeOptions wide;
+  wide.linear_step = 2.0 * f.field.resolution();
+  wide.angular_window = 0.04;
+  wide.angular_step = 0.02;
+  const Pose2 seed{f.truth.x + 0.05, f.truth.y - 0.04, f.truth.theta + 0.03};
+  for (const double window : {0.3, 0.5}) {
+    wide.linear_window = window;
+    expect_match_bits(wide, f.field, seed, sparse, "loop-closure step");
+  }
+  // A step of seven cells leaves one lane per pass.
+  wide.linear_step = 7.0 * f.field.resolution();
+  wide.linear_window = 3.0 * wide.linear_step;
+  expect_match_bits(wide, f.field, seed, sparse, "seven-cell step");
+}
+
+// Fewer than eight cells per row: no window fits, every point gathers.
+TEST_P(MatcherBackend, GridNarrowerThanEightCells) {
+  ProbabilityGrid narrow{6, 50, 0.05, Vec2{-0.1, -1.0}};
+  for (int y = 0; y < 50; y += 2) narrow.update_hit(y % 6, y);
+  for (int y = 1; y < 50; y += 5) narrow.update_miss(5 - y % 6, y);
+  const std::vector<Vec2> pts = {{0.05, 0.3},  {-0.1, -0.2}, {0.12, 0.9},
+                                 {0.0, -0.6},  {0.2, 0.1},   {-0.15, 0.45},
+                                 {0.08, -0.9}, {0.3, 0.0},   {-0.3, 0.2}};
+  expect_oracle_bits(narrow, Pose2{0.05, 0.1, 0.05}, pts);
+}
+
+// One to nine points: the four-point Gauss-Newton pass meets every
+// remainder, and the table fill's last pass of every row every overhang.
+TEST_P(MatcherBackend, EveryPointCountFromOneToNine) {
+  const MatchFixture f;
+  const std::vector<Vec2> sparse = every_nth(f.points, 7);
+  ASSERT_GE(sparse.size(), 9U);
+  const Pose2 seed{f.truth.x + 0.04, f.truth.y + 0.03, f.truth.theta - 0.02};
+  for (std::size_t n = 1; n <= 9; ++n) {
+    expect_oracle_bits(
+        f.field, seed,
+        std::vector<Vec2>(sparse.begin(),
+                          sparse.begin() + static_cast<std::ptrdiff_t>(n)));
+  }
+}
+
+// Points millions of kilometres away floor to the +-1e9 sentinel cells and
+// read the out-of-bounds value, mixed with points on the grid.
+TEST_P(MatcherBackend, PointsFarOutsideTheGrid) {
+  const MatchFixture f;
+  std::vector<Vec2> pts = every_nth(f.points, 9);
+  pts.insert(pts.begin() + 2, Vec2{1e12, 3.0});
+  pts.insert(pts.begin() + 5, Vec2{-4e11, -2e10});
+  pts.push_back({0.5, 7e15});
+  pts.push_back({-1e14, 0.0});
+  expect_oracle_bits(f.field, Pose2{f.truth.x, f.truth.y, f.truth.theta + 0.02},
+                     pts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MatcherBackend,

@@ -555,13 +555,51 @@ TEST(AvxState, CorrelativeMatchReturnsCleanAfterItsRemainderLane) {
   ProbabilityGrid grid{60, 60, 0.05, Vec2{}};
   for (int i = 0; i < 60; ++i) grid.update_hit(i, 30);
   const std::vector<Vec2> points = {{0.4, 0.1}, {-0.3, 0.05}, {0.2, -0.2}};
-  // Window width 5: each row is one four-candidate pass plus one scalar
-  // remainder lane.
+  // Window width 5: each row is one pass with five of its eight lanes live,
+  // and no scalar remainder lane runs after it.
   CorrelativeOptions options;
   options.linear_window = 0.06;
   options.linear_step = 0.03;
   simd::force(simd::Backend::kAvx2);
   const ScanMatchResult r = CorrelativeScanMatcher{options}.match(
+      grid, Pose2{1.5, 1.5, 0.1}, points);
+  const bool dirty = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty);
+  EXPECT_GT(r.score, 0.0);
+}
+
+TEST(AvxState, AxisTableFillReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  // A grid one cell wide scores its rows on the scalar path, so the table
+  // fill is the only AVX2 code the search runs. Five points: one full
+  // four-entry pass per row of the y table and one with a single entry.
+  ProbabilityGrid strip{1, 60, 0.05, Vec2{}};
+  for (int y = 0; y < 60; y += 2) strip.update_hit(0, y);
+  const std::vector<Vec2> points = {
+      {0.0, 0.4}, {0.01, -0.3}, {0.0, 0.2}, {-0.01, 0.6}, {0.0, -0.5}};
+  simd::force(simd::Backend::kAvx2);
+  const ScanMatchResult r = CorrelativeScanMatcher{CorrelativeOptions{}}.match(
+      strip, Pose2{0.025, 1.5, 0.0}, points);
+  const bool dirty = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty);
+  EXPECT_GT(r.score, 0.0);
+}
+
+TEST(AvxState, GaussNewtonRefineReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  ProbabilityGrid grid{60, 60, 0.05, Vec2{}};
+  for (int i = 0; i < 60; ++i) grid.update_hit(i, 30);
+  // Five points: one four-point pass and one with a single live lane.
+  const std::vector<Vec2> points = {
+      {0.4, 0.1}, {-0.3, 0.05}, {0.2, -0.2}, {0.1, 0.3}, {-0.2, -0.1}};
+  simd::force(simd::Backend::kAvx2);
+  const ScanMatchResult r = GaussNewtonMatcher{GaussNewtonOptions{}}.refine(
       grid, Pose2{1.5, 1.5, 0.1}, points);
   const bool dirty = avx_upper_in_use();
   simd::reset();
