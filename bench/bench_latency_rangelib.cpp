@@ -241,8 +241,7 @@ const CartoInputs& carto_inputs() {
     in.submap = Submap{scans[first].truth, in.options.submap_resolution,
                        in.options.submap_extent};
     for (std::size_t i = first; i < first + span; ++i) {
-      in.submap.insert(scans[i].truth,
-                       scan_to_points(scans[i].scan, lidar), {});
+      in.submap.insert(scans[i].truth, scan_to_points(scans[i].scan, lidar));
     }
     const auto& probe = scans.back();
     in.points = scan_to_points(probe.scan, lidar, in.options.points_stride);
@@ -315,7 +314,7 @@ void BM_SubmapInsert(benchmark::State& state) {
   const CartoInputs& in = carto_inputs();
   Submap submap = in.submap;
   for (auto _ : state) {
-    submap.insert(in.seed_world, in.dense, {});
+    submap.insert(in.seed_world, in.dense);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *

@@ -140,24 +140,24 @@ int main(int argc, char** argv) {
         cfg.filter.n_particles = n;
         cfg.filter.n_threads = threads;
         auto pf = make_synpf(map, lidar, cfg);
-        telemetry::Telemetry telemetry;
+        telemetry::MetricsRegistry metrics;  // stage means only, no spans
         const SensorTrace::ReplayResult r =
-            replay_warmed(scaling_trace, *pf, telemetry.sink());
+            replay_warmed(scaling_trace, *pf, telemetry::Sink{&metrics});
         if (threads == thread_counts.front()) p50_serial = r.p50_update_ms;
         const double speedup =
             r.p50_update_ms > 0.0 ? p50_serial / r.p50_update_ms : 0.0;
         scale_table.add_row(
             {std::to_string(n), std::to_string(threads),
              TextTable::num(r.p50_update_ms, 3),
-             TextTable::num(hist_mean(telemetry.metrics, "pf.predict_ms"), 3),
-             TextTable::num(hist_mean(telemetry.metrics, "pf.raycast_ms"), 3),
-             TextTable::num(hist_mean(telemetry.metrics, "pf.weight_ms"), 3),
+             TextTable::num(hist_mean(metrics, "pf.predict_ms"), 3),
+             TextTable::num(hist_mean(metrics, "pf.raycast_ms"), 3),
+             TextTable::num(hist_mean(metrics, "pf.weight_ms"), 3),
              TextTable::num(speedup, 2)});
         scale_csv.write_row(std::vector<double>{
             static_cast<double>(n), static_cast<double>(threads),
-            r.p50_update_ms, hist_mean(telemetry.metrics, "pf.predict_ms"),
-            hist_mean(telemetry.metrics, "pf.raycast_ms"),
-            hist_mean(telemetry.metrics, "pf.weight_ms"), speedup});
+            r.p50_update_ms, hist_mean(metrics, "pf.predict_ms"),
+            hist_mean(metrics, "pf.raycast_ms"),
+            hist_mean(metrics, "pf.weight_ms"), speedup});
       }
     }
     std::cout << "\n" << scale_table.render();
@@ -222,9 +222,9 @@ int main(int argc, char** argv) {
         cfg.filter.n_particles = n;
         cfg.filter.n_threads = threads;
         SynPf pf{cfg, map, lidar};
-        telemetry::Telemetry telemetry;
+        telemetry::MetricsRegistry metrics;  // stage means only, no spans
         const SensorTrace::ReplayResult r =
-            replay_warmed(scaling_trace, pf, telemetry.sink());
+            replay_warmed(scaling_trace, pf, telemetry::Sink{&metrics});
         simd::reset();
 
         const std::uint64_t hash = estimates_hash(r.estimates);
@@ -262,10 +262,10 @@ int main(int argc, char** argv) {
                             TextTable::num(cell.items_per_sec, 0)});
           doc.cells.push_back(std::move(cell));
         };
-        add_stage("predict", hist_mean(telemetry.metrics, "pf.predict_ms"));
-        add_stage("raycast", hist_mean(telemetry.metrics, "pf.raycast_ms"));
-        add_stage("weight", hist_mean(telemetry.metrics, "pf.weight_ms"));
-        add_stage("update", hist_mean(telemetry.metrics, "synpf.update_ms"));
+        add_stage("predict", hist_mean(metrics, "pf.predict_ms"));
+        add_stage("raycast", hist_mean(metrics, "pf.raycast_ms"));
+        add_stage("weight", hist_mean(metrics, "pf.weight_ms"));
+        add_stage("update", hist_mean(metrics, "synpf.update_ms"));
       }
     }
   }

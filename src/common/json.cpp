@@ -51,6 +51,19 @@ double Value::as_double(double fallback) const {
   return kind_ == Kind::kNumber ? number_ : fallback;
 }
 
+std::optional<std::uint64_t> Value::as_uint(std::uint64_t max) const {
+  // 2^64: the first double past the range of std::uint64_t. Every double
+  // below it that passes these checks converts exactly.
+  constexpr double kTwoPow64 = 18446744073709551616.0;
+  if (kind_ != Kind::kNumber || !(number_ >= 0.0) || number_ >= kTwoPow64 ||
+      number_ != std::floor(number_)) {
+    return std::nullopt;
+  }
+  const auto n = static_cast<std::uint64_t>(number_);
+  if (n > max) return std::nullopt;
+  return n;
+}
+
 const std::string& Value::as_string() const {
   static const std::string kEmpty;
   return kind_ == Kind::kString ? string_ : kEmpty;

@@ -20,6 +20,7 @@
 /// both ends — encode them out-of-band), numbers are doubles.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,6 +52,12 @@ class Value {
   bool as_bool(bool fallback = false) const;
   double as_double(double fallback = 0.0) const;
   const std::string& as_string() const;  ///< empty string on mismatch
+  /// A whole number in [0, max] as an integer; nullopt for any other kind
+  /// or value. The checked way to read a count or seed from a document
+  /// that came from outside the program: casting a double that the target
+  /// type cannot hold is undefined behaviour.
+  std::optional<std::uint64_t> as_uint(
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
 
   // -- array --
   /// Append to an array (no-op on other kinds).
@@ -87,6 +94,25 @@ class Value {
   std::vector<Value> array_{};
   std::vector<std::pair<std::string, Value>> object_{};
 };
+
+/// Member `key` of `object` into `out` through `Value::as_uint`, bounded by
+/// what `Int` can hold. `out` keeps its value when the member is absent.
+/// False, with `error` naming the member, when it is present but is no
+/// such number.
+template <typename Int>
+bool read_uint(const Value& object, const std::string& key, Int& out,
+               std::string& error) {
+  const Value* member = object.find(key);
+  if (member == nullptr) return true;
+  const std::optional<std::uint64_t> n = member->as_uint(
+      static_cast<std::uint64_t>(std::numeric_limits<Int>::max()));
+  if (!n.has_value()) {
+    error = key + ": not a whole number in range";
+    return false;
+  }
+  out = static_cast<Int>(*n);
+  return true;
+}
 
 /// Round-trip double formatting ("%.17g"-class, shortest faithful): the one
 /// number format used across every benchmark JSON.

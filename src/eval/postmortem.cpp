@@ -9,7 +9,7 @@
 
 #include "eval/frontier/scenario_sampler.hpp"
 #include "gridmap/track_generator.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace srl {
 
@@ -53,11 +53,18 @@ std::optional<Track> build_track(const std::string& recipe) {
 
 }  // namespace
 
-std::optional<Blackbox> load_blackbox(const std::string& path) {
-  const std::optional<json::Value> doc = json::Value::load(path);
-  if (!doc.has_value() || !doc->is_object()) return std::nullopt;
-  if (str_field(*doc, "schema") != telemetry::kBlackboxSchema) {
+std::optional<Blackbox> load_blackbox(const std::string& path,
+                                      std::string* error) {
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
     return std::nullopt;
+  };
+  const std::optional<json::Value> doc = json::Value::load(path);
+  if (!doc.has_value() || !doc->is_object()) {
+    return fail("unreadable, or not a JSON object");
+  }
+  if (str_field(*doc, "schema") != telemetry::kBlackboxSchema) {
+    return fail(std::string{"schema is not "} + telemetry::kBlackboxSchema);
   }
 
   Blackbox box;
@@ -65,9 +72,7 @@ std::optional<Blackbox> load_blackbox(const std::string& path) {
   box.reason = str_field(*doc, "reason");
   box.label = str_field(*doc, "label");
   box.t = num_field(*doc, "t", 0.0);
-  box.ticks = static_cast<std::uint64_t>(num_field(*doc, "ticks", 0.0));
   box.estimate_hash = parse_hash(str_field(*doc, "estimate_hash"));
-  box.sim_seed = static_cast<std::uint64_t>(num_field(*doc, "sim_seed", 0.0));
   box.sim_rng_state = str_field(*doc, "sim_rng_state");
   const json::Value* crashed = doc->find("crashed");
   box.crashed = crashed != nullptr && crashed->as_bool(false);
@@ -80,7 +85,11 @@ std::optional<Blackbox> load_blackbox(const std::string& path) {
   if (const json::Value* prov = doc->find("provenance"); prov != nullptr) {
     box.provenance = *prov;
     if (const json::Value* stack = prov->find("stack"); stack != nullptr) {
-      box.has_stack = stack_spec_from_json(*stack, box.stack);
+      std::string why;
+      if (!stack_spec_from_json(*stack, box.stack, &why)) {
+        return fail("provenance.stack." + why);
+      }
+      box.has_stack = true;
     }
   }
   if (const json::Value* snaps = doc->find("snapshots");
@@ -90,15 +99,23 @@ std::optional<Blackbox> load_blackbox(const std::string& path) {
   if (const json::Value* events = doc->find("events");
       events != nullptr && events->is_array()) {
     for (std::size_t i = 0; i < events->size(); ++i) {
+      std::string why;
       std::optional<telemetry::Event> event =
-          telemetry::event_from_json(*events->at(i));
-      if (event.has_value()) box.events.push_back(std::move(*event));
+          telemetry::event_from_json(*events->at(i), &why);
+      if (!event.has_value()) {
+        return fail("events[" + std::to_string(i) + "]." + why);
+      }
+      box.events.push_back(std::move(*event));
     }
   }
-  box.events_total = static_cast<std::uint64_t>(
-      num_field(*doc, "events_total", static_cast<double>(box.events.size())));
-  box.events_dropped =
-      static_cast<std::uint64_t>(num_field(*doc, "events_dropped", 0.0));
+  box.events_total = box.events.size();
+  std::string why;
+  if (!json::read_uint(*doc, "ticks", box.ticks, why) ||
+      !json::read_uint(*doc, "sim_seed", box.sim_seed, why) ||
+      !json::read_uint(*doc, "events_total", box.events_total, why) ||
+      !json::read_uint(*doc, "events_dropped", box.events_dropped, why)) {
+    return fail(why);
+  }
 
   // The sidecar name is stored relative to the artifact so the pair can be
   // moved together (CI artifact downloads land anywhere).
@@ -218,31 +235,14 @@ PostmortemReplay replay_blackbox(const Blackbox& box, int threads) {
       spec, std::make_shared<const OccupancyGrid>(track->grid), LidarConfig{},
       replay.error);
   if (stack == nullptr) return replay;
-  Localizer& subject = stack->top();
 
-  // Re-drive exactly as the closed loop delivered the stream: initialize at
-  // the recorded start pose (NOT the first truth — the closed loop never
-  // told the localizer the truth), every odometry increment with t <=
-  // scan.t before that scan. A fresh FlightRecorder folds the estimates so
+  // Re-drive the stream from the recorded start pose, with a sink that
+  // holds only a fresh FlightRecorder: the recorder folds the estimates, so
   // the hash function is the recorder's own, not a reimplementation.
-  subject.initialize(box.start_pose);
-  telemetry::FlightRecorder recorder{telemetry::FlightRecorderConfig{}};
-  std::size_t oi = 0;
-  const auto& odometry = box.trace.odometry();
-  for (const SensorTrace::ScanRecord& rec : box.trace.scans()) {
-    while (oi < odometry.size() && odometry[oi].t <= rec.scan.t) {
-      subject.on_odometry(odometry[oi].odom);
-      ++oi;
-    }
-    const Pose2 est = subject.on_scan(rec.scan);
-    telemetry::TickSnapshot snap;
-    snap.tick = recorder.ticks();
-    snap.t = rec.scan.t;
-    snap.est_x = est.x;
-    snap.est_y = est.y;
-    snap.est_theta = est.theta;
-    recorder.record_tick(std::move(snap));
-  }
+  telemetry::FlightRecorder recorder;
+  telemetry::Sink sink;
+  sink.recorder = &recorder;
+  (void)box.trace.replay(stack->top(), sink, box.start_pose);
 
   replay.ok = true;
   replay.ticks = recorder.ticks();

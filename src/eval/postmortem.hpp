@@ -55,9 +55,12 @@ struct Blackbox {
 };
 
 /// Parse `path` (+ its `.srlt` sidecar, resolved relative to the artifact's
-/// directory). Returns nullopt on unreadable/invalid JSON or wrong schema;
-/// a missing sidecar only clears `has_trace`.
-std::optional<Blackbox> load_blackbox(const std::string& path);
+/// directory). Returns nullopt, with `*error` (when given) naming the
+/// field, on unreadable/invalid JSON, a wrong schema, a malformed stack
+/// recipe or event, or a count or seed that is not a whole number its field
+/// can hold; a missing sidecar only clears `has_trace`.
+std::optional<Blackbox> load_blackbox(const std::string& path,
+                                      std::string* error = nullptr);
 
 /// Human-readable postmortem: provenance header, snapshot-window summary,
 /// and the full event timeline.

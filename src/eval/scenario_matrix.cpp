@@ -86,28 +86,29 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
         LocalizerStack::build(spec, map, experiment.lidar, error);
     if (stack == nullptr) return;  // unknown kind or fault: zeroed cell
 
-    telemetry::Telemetry telemetry;
-    telemetry::Sink sink = telemetry.sink();
+    // A cell reads only metrics and events, so no span buffer is attached.
+    telemetry::MetricsRegistry metrics;
+    telemetry::EventLog events;
+    telemetry::Sink sink{&metrics, nullptr, &events, nullptr};
     std::unique_ptr<telemetry::FlightRecorder> recorder;
     if (!config_.blackbox_dir.empty()) {
       recorder = stack->make_recorder(
           config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label(),
-          &telemetry.events);
+          &events);
       sink.recorder = recorder.get();
     }
 
     ExperimentRunner runner{track, experiment};
     cell.result = runner.run(stack->top(), nullptr, sink);
 
-    cell.events_total = telemetry.events.total();
-    cell.events_warn = telemetry.events.count(telemetry::EventSeverity::kWarn);
-    cell.events_error =
-        telemetry.events.count(telemetry::EventSeverity::kError);
-    cell.events_critical = telemetry.events.critical_count();
-    cell.events_dropped = telemetry.events.dropped();
+    cell.events_total = events.total();
+    cell.events_warn = events.count(telemetry::EventSeverity::kWarn);
+    cell.events_error = events.count(telemetry::EventSeverity::kError);
+    cell.events_critical = events.critical_count();
+    cell.events_dropped = events.dropped();
     if (recorder != nullptr) cell.blackboxes = recorder->dump_paths();
 
-    const telemetry::MetricsRegistry& m = telemetry.metrics;
+    const telemetry::MetricsRegistry& m = metrics;
     cell.reinjections = counter_value(m, "recovery.injections");
     cell.global_relocs = counter_value(m, "recovery.global_relocs");
     cell.recovery_transitions = counter_value(m, "recovery.to_suspect") +

@@ -84,31 +84,34 @@ json::Value stack_spec_to_json(const PostmortemStackSpec& spec) {
   return v;
 }
 
-bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out) {
-  if (!v.is_object()) return false;
-  const std::string localizer = str_field(v, "localizer");
-  if (localizer.empty()) return false;
-  out = PostmortemStackSpec{};
-  out.localizer = localizer;
+bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out,
+                          std::string* error) {
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  if (!v.is_object()) return fail("not an object");
+  PostmortemStackSpec spec;
+  spec.localizer = str_field(v, "localizer");
+  if (spec.localizer.empty()) return fail("localizer: missing");
+  std::string why;
+  if (!json::read_uint(v, "n_particles", spec.n_particles, why) ||
+      !json::read_uint(v, "threads", spec.threads, why) ||
+      !json::read_uint(v, "beams", spec.beams, why) ||
+      !json::read_uint(v, "pf_seed", spec.pf_seed, why) ||
+      !json::read_uint(v, "fault_seed", spec.fault_seed, why)) {
+    return fail(why);
+  }
   const std::string track = str_field(v, "track");
-  if (!track.empty()) out.track = track;
-  out.n_particles = static_cast<int>(
-      num_field(v, "n_particles", static_cast<double>(out.n_particles)));
-  out.threads = static_cast<int>(
-      num_field(v, "threads", static_cast<double>(out.threads)));
+  if (!track.empty()) spec.track = track;
   const std::string range = str_field(v, "range");
-  if (!range.empty()) out.range = range;
-  out.beams =
-      static_cast<int>(num_field(v, "beams", static_cast<double>(out.beams)));
-  out.pf_seed = static_cast<std::uint64_t>(
-      num_field(v, "pf_seed", static_cast<double>(out.pf_seed)));
+  if (!range.empty()) spec.range = range;
   const std::string fault = str_field(v, "fault");
-  if (!fault.empty()) out.fault = fault;
-  out.severity = num_field(v, "severity", out.severity);
-  out.fault_seed = static_cast<std::uint64_t>(
-      num_field(v, "fault_seed", static_cast<double>(out.fault_seed)));
-  out.governor = str_field(v, "governor");
-  out.budget_ms = num_field(v, "budget_ms", out.budget_ms);
+  if (!fault.empty()) spec.fault = fault;
+  spec.severity = num_field(v, "severity", spec.severity);
+  spec.governor = str_field(v, "governor");
+  spec.budget_ms = num_field(v, "budget_ms", spec.budget_ms);
+  out = std::move(spec);
   return true;
 }
 
@@ -137,6 +140,14 @@ std::unique_ptr<LocalizerStack> LocalizerStack::build(
   const std::optional<StackKind> kind = parse_stack_kind(spec.localizer);
   if (!kind.has_value()) {
     error = "unknown localizer kind: " + spec.localizer;
+    return nullptr;
+  }
+  if (spec.n_particles < 1) {
+    error = "n_particles must be at least 1";
+    return nullptr;
+  }
+  if (spec.beams < 1) {
+    error = "beams must be at least 1";
     return nullptr;
   }
   const std::optional<RangeMethodKind> range = range_from_string(spec.range);

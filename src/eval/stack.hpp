@@ -71,7 +71,12 @@ struct PostmortemStackSpec {
 };
 
 json::Value stack_spec_to_json(const PostmortemStackSpec& spec);
-bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out);
+/// Parse a recipe written by `stack_spec_to_json`; absent members keep their
+/// defaults. False, with `out` untouched and `*error` (when given) naming
+/// the field, when the localizer is missing or a count or seed is not a
+/// whole number its field can hold.
+bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out,
+                          std::string* error = nullptr);
 
 /// The localizer kind grammar, parsed (see PostmortemStackSpec::localizer).
 struct StackKind {
@@ -90,7 +95,7 @@ class LocalizerStack {
   /// Compose the stack `spec` describes over `map`. Returns nullptr and
   /// sets `error` when the spec names an unknown kind, range backend,
   /// fault or governor mode — a harness must never race a clean stack
-  /// under a faulted label.
+  /// under a faulted label — or asks for fewer than one particle or beam.
   static std::unique_ptr<LocalizerStack> build(
       const PostmortemStackSpec& spec,
       const std::shared_ptr<const OccupancyGrid>& map,

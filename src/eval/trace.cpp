@@ -44,12 +44,13 @@ double SensorTrace::duration() const {
   return any ? t1 - t0 : 0.0;
 }
 
-SensorTrace::ReplayResult SensorTrace::replay(Localizer& localizer,
-                                              telemetry::Sink sink) const {
+SensorTrace::ReplayResult SensorTrace::replay(
+    Localizer& localizer, telemetry::Sink sink,
+    std::optional<Pose2> start) const {
   ReplayResult result;
   if (scans_.empty()) return result;
   if (sink.enabled()) localizer.set_telemetry(sink);
-  localizer.initialize(scans_.front().truth);
+  localizer.initialize(start.value_or(scans_.front().truth));
 
   // The replay loop measures update latency itself so every localizer gets
   // a percentile readout, with or without its own instrumentation.

@@ -63,11 +63,16 @@ class SensorTrace {
     double max_update_ms{0.0};
   };
 
-  /// Feed every event in time order into `localizer` (initialized at the
-  /// first recorded truth pose) and score it against the recorded truth.
-  /// When `sink` is non-empty it is attached to the localizer (per-stage
-  /// histograms, health gauges) and each scan update emits a span.
-  ReplayResult replay(Localizer& localizer, telemetry::Sink sink = {}) const;
+  /// Feed the stream into `localizer` as the closed loop delivered it (all
+  /// odometry with t <= scan.t before each scan) and score it against the
+  /// recorded truth. The localizer starts at `start` when given (a black
+  /// box's recorded start pose: the closed loop never told the localizer
+  /// the truth), else at the first recorded truth pose. When `sink` is
+  /// non-empty it is attached to the localizer (per-stage histograms,
+  /// health gauges), each scan update emits a span, and a flight recorder
+  /// in it folds every estimate.
+  ReplayResult replay(Localizer& localizer, telemetry::Sink sink = {},
+                      std::optional<Pose2> start = std::nullopt) const;
 
   /// Binary container I/O ("SRLT" magic + version). Returns false / nullopt
   /// on I/O or format errors.

@@ -522,8 +522,8 @@ constexpr std::array<TokenRule, 4> kUnorderedTokens{{
 }};
 
 // Qualified names only: a serial fixed-order helper may legitimately be
-// *named* accumulate (slam/pose_graph.cpp has one); it is the std:: library
-// reductions whose association order floats with the implementation.
+// *named* accumulate; it is the std:: library reductions whose association
+// order floats with the implementation.
 constexpr std::array<TokenRule, 4> kAccumulateTokens{{
     {"std::accumulate", false},
     {"std::reduce", false},

@@ -64,12 +64,12 @@ void ProbabilityGrid::update_miss(int ix, int iy) {
 }
 
 void ProbabilityGrid::insert_scan(const Pose2& sensor,
-                                  std::span<const Vec2> hits,
-                                  std::span<const Vec2> passthrough) {
+                                  std::span<const Vec2> hits) {
   const GridIndex s = world_to_grid({sensor.x, sensor.y});
 
-  // Walk the cells between sensor and endpoint with a DDA in grid space.
-  const auto trace_misses = [&](const Vec2& end, bool include_end) {
+  // Walk the cells between sensor and hit with a DDA in grid space; the hit
+  // cell itself gets no miss.
+  const auto trace_misses = [&](const Vec2& end) {
     const GridIndex e = world_to_grid(end);
     int x = s.ix;
     int y = s.iy;
@@ -78,11 +78,7 @@ void ProbabilityGrid::insert_scan(const Pose2& sensor,
     const int sx = s.ix < e.ix ? 1 : -1;
     const int sy = s.iy < e.iy ? 1 : -1;
     int err = dx - dy;
-    while (true) {
-      if (x == e.ix && y == e.iy) {
-        if (include_end) update_miss(x, y);
-        break;
-      }
+    while (x != e.ix || y != e.iy) {
       update_miss(x, y);
       const int e2 = 2 * err;
       if (e2 > -dy) {
@@ -96,32 +92,13 @@ void ProbabilityGrid::insert_scan(const Pose2& sensor,
     }
   };
 
-  for (const Vec2& h : hits) trace_misses(h, /*include_end=*/false);
-  for (const Vec2& p : passthrough) trace_misses(p, /*include_end=*/true);
+  for (const Vec2& h : hits) trace_misses(h);
   // Hits are applied after misses so a cell that is both grazed and hit in
   // one scan nets positive evidence.
   for (const Vec2& h : hits) {
     const GridIndex g = world_to_grid(h);
     update_hit(g.ix, g.iy);
   }
-}
-
-OccupancyGrid ProbabilityGrid::to_occupancy(double occupied_threshold,
-                                            double free_threshold) const {
-  OccupancyGrid out{width_, height_, resolution_, origin_,
-                    OccupancyGrid::kUnknown};
-  for (int iy = 0; iy < height_; ++iy) {
-    for (int ix = 0; ix < width_; ++ix) {
-      if (!known(ix, iy)) continue;
-      const float p = probability(ix, iy);
-      if (p >= occupied_threshold) {
-        out.at(ix, iy) = OccupancyGrid::kOccupied;
-      } else if (p <= free_threshold) {
-        out.at(ix, iy) = OccupancyGrid::kFree;
-      }
-    }
-  }
-  return out;
 }
 
 std::size_t ProbabilityGrid::known_cells() const {

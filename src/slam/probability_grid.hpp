@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file probability_grid.hpp
-/// \brief Log-odds occupancy grid used by the CartoLite SLAM stack: submaps
-/// accumulate hit/miss evidence, scan matchers read smooth probabilities.
-/// Also provides a likelihood-field construction from a finished occupancy
-/// map (Gaussian of the distance to the nearest wall) — the smooth surface
-/// the pure-localization matcher optimizes on, analogous to Cartographer's
-/// interpolated grid costs.
+/// \brief Occupancy-probability grid used by CartoLite: the live submap
+/// accumulates hit/miss evidence, the scan matchers read smooth
+/// probabilities. Also provides a likelihood-field construction from the
+/// prior occupancy map (Gaussian of the distance to the nearest wall) — the
+/// smooth surface the global constraint search optimizes on, analogous to
+/// Cartographer's interpolated grid costs.
 
 #include <cstdint>
 #include <span>
@@ -106,9 +106,8 @@ class ProbabilityGrid {
 
   /// Integrate one scan taken at `sensor` (world pose): each `hit` (world
   /// point) gets a hit update and the cells on the sensor->hit segment get
-  /// miss updates; `passthrough` points (max-range beams) get misses only.
-  void insert_scan(const Pose2& sensor, std::span<const Vec2> hits,
-                   std::span<const Vec2> passthrough);
+  /// miss updates.
+  void insert_scan(const Pose2& sensor, std::span<const Vec2> hits);
 
   /// Non-finite and far-off points map to an out-of-bounds sentinel cell
   /// (`floor_to_cell`) instead of an undefined double-to-int cast.
@@ -120,11 +119,6 @@ class ProbabilityGrid {
     return {origin_.x + (ix + 0.5) * resolution_,
             origin_.y + (iy + 0.5) * resolution_};
   }
-
-  /// Export to the ROS-convention occupancy grid (for map saving and for
-  /// building localization backends on a SLAM-produced map).
-  OccupancyGrid to_occupancy(double occupied_threshold = 0.65,
-                             double free_threshold = 0.35) const;
 
   std::size_t known_cells() const;
 

@@ -117,7 +117,7 @@ Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
   if (!dense.empty()) {
     telemetry::ScopedSpan insert_span{sink_.trace, "carto.submap_insert"};
     telemetry::StageTimer timer{h_insert_};
-    live_->insert(pose_, dense, {});
+    live_->insert(pose_, dense);
     if (live_->scan_count() >= options_.scans_per_submap) {
       live_ = std::make_unique<Submap>(pose_, options_.submap_resolution,
                                        options_.submap_extent);

@@ -2,12 +2,11 @@
 
 /// \file submap.hpp
 /// \brief Cartographer-style submap: a probability grid in its own local
-/// frame, anchored to the world by a rigid `pose` that the pose graph may
-/// later revise. Scans are matched and inserted in local coordinates, so
-/// optimizing a submap's pose moves all its content rigidly without
+/// frame, anchored to the world by a rigid `pose`. Scans are matched and
+/// inserted in local coordinates, so CartoLite's global correction moves
+/// all of a submap's content rigidly by re-anchoring it, without
 /// re-rendering.
 
-#include <memory>
 #include <span>
 
 #include "common/types.hpp"
@@ -22,10 +21,9 @@ class Submap {
   /// local grid, centered on the frame origin.
   Submap(const Pose2& pose, double resolution, double extent);
 
-  /// Insert one scan: `body_hits` / `body_passthrough` are scan points in
-  /// the *body* frame; `world_pose` is the body's world pose at scan time.
-  void insert(const Pose2& world_pose, std::span<const Vec2> body_hits,
-              std::span<const Vec2> body_passthrough);
+  /// Insert one scan: `body_hits` are scan points in the *body* frame;
+  /// `world_pose` is the body's world pose at scan time.
+  void insert(const Pose2& world_pose, std::span<const Vec2> body_hits);
 
   const ProbabilityGrid& grid() const { return grid_; }
   const Pose2& pose() const { return pose_; }
@@ -36,14 +34,11 @@ class Submap {
   Pose2 to_world(const Pose2& local) const { return pose_ * local; }
 
   int scan_count() const { return scan_count_; }
-  bool finished() const { return finished_; }
-  void finish() { finished_ = true; }
 
  private:
   Pose2 pose_;
   ProbabilityGrid grid_;
   int scan_count_{0};
-  bool finished_{false};
 };
 
 }  // namespace srl

@@ -62,25 +62,31 @@ json::Value event_to_json(const Event& event) {
   return v;
 }
 
-std::optional<Event> event_from_json(const json::Value& v) {
-  if (!v.is_object()) return std::nullopt;
+std::optional<Event> event_from_json(const json::Value& v,
+                                     std::string* error) {
+  const auto fail = [error](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  if (!v.is_object()) return fail("not an object");
   const json::Value* code = v.find("code");
   const json::Value* sev = v.find("severity");
   const json::Value* cat = v.find("category");
   if (code == nullptr || !code->is_string() || sev == nullptr ||
       cat == nullptr) {
-    return std::nullopt;
+    return fail("code, severity or category missing");
   }
   const std::optional<EventSeverity> severity =
       severity_from_string(sev->as_string());
   const std::optional<EventCategory> category =
       category_from_string(cat->as_string());
-  if (!severity.has_value() || !category.has_value()) return std::nullopt;
+  if (!severity.has_value() || !category.has_value()) {
+    return fail("unknown severity or category");
+  }
 
   Event event;
-  if (const json::Value* seq = v.find("seq"); seq != nullptr) {
-    event.seq = static_cast<std::uint64_t>(seq->as_double());
-  }
+  std::string why;
+  if (!json::read_uint(v, "seq", event.seq, why)) return fail(why);
   if (const json::Value* t = v.find("t"); t != nullptr) {
     event.t = t->as_double();
   }

@@ -67,7 +67,11 @@ struct Event {
 };
 
 json::Value event_to_json(const Event& event);
-std::optional<Event> event_from_json(const json::Value& v);
+/// Parse an entry written by `event_to_json`; nullopt, with `*error` (when
+/// given) saying why, when the code, severity or category is missing or
+/// unknown, or `seq` is not a whole number.
+std::optional<Event> event_from_json(const json::Value& v,
+                                     std::string* error = nullptr);
 
 class EventLog {
  public:

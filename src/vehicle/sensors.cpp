@@ -23,14 +23,4 @@ OdometryDelta WheelOdometrySensor::measure(const VehicleState& state,
   return odom;
 }
 
-ImuReading ImuSensor::measure(const VehicleState& state, double prev_v,
-                              double dt, Rng& rng) const {
-  ImuReading r;
-  r.yaw_rate = state.yaw_rate + bias_ + rng.gaussian(noise_.gyro_noise);
-  const double ax = dt > 0.0 ? (state.v - prev_v) / dt : 0.0;
-  r.accel_x = ax + rng.gaussian(noise_.accel_noise);
-  r.accel_y = state.lat_accel + rng.gaussian(noise_.accel_noise);
-  return r;
-}
-
 }  // namespace srl

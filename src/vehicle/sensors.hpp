@@ -6,8 +6,7 @@
 /// `WheelOdometrySensor` is the paper's independent variable made concrete:
 /// it integrates the *wheel* speed (plus the steering-derived yaw rate, as
 /// the F1TENTH VESC odometry does), so any slip between wheel and ground
-/// goes straight into the reported pose increments. `ImuSensor` provides a
-/// gyro yaw rate with bias and noise for the sensor-fusion extension.
+/// goes straight into the reported pose increments.
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -37,36 +36,6 @@ class WheelOdometrySensor {
  private:
   AckermannParams ackermann_;
   WheelOdometryNoise noise_;
-};
-
-struct ImuNoise {
-  double gyro_noise = 0.02;       ///< rad/s, white noise
-  double gyro_bias = 0.005;       ///< rad/s, constant bias magnitude
-  double accel_noise = 0.15;      ///< m/s^2
-};
-
-struct ImuReading {
-  double yaw_rate{0.0};   ///< rad/s
-  double accel_x{0.0};    ///< m/s^2, body longitudinal
-  double accel_y{0.0};    ///< m/s^2, body lateral
-};
-
-class ImuSensor {
- public:
-  explicit ImuSensor(ImuNoise noise = {}, std::uint64_t seed = 7)
-      : noise_{noise} {
-    Rng boot{seed};
-    bias_ = boot.gaussian(noise_.gyro_bias);
-  }
-
-  ImuReading measure(const VehicleState& state, double prev_v, double dt,
-                     Rng& rng) const;
-
-  double bias() const { return bias_; }
-
- private:
-  ImuNoise noise_;
-  double bias_{0.0};
 };
 
 }  // namespace srl

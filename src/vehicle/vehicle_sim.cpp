@@ -62,7 +62,6 @@ void VehicleSim::step(const DriveCommand& cmd, double dt) {
     }
   }
   s.yaw_rate = s.v * kappa;
-  s.lat_accel = s.v * s.yaw_rate;
   s.vy += (slide_accel - p.slide_relax * s.vy) * dt;
 
   // Longitudinal: tire force ~ slip, saturated by what the friction circle

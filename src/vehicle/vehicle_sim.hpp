@@ -60,7 +60,6 @@ struct VehicleState {
   double steer{0.0};       ///< current steering angle, rad
   double yaw_rate{0.0};    ///< achieved yaw rate, rad/s
   double slip{0.0};        ///< wheel_speed - v (diagnostic)
-  double lat_accel{0.0};   ///< achieved lateral acceleration (diagnostic)
 
   /// True body twist — what the LiDAR experiences during a revolution.
   Twist2 twist() const { return {v, vy, yaw_rate}; }

@@ -1,9 +1,9 @@
 /// Contract subsystem (common/contracts.hpp): macro semantics in both build
 /// flavors, the handler/observer plumbing, the telemetry bridge, and — in
 /// SYNPF_CHECKED builds — the contracts wired into the library's hot seams
-/// (particle filter, range backends, occupancy grid, pose graph, vehicle
-/// sim). In a release flavor those runtime checks compile to nothing, so the
-/// wired-in cases are skipped via `contracts::enabled()`.
+/// (particle filter, range backends, occupancy grid, vehicle sim). In a
+/// release flavor those runtime checks compile to nothing, so the wired-in
+/// cases are skipped via `contracts::enabled()`.
 
 #include "common/contracts.hpp"
 
@@ -18,7 +18,6 @@
 #include "gridmap/occupancy_grid.hpp"
 #include "gridmap/track_generator.hpp"
 #include "range/range_method.hpp"
-#include "slam/pose_graph.hpp"
 #include "telemetry/contract_monitor.hpp"
 #include "vehicle/vehicle_sim.hpp"
 
@@ -132,21 +131,6 @@ TEST_F(WiredContracts, RangeBackendsRejectNonFinitePoses) {
         contracts::ViolationError)
         << method->name();
   }
-}
-
-TEST_F(WiredContracts, PoseGraphRejectsNonSpdInformation) {
-  PoseGraph2D graph;
-  const int a = graph.add_node({0.0, 0.0, 0.0});
-  const int b = graph.add_node({1.0, 0.0, 0.0});
-  EXPECT_THROW(graph.add_relative(a, b, {1.0, 0.0, 0.0}, 0.0, 1.0),
-               contracts::ViolationError);
-  EXPECT_THROW(graph.add_relative(a, b, {1.0, 0.0, 0.0}, 1.0, -2.0),
-               contracts::ViolationError);
-  EXPECT_THROW(graph.add_prior(a, {0.0, 0.0, 0.0}, kNan, 1.0),
-               contracts::ViolationError);
-  EXPECT_THROW(graph.add_relative(a, 7, {1.0, 0.0, 0.0}, 1.0, 1.0),
-               contracts::ViolationError);
-  EXPECT_NO_THROW(graph.add_relative(a, b, {1.0, 0.0, 0.0}, 50.0, 100.0));
 }
 
 TEST_F(WiredContracts, VehicleSimRejectsBadStepInputs) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -161,6 +162,40 @@ TEST(JsonDump, NonFiniteNumbersSerializeAsNull) {
 }
 
 // ----------------------------------------------------------------- files
+
+TEST(JsonRead, WholeNumbersOnlyWithinTheBound) {
+  EXPECT_EQ(Value::number(0.0).as_uint(), 0U);
+  EXPECT_EQ(Value::number(-0.0).as_uint(), 0U);
+  EXPECT_EQ(Value::number(1200.0).as_uint(), 1200U);
+  // The largest double below 2^64 is the largest value that converts.
+  EXPECT_EQ(Value::number(18446744073709549568.0).as_uint(),
+            18446744073709549568ULL);
+  for (const double bad : {-1.0, 0.5, -0.5, 1e30, 18446744073709551616.0}) {
+    EXPECT_FALSE(Value::number(bad).as_uint().has_value()) << bad;
+  }
+  EXPECT_FALSE(Value::string("7").as_uint().has_value());
+  EXPECT_FALSE(Value{}.as_uint().has_value());
+  EXPECT_EQ(Value::number(7.0).as_uint(7), 7U);
+  EXPECT_FALSE(Value::number(8.0).as_uint(7).has_value());
+
+  // read_uint bounds by the field's type, leaves an absent field alone and
+  // names the member it rejects.
+  Value doc = Value::object();
+  doc.set("small", Value::number(2147483647.0));
+  doc.set("big", Value::number(2147483648.0));
+  int field = 5;
+  std::string error;
+  EXPECT_TRUE(read_uint(doc, "absent", field, error));
+  EXPECT_EQ(field, 5);
+  EXPECT_TRUE(read_uint(doc, "small", field, error));
+  EXPECT_EQ(field, 2147483647);
+  EXPECT_FALSE(read_uint(doc, "big", field, error));
+  EXPECT_EQ(field, 2147483647);
+  EXPECT_EQ(error, "big: not a whole number in range");
+  std::uint64_t wide = 0;
+  EXPECT_TRUE(read_uint(doc, "big", wide, error));
+  EXPECT_EQ(wide, 2147483648U);
+}
 
 TEST(JsonFile, SaveLoadRoundTrip) {
   TempFile f{"srl_json_roundtrip.json"};

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -361,6 +363,15 @@ TEST(StackBuilder, RejectsUnknownFault) {
   EXPECT_EQ(build_error(spec), "unknown fault: lidar_dropuot");
 }
 
+TEST(StackBuilder, RejectsFewerThanOneParticleOrBeam) {
+  PostmortemStackSpec spec;
+  spec.n_particles = 0;
+  EXPECT_EQ(build_error(spec), "n_particles must be at least 1");
+  spec.n_particles = 100;
+  spec.beams = 0;
+  EXPECT_EQ(build_error(spec), "beams must be at least 1");
+}
+
 TEST(StackBuilder, RejectsUnknownOrContradictedGovernor) {
   PostmortemStackSpec spec;
   spec.governor = "shed";
@@ -438,8 +449,143 @@ TEST(Blackbox, LoadRejectsWrongSchemaAndMissingFile) {
   json::Value v = json::Value::object();
   v.set("schema", json::Value::string("srl.other/9"));
   ASSERT_TRUE(v.save(path));
-  EXPECT_FALSE(load_blackbox(path).has_value());
+  std::string error;
+  EXPECT_FALSE(load_blackbox(path, &error).has_value());
+  EXPECT_EQ(error, "schema is not srl.blackbox/1");
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------- untrusted boxes
+
+// The untrusted-box cases write their scratch files into the working
+// directory, like TraceFuzz: each build tree runs its tests in its own.
+constexpr const char* kScratchBox = "blackbox_fuzz_tmp.json";
+
+/// A small black box as the flight recorder writes it: the default stack
+/// recipe, a sim seed, two snapshots and one event, no trace sidecar.
+std::string small_box_text() {
+  telemetry::EventLog events;
+  events.emit(0.5, telemetry::EventSeverity::kWarn,
+              telemetry::EventCategory::kExperiment, "experiment.kidnap",
+              json::Value::object());
+  telemetry::FlightRecorderConfig cfg;
+  cfg.dump_dir = ".";
+  cfg.label = "blackbox_fuzz_small";
+  telemetry::FlightRecorder recorder{cfg, &events};
+  json::Value provenance = json::Value::object();
+  provenance.set("stack", stack_spec_to_json(PostmortemStackSpec{}));
+  recorder.set_provenance(provenance);
+  for (int i = 0; i < 2; ++i) {
+    telemetry::TickSnapshot snap;
+    snap.tick = static_cast<std::uint64_t>(i);
+    snap.t = 0.025 * i;
+    snap.est_x = 1.0 + i;
+    recorder.record_tick(snap);
+  }
+  json::Value extra = json::Value::object();
+  extra.set("sim_seed", json::Value::number(1234.0));
+  const std::string path = recorder.next_dump_path("test");
+  EXPECT_TRUE(recorder.dump(path, "test", 0.05, extra));
+  std::ifstream in{path, std::ios::binary};
+  std::string text{std::istreambuf_iterator<char>{in},
+                   std::istreambuf_iterator<char>{}};
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Load `text` as a black-box file; `error` receives the loader's reason.
+std::optional<Blackbox> load_box_text(const std::string& text,
+                                      std::string* error = nullptr) {
+  {
+    std::ofstream out{kScratchBox, std::ios::binary | std::ios::trunc};
+    out << text;
+  }
+  return load_blackbox(kScratchBox, error);
+}
+
+/// `text` with the value of its one member named `key` replaced by
+/// `value` (a JSON literal).
+std::string with_value(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  EXPECT_EQ(text.find(tag, at + 1), std::string::npos) << key;
+  const std::size_t begin = at + tag.size();
+  text.replace(begin, text.find_first_of(",\n}", begin) - begin, value);
+  return text;
+}
+
+// A count or seed that its field cannot hold fails the load and names the
+// field: casting such a double to an integer is undefined behaviour.
+TEST(Blackbox, LoadRejectsCountsAndSeedsOutOfRange) {
+  const std::string text = small_box_text();
+  ASSERT_TRUE(load_box_text(text).has_value());
+
+  const std::vector<std::pair<std::string, std::string>> fields{
+      {"n_particles", "provenance.stack.n_particles"},
+      {"threads", "provenance.stack.threads"},
+      {"beams", "provenance.stack.beams"},
+      {"pf_seed", "provenance.stack.pf_seed"},
+      {"fault_seed", "provenance.stack.fault_seed"},
+      {"ticks", "ticks"},
+      {"sim_seed", "sim_seed"},
+      {"events_total", "events_total"},
+      {"events_dropped", "events_dropped"},
+      {"seq", "events[0].seq"}};
+  for (const auto& [key, name] : fields) {
+    for (const char* bad : {"-1", "0.5", "1e30", "18446744073709551616"}) {
+      std::string error;
+      EXPECT_FALSE(
+          load_box_text(with_value(text, key, bad), &error).has_value())
+          << name << " = " << bad;
+      EXPECT_EQ(error, name + ": not a whole number in range");
+    }
+  }
+  // An int field also rejects what fits 64 bits but not an int.
+  std::string error;
+  EXPECT_FALSE(load_box_text(with_value(text, "n_particles", "3e9"), &error)
+                   .has_value());
+  EXPECT_EQ(error, "provenance.stack.n_particles: not a whole number in range");
+  std::remove(kScratchBox);
+}
+
+/// The loader's damaged-file corpus (as TraceFuzz is for traces): a small
+/// dumped box, truncated at every byte offset and with every single-bit
+/// flip, must load as std::nullopt or as a box and never crash (the san
+/// preset runs it under ASan and UBSan, float-cast-overflow included).
+TEST(BlackboxFuzz, TruncatedAndBitFlippedBoxesNeverCrashTheLoader) {
+  const std::string text = small_box_text();
+  const std::optional<Blackbox> whole = load_box_text(text);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_TRUE(whole->has_stack);
+  EXPECT_EQ(whole->ticks, 2U);
+  EXPECT_EQ(whole->events.size(), 1U);
+
+  // Every truncation short of the trailing newline cuts off the closing
+  // brace, so none of them parses.
+  ASSERT_EQ(text.back(), '\n');
+  for (std::size_t len = 0; len + 1 < text.size(); ++len) {
+    EXPECT_FALSE(load_box_text(text.substr(0, len)).has_value())
+        << "truncated at " << len;
+  }
+
+  std::size_t loaded = 0;
+  for (std::size_t byte = 0; byte < text.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      const std::optional<Blackbox> box = load_box_text(flipped);
+      if (!box.has_value()) continue;
+      ++loaded;
+      EXPECT_FALSE(render_timeline(*box).empty());
+    }
+  }
+  // Flips inside values and whitespace still load; flips in the schema,
+  // the braces and the counts' digits into non-digits are rejected.
+  EXPECT_GT(loaded, 0U);
+  EXPECT_LT(loaded, text.size() * 8);
+  std::remove(kScratchBox);
 }
 
 }  // namespace

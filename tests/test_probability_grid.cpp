@@ -41,7 +41,7 @@ TEST(ProbabilityGrid, HitBeatsMissPerScan) {
   ProbabilityGrid g{40, 3, 0.1, Vec2{}};
   const Pose2 sensor{0.05, 0.15, 0.0};
   const Vec2 hit{2.05, 0.15};
-  g.insert_scan(sensor, std::vector<Vec2>{hit}, {});
+  g.insert_scan(sensor, std::vector<Vec2>{hit});
   const GridIndex h = g.world_to_grid(hit);
   EXPECT_GT(g.probability(h.ix, h.iy), 0.5F);
 }
@@ -50,22 +50,13 @@ TEST(ProbabilityGrid, InsertScanTracesMisses) {
   ProbabilityGrid g{40, 3, 0.1, Vec2{}};
   const Pose2 sensor{0.05, 0.15, 0.0};
   const Vec2 hit{3.05, 0.15};
-  g.insert_scan(sensor, std::vector<Vec2>{hit}, {});
+  g.insert_scan(sensor, std::vector<Vec2>{hit});
   // Cells strictly between sensor and hit are misses.
   for (double x = 0.35; x < 2.8; x += 0.3) {
     const GridIndex c = g.world_to_grid({x, 0.15});
     EXPECT_TRUE(g.known(c.ix, c.iy)) << x;
     EXPECT_LT(g.probability(c.ix, c.iy), 0.5F) << x;
   }
-}
-
-TEST(ProbabilityGrid, PassthroughIsAllMisses) {
-  ProbabilityGrid g{40, 3, 0.1, Vec2{}};
-  const Pose2 sensor{0.05, 0.15, 0.0};
-  const Vec2 end{3.05, 0.15};
-  g.insert_scan(sensor, {}, std::vector<Vec2>{end});
-  const GridIndex e = g.world_to_grid(end);
-  EXPECT_LT(g.probability(e.ix, e.iy), 0.5F);
 }
 
 TEST(ProbabilityGrid, InterpolationSmooth) {
@@ -105,19 +96,6 @@ TEST(LikelihoodField, UnknownStaysLow) {
   // A far-corner cell is unknown in the track map.
   EXPECT_EQ(track.grid.at(0, 0), OccupancyGrid::kUnknown);
   EXPECT_NEAR(field.probability(0, 0), 0.05F, 1e-5);
-}
-
-TEST(ProbabilityGrid, ToOccupancyThresholds) {
-  ProbabilityGrid g{4, 1, 0.1, Vec2{}};
-  for (int i = 0; i < 60; ++i) g.update_hit(0, 0);
-  for (int i = 0; i < 60; ++i) g.update_miss(1, 0);
-  g.update_hit(2, 0);
-  g.update_miss(2, 0);  // stays near 0.5 -> stays unclassified
-  const OccupancyGrid occ = g.to_occupancy();
-  EXPECT_EQ(occ.at(0, 0), OccupancyGrid::kOccupied);
-  EXPECT_EQ(occ.at(1, 0), OccupancyGrid::kFree);
-  EXPECT_EQ(occ.at(2, 0), OccupancyGrid::kUnknown);
-  EXPECT_EQ(occ.at(3, 0), OccupancyGrid::kUnknown);  // never touched
 }
 
 TEST(ProbabilityGrid, NonFinitePointsMapOutOfBounds) {

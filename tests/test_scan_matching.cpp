@@ -389,7 +389,7 @@ ProbabilityGrid partial_submap(const MatchFixture& f) {
   ProbabilityGrid g{90, 70, 0.05, Vec2{f.truth.x - 2.0, f.truth.y - 1.5}};
   std::vector<Vec2> hits;
   for (const Vec2& p : f.points) hits.push_back(f.truth.transform(p));
-  g.insert_scan(f.truth, hits, {});
+  g.insert_scan(f.truth, hits);
   return g;
 }
 
@@ -566,7 +566,7 @@ TEST_P(MatcherBackend, NegativeStep) {
                     "negative step");
 }
 
-// The loop-closure search's linear step, 2 x resolution: each pass narrows
+// A two-cell linear step (a loop-closure-scale search): each pass narrows
 // to four lanes, whose eight cells fit the window; the windows of 7 and 11
 // candidates end in passes of three.
 TEST_P(MatcherBackend, LoopClosureStep) {
@@ -579,7 +579,7 @@ TEST_P(MatcherBackend, LoopClosureStep) {
   const Pose2 seed{f.truth.x + 0.05, f.truth.y - 0.04, f.truth.theta + 0.03};
   for (const double window : {0.3, 0.5}) {
     wide.linear_window = window;
-    expect_match_bits(wide, f.field, seed, sparse, "loop-closure step");
+    expect_match_bits(wide, f.field, seed, sparse, "two-cell step");
   }
   // A step of seven cells leaves one lane per pass.
   wide.linear_step = 7.0 * f.field.resolution();

@@ -25,7 +25,7 @@ TEST(Submap, InsertPlacesHitAtCorrectLocalCell) {
   const Pose2 body_world{5.0, 5.0, kPi / 2.0};  // at the frame origin
   // One hit 2 m ahead of the body (world +y direction).
   const std::vector<Vec2> hits = {{2.0, 0.0}};
-  submap.insert(body_world, hits, {});
+  submap.insert(body_world, hits);
   EXPECT_EQ(submap.scan_count(), 1);
   // In the local frame the hit is at (2, 0): grid origin is (-4, -4).
   const GridIndex g = submap.grid().world_to_grid({2.0, 0.0});
@@ -34,7 +34,7 @@ TEST(Submap, InsertPlacesHitAtCorrectLocalCell) {
 
 TEST(Submap, PoseUpdateMovesContentRigidly) {
   Submap submap{Pose2{}, 0.1, 8.0};
-  submap.insert(Pose2{}, std::vector<Vec2>{{1.0, 0.0}}, {});
+  submap.insert(Pose2{}, std::vector<Vec2>{{1.0, 0.0}});
   // The hit is at local (1, 0). After re-anchoring the submap 1 m up, the
   // same local cell maps to world (1, 1).
   submap.set_pose(Pose2{0.0, 1.0, 0.0});
@@ -43,17 +43,10 @@ TEST(Submap, PoseUpdateMovesContentRigidly) {
   EXPECT_NEAR(world_of_hit.y, 1.0, 1e-9);
 }
 
-TEST(Submap, FinishLifecycle) {
-  Submap submap{Pose2{}, 0.1, 4.0};
-  EXPECT_FALSE(submap.finished());
-  submap.finish();
-  EXPECT_TRUE(submap.finished());
-}
-
 TEST(Submap, ScanCountIncrements) {
   Submap submap{Pose2{}, 0.1, 4.0};
   for (int i = 0; i < 5; ++i) {
-    submap.insert(Pose2{}, std::vector<Vec2>{{0.5, 0.0}}, {});
+    submap.insert(Pose2{}, std::vector<Vec2>{{0.5, 0.0}});
   }
   EXPECT_EQ(submap.scan_count(), 5);
 }

@@ -165,18 +165,5 @@ TEST(WheelOdometry, MissesLateralSlide) {
   EXPECT_NEAR(d.delta.y, 0.0, 1e-9);  // odometry is blind to the slide
 }
 
-TEST(Imu, MeasuresYawRateWithBias) {
-  const ImuSensor imu{ImuNoise{.gyro_noise = 0.0, .gyro_bias = 0.01,
-                               .accel_noise = 0.0},
-                      5};
-  VehicleState state;
-  state.yaw_rate = 1.5;
-  state.v = 4.0;
-  Rng rng{1};
-  const ImuReading r = imu.measure(state, 3.8, 0.1, rng);
-  EXPECT_NEAR(r.yaw_rate, 1.5 + imu.bias(), 1e-9);
-  EXPECT_NEAR(r.accel_x, 2.0, 1e-9);  // (4.0 - 3.8) / 0.1
-}
-
 }  // namespace
 }  // namespace srl

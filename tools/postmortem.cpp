@@ -45,9 +45,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::optional<srl::Blackbox> box = srl::load_blackbox(path);
+  std::string error;
+  const std::optional<srl::Blackbox> box = srl::load_blackbox(path, &error);
   if (!box.has_value()) {
-    std::fprintf(stderr, "failed to load black box: %s\n", path.c_str());
+    std::fprintf(stderr, "failed to load black box %s: %s\n", path.c_str(),
+                 error.c_str());
     return 2;
   }
   std::fputs(srl::render_timeline(*box).c_str(), stdout);
