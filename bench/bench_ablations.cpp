@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "eval/table.hpp"
 #include "range/ray_marching.hpp"
@@ -38,9 +37,6 @@ int main() {
     const auto& cl = track.centerline;
     TextTable table{{"layout", "beams", "mean range [m]",
                      "beams >= 6 m [%]", "fwd cone +/-30deg [%]"}};
-    CsvWriter csv{out_path("ablation_layout_info.csv")};
-    csv.write_header({"layout", "beams", "mean_range", "far_frac",
-                      "fwd_frac"});
     for (const bool boxed : {false, true}) {
       for (const int count : {30, 60}) {
         const std::vector<int> idx =
@@ -69,11 +65,6 @@ int main() {
              TextTable::num(range_stats.mean(), 2),
              TextTable::num(100.0 * far / total, 1),
              TextTable::num(100.0 * fwd / total, 1)});
-        csv.write_row(std::vector<std::string>{
-            name, std::to_string(idx.size()),
-            TextTable::num(range_stats.mean(), 3),
-            TextTable::num(static_cast<double>(far) / total, 4),
-            TextTable::num(static_cast<double>(fwd) / total, 4)});
       }
     }
     std::cout << "Down-track information (paper Sec. II: boxed layout points "
@@ -84,9 +75,6 @@ int main() {
   // ---- 1b + 2. Closed-loop ablation grid. ----
   TextTable table{{"variant", "odom", "Err mu [cm]", "PoseRMSE [cm]",
                    "Hdg RMSE [mrad]", "ScanAlign [%]", "crashed"}};
-  CsvWriter csv{out_path("ablation_closed_loop.csv")};
-  csv.write_header({"variant", "mu", "lateral_cm", "pose_rmse_cm",
-                    "heading_mrad", "scan_align", "crashed"});
 
   struct Variant {
     std::string name;
@@ -117,15 +105,8 @@ int main() {
                      TextTable::num(r.heading_rmse_rad * 1000.0, 1),
                      TextTable::num(r.scan_alignment, 1),
                      r.crashed ? "yes" : "no"});
-      csv.write_row(std::vector<std::string>{
-          variant.name, TextTable::num(mu, 2),
-          TextTable::num(r.lateral_mean_cm, 3),
-          TextTable::num(r.pose_rmse_m * 100.0, 3),
-          TextTable::num(r.heading_rmse_rad * 1000.0, 2),
-          TextTable::num(r.scan_alignment, 2), r.crashed ? "1" : "0"});
     }
   }
   std::cout << "\n" << table.render();
-  std::cout << "\nwrote out/ablation_layout_info.csv, out/ablation_closed_loop.csv\n";
   return 0;
 }

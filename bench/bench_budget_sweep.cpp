@@ -15,23 +15,21 @@
 /// work units (src/governor), so the table is bitwise reproducible; only the
 /// accuracy columns depend on what the degraded filter actually estimates.
 ///
-/// Usage: bench_budget_sweep [out.csv]
+/// Usage: bench_budget_sweep
 ///   SRL_FAST=1     two budget points, short trace (CI smoke)
 ///   SRL_PRESSURE   compute-pressure severity for the faulted cells (0.8)
 
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "eval/scenario_matrix.hpp"
 #include "eval/table.hpp"
 #include "gridmap/track_generator.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace srl;
   using namespace srl::benchutil;
 
@@ -51,12 +49,6 @@ int main(int argc, char** argv) {
   TextTable table{{"budget [ms]", "localizer", "fault", "Err mu [cm]",
                    "parts mu", "beams mu", "miss", "shed B", "shed P",
                    "skip R", "cost p99", "crashed"}};
-  CsvWriter csv{argc > 1 ? argv[1] : out_path("budget_sweep.csv")};
-  csv.write_header({"budget_ms", "localizer", "fault", "severity",
-                    "lateral_cm", "mean_particles", "mean_beams",
-                    "deadline_misses", "shed_beam_updates",
-                    "shed_particle_updates", "skipped_resamples",
-                    "cost_units_p99", "crashed"});
 
   for (const double budget : budgets) {
     ScenarioMatrixConfig config;
@@ -84,18 +76,6 @@ int main(int argc, char** argv) {
                      std::to_string(cell.skipped_resamples),
                      TextTable::num(cell.governor_cost_p99, 0),
                      cell.result.crashed ? "yes" : "no"});
-      csv.write_row({TextTable::num(budget, 4), cell.localizer,
-                     cell.scenario.fault,
-                     TextTable::num(cell.scenario.severity, 4),
-                     TextTable::num(cell.result.lateral_mean_cm, 4),
-                     TextTable::num(cell.governor_mean_particles, 2),
-                     TextTable::num(cell.governor_mean_beams, 2),
-                     std::to_string(cell.deadline_misses),
-                     std::to_string(cell.shed_beam_updates),
-                     std::to_string(cell.shed_particle_updates),
-                     std::to_string(cell.skipped_resamples),
-                     TextTable::num(cell.governor_cost_p99, 0),
-                     cell.result.crashed ? "1" : "0"});
     }
   }
 
@@ -104,8 +84,6 @@ int main(int argc, char** argv) {
                "(beams -> particles -> resamples) as the budget tightens; "
                "the enforcer twin accumulates deadline misses at the same "
                "budgets, and the knobless CartoLite enforcer dies outright "
-               "once its nominal cost stops fitting the budget\n"
-               "wrote "
-            << (argc > 1 ? argv[1] : out_path("budget_sweep.csv")) << "\n";
+               "once its nominal cost stops fitting the budget\n";
   return 0;
 }

@@ -15,8 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "eval/table.hpp"
 #include "motion/diff_drive.hpp"
@@ -35,7 +33,6 @@ struct CloudReport {
 CloudReport sample(const srl::MotionModel& model, double v, double dt,
                    int n, std::uint64_t seed) {
   using namespace srl;
-  using benchutil::out_path;
   CloudReport report{0, 0, 0, 0};
   Rng rng{seed};
   OdometryDelta odom;
@@ -70,7 +67,6 @@ CloudReport sample(const srl::MotionModel& model, double v, double dt,
 
 int main() {
   using namespace srl;
-  using benchutil::out_path;
   const int n = 20000;
   const double dt = 0.05;  // one prediction step
 
@@ -82,9 +78,6 @@ int main() {
 
   TextTable table{{"Model", "v [m/s]", "sigma_along [m]", "sigma_lat [m]",
                    "sigma_heading [rad]", "infeasible [%]"}};
-  CsvWriter csv{out_path("fig1_motion_models.csv")};
-  csv.write_header({"model", "v", "sigma_along", "sigma_lat",
-                    "sigma_heading", "infeasible_frac"});
 
   struct Cell {
     const MotionModel* model;
@@ -106,10 +99,6 @@ int main() {
                    TextTable::num(c.report.lateral_sigma, 4),
                    TextTable::num(c.report.heading_sigma, 4),
                    TextTable::num(100.0 * c.report.infeasible_frac, 1)});
-    csv.write_row(std::vector<double>{
-        c.model->name() == "tum" ? 1.0 : 0.0, c.v, c.report.along_sigma,
-        c.report.lateral_sigma, c.report.heading_sigma,
-        c.report.infeasible_frac});
   }
   std::cout << table.render() << "\n";
 
@@ -131,6 +120,5 @@ int main() {
   std::cout << "heading-sigma ratio tum/diff at 7.0 m/s: "
             << TextTable::num(tum_high / diff_high, 2)
             << " (paper: TUM much tighter)\n";
-  std::cout << "wrote out/fig1_motion_models.csv\n";
   return 0;
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "eval/table.hpp"
 #include "gridmap/map_degrade.hpp"
 
@@ -42,9 +41,6 @@ int main() {
   TextTable table{{"map", "Carto err [cm]", "SynPF err [cm]",
                    "Carto RMSE [cm]", "SynPF RMSE [cm]", "Carto align",
                    "SynPF align"}};
-  CsvWriter csv{out_path("map_quality.csv")};
-  csv.write_header({"level", "erode_dilate", "warp", "carto_err_cm",
-                    "synpf_err_cm", "carto_rmse_cm", "synpf_rmse_cm"});
 
   for (const Level& level : levels) {
     MapDegradeParams params;
@@ -70,14 +66,7 @@ int main() {
                    TextTable::num(rs.pose_rmse_m * 100.0, 2),
                    TextTable::num(rc.scan_alignment, 1),
                    TextTable::num(rs.scan_alignment, 1)});
-    csv.write_row(std::vector<std::string>{
-        level.name, TextTable::num(level.erode_dilate, 2),
-        TextTable::num(level.warp, 3), TextTable::num(rc.lateral_mean_cm, 3),
-        TextTable::num(rs.lateral_mean_cm, 3),
-        TextTable::num(rc.pose_rmse_m * 100.0, 3),
-        TextTable::num(rs.pose_rmse_m * 100.0, 3)});
   }
   std::cout << "\n" << table.render();
-  std::cout << "\nwrote out/map_quality.csv\n";
   return 0;
 }

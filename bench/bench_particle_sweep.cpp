@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/fnv1a.hpp"
 #include "common/simd.hpp"
 #include "eval/dead_reckoning.hpp"
@@ -70,9 +69,6 @@ int main(int argc, char** argv) {
 
     TextTable table{{"particles", "Err mu [cm]", "PoseRMSE [cm]",
                      "update [ms]", "load [%]", "crashed"}};
-    CsvWriter csv{out_path("particle_sweep.csv")};
-    csv.write_header({"particles", "lateral_cm", "pose_rmse_cm", "update_ms",
-                      "load_percent", "crashed"});
 
     for (const int n : counts) {
       SynPfConfig cfg;
@@ -86,14 +82,10 @@ int main(int argc, char** argv) {
                      TextTable::num(r.mean_update_ms, 2),
                      TextTable::num(r.load_percent, 2),
                      r.crashed ? "yes" : "no"});
-      csv.write_row(std::vector<double>{
-          static_cast<double>(n), r.lateral_mean_cm, r.pose_rmse_m * 100.0,
-          r.mean_update_ms, r.load_percent, r.crashed ? 1.0 : 0.0});
     }
     std::cout << "\n" << table.render();
     std::cout << "\nexpected shape: accuracy saturates while latency grows "
-                 "linearly — the paper operates at the knee (~1-2 ms)\n"
-                 "wrote out/particle_sweep.csv\n";
+                 "linearly — the paper operates at the knee (~1-2 ms)\n";
   }
 
   // One recorded trace feeds both the thread-scaling table and the
@@ -128,10 +120,6 @@ int main(int argc, char** argv) {
     TextTable scale_table{{"particles", "threads", "update p50 [ms]",
                            "predict [ms]", "raycast [ms]", "weight [ms]",
                            "speedup"}};
-    CsvWriter scale_csv{out_path("particle_thread_scaling.csv")};
-    scale_csv.write_header({"particles", "threads", "update_p50_ms",
-                            "predict_ms", "raycast_ms", "weight_ms",
-                            "speedup"});
 
     for (const int n : scale_counts) {
       double p50_serial = 0.0;
@@ -153,18 +141,12 @@ int main(int argc, char** argv) {
              TextTable::num(hist_mean(metrics, "pf.raycast_ms"), 3),
              TextTable::num(hist_mean(metrics, "pf.weight_ms"), 3),
              TextTable::num(speedup, 2)});
-        scale_csv.write_row(std::vector<double>{
-            static_cast<double>(n), static_cast<double>(threads),
-            r.p50_update_ms, hist_mean(metrics, "pf.predict_ms"),
-            hist_mean(metrics, "pf.raycast_ms"),
-            hist_mean(metrics, "pf.weight_ms"), speedup});
       }
     }
     std::cout << "\n" << scale_table.render();
     std::cout << "\nexpected shape: raycast/weight shrink ~linearly with "
                  "threads until chunks get cache-small; predict follows; "
-                 "resample (serial by design) bounds the asymptote\n"
-                 "wrote out/particle_thread_scaling.csv\n";
+                 "resample (serial by design) bounds the asymptote\n";
   }
 
   // ---- Per-stage throughput per SIMD backend (srl.bench_throughput/1) ----

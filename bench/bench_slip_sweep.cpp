@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "eval/table.hpp"
 
 int main() {
@@ -33,11 +32,7 @@ int main() {
 
   TextTable table{{"mu", "Carto err [cm]", "SynPF err [cm]",
                    "Carto align [%]", "SynPF align [%]", "Carto drift",
-                   "winner"}};
-  CsvWriter csv{out_path("slip_sweep.csv")};
-  csv.write_header({"mu", "carto_err_cm", "synpf_err_cm", "carto_align",
-                    "synpf_align", "drift_m_per_lap", "carto_crashed",
-                    "synpf_crashed"});
+                   "Carto crashed", "SynPF crashed", "winner"}};
 
   double crossover_mu = -1.0;
   bool prev_synpf_wins = false;
@@ -61,11 +56,8 @@ int main() {
                    TextTable::num(rc.scan_alignment, 1),
                    TextTable::num(rs.scan_alignment, 1),
                    TextTable::num(rc.odom_drift_m_per_lap, 2),
+                   rc.crashed ? "yes" : "no", rs.crashed ? "yes" : "no",
                    synpf_wins ? "SynPF" : "Cartographer"});
-    csv.write_row(std::vector<double>{
-        mu, rc.lateral_mean_cm, rs.lateral_mean_cm, rc.scan_alignment,
-        rs.scan_alignment, rc.odom_drift_m_per_lap,
-        rc.crashed ? 1.0 : 0.0, rs.crashed ? 1.0 : 0.0});
   }
   std::cout << "\n" << table.render();
   if (crossover_mu > 0.0) {
@@ -73,6 +65,6 @@ int main() {
               << TextTable::num(crossover_mu, 2) << "\n";
   }
   std::cout << "paper: Cartographer better at nominal grip, SynPF at "
-               "reduced grip (taped tires)\nwrote out/slip_sweep.csv\n";
+               "reduced grip (taped tires)\n";
   return 0;
 }

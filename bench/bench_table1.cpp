@@ -15,8 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/synpf.hpp"
 #include "eval/experiment.hpp"
 #include "eval/table.hpp"
@@ -35,7 +33,6 @@ int env_int(const char* name, int fallback) {
 
 int main() {
   using namespace srl;
-  using benchutil::out_path;
 
   const bool fast = env_int("SRL_FAST", 0) != 0;
   const int laps = fast ? 2 : env_int("SRL_LAPS", 10);
@@ -48,7 +45,6 @@ int main() {
   struct Cell {
     std::string method;
     std::string odom;
-    double mu;
     ExperimentResult r;
     /// Per-cell registry holding the localizer's stage histograms.
     std::shared_ptr<telemetry::MetricsRegistry> metrics;
@@ -80,7 +76,7 @@ int main() {
       std::cout << "  running " << localizer->name() << " / "
                 << (mu == kMuHq ? "HQ" : "LQ") << " ..." << std::flush;
       auto metrics = std::make_shared<telemetry::MetricsRegistry>();
-      Cell cell{localizer->name(), mu == kMuHq ? "HQ" : "LQ", mu,
+      Cell cell{localizer->name(), mu == kMuHq ? "HQ" : "LQ",
                 runner.run(*localizer, nullptr,
                            telemetry::Sink{metrics.get(), nullptr}),
                 metrics};
@@ -168,37 +164,5 @@ int main() {
             << TextTable::num(pct(syn_hq.scan_alignment,
                                   syn_lq.scan_alignment), 1)
             << "% (paper -0.8%)\n";
-
-  CsvWriter csv{out_path("table1.csv")};
-  csv.write_header({"method", "odom", "mu", "lap_time_mean", "lap_time_std",
-                    "lateral_mean_cm", "lateral_std_cm", "scan_align",
-                    "load_percent", "update_ms", "update_p50_ms",
-                    "update_p95_ms", "update_p99_ms", "slip",
-                    "drift_m_per_lap", "crashed"});
-  for (const Cell& c : cells) {
-    csv.write_row(std::vector<std::string>{
-        c.method, c.odom, TextTable::num(c.mu, 2),
-        TextTable::num(c.r.lap_time_mean), TextTable::num(c.r.lap_time_std),
-        TextTable::num(c.r.lateral_mean_cm),
-        TextTable::num(c.r.lateral_std_cm),
-        TextTable::num(c.r.scan_alignment, 2),
-        TextTable::num(c.r.load_percent, 2),
-        TextTable::num(c.r.mean_update_ms, 3),
-        TextTable::num(c.r.update_p50_ms, 3),
-        TextTable::num(c.r.update_p95_ms, 3),
-        TextTable::num(c.r.update_p99_ms, 3),
-        TextTable::num(c.r.mean_abs_slip, 3),
-        TextTable::num(c.r.odom_drift_m_per_lap, 3),
-        c.r.crashed ? "1" : "0"});
-  }
-  std::cout << "\nwrote out/table1.csv\n";
-
-  // Full metric dump (stage histograms, health gauges, backend counters)
-  // for each cell, for offline analysis.
-  for (const Cell& c : cells) {
-    const std::string path =
-        out_path("table1_metrics_" + c.method + "_" + c.odom + ".csv");
-    if (c.metrics->write_csv(path)) std::cout << "wrote " << path << "\n";
-  }
   return 0;
 }

@@ -31,9 +31,9 @@ inline int bench_laps(int fallback) {
   return env_int("SRL_LAPS", fallback);
 }
 
-/// Benchmark outputs (CSV series, BENCH_*.json) land in a gitignored
-/// `out/` directory instead of littering the repo root; created on first
-/// use, relative to the working directory.
+/// Benchmark artifacts (BENCH_*.json) land in a gitignored `out/`
+/// directory instead of littering the repo root; created on first use,
+/// relative to the working directory.
 inline std::string out_path(const std::string& name) {
   std::error_code ec;
   std::filesystem::create_directories("out", ec);

@@ -5,9 +5,6 @@
 ///   - `telemetry_trace.json` — nested per-stage spans including the
 ///     recovery spans (recovery.inject / recovery.global_reloc), loadable
 ///     in chrome://tracing or ui.perfetto.dev,
-///   - `telemetry_metrics.csv` — every counter/gauge/histogram (per-stage
-///     latency percentiles, filter-health gauges, recovery.state gauge and
-///     state-transition counters),
 ///   - `telemetry_events.ndjson` — the structured event journal, one JSON
 ///     document per line,
 ///
@@ -179,9 +176,8 @@ int main(int argc, char** argv) {
   print_timeline("Filter + recovery events (supervised replay)",
                  telemetry.events);
 
-  // 7. Export: Chrome trace JSON + metrics CSV + event journal NDJSON.
+  // 7. Export: Chrome trace JSON + event journal NDJSON.
   const bool json_ok = telemetry.trace.write_chrome_trace("telemetry_trace.json");
-  const bool csv_ok = telemetry.metrics.write_csv("telemetry_metrics.csv");
   std::remove("telemetry_events.ndjson");  // write_ndjson appends
   const bool events_ok =
       telemetry.events.write_ndjson("telemetry_events.ndjson");
@@ -190,10 +186,8 @@ int main(int argc, char** argv) {
                         : "FAILED to write telemetry_trace.json (")
             << telemetry.trace.size() << " spans, " << telemetry.trace.dropped()
             << " dropped) — open in chrome://tracing or ui.perfetto.dev\n"
-            << (csv_ok ? "wrote" : "FAILED to write")
-            << " telemetry_metrics.csv\n"
             << (events_ok ? "wrote telemetry_events.ndjson ("
                           : "FAILED to write telemetry_events.ndjson (")
             << telemetry.events.size() << " events)\n";
-  return json_ok && csv_ok && events_ok ? 0 : 1;
+  return json_ok && events_ok ? 0 : 1;
 }

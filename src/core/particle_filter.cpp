@@ -45,6 +45,8 @@ ParticleFilter::ParticleFilter(ParticleFilterConfig config,
       lidar_{std::move(lidar)},
       beam_indices_{std::move(beam_indices)},
       beam_angles_{layout_angles(lidar_, beam_indices_)},
+      active_indices_{beam_indices_},
+      active_angles_{beam_angles_},
       rng_{seed},
       pool_{config_.n_threads} {
   cloud_.resize(static_cast<std::size_t>(std::max(config_.n_particles, 1)));
@@ -142,13 +144,10 @@ void ParticleFilter::predict(const OdometryDelta& odom) {
 
 Pose2 ParticleFilter::correct(const LaserScan& scan) {
   const std::size_t n = cloud_.size();
-  // Governor beam decimation: at stride 1 the full layout vectors are used
-  // directly, so a filter whose stride never changed runs the exact
-  // historical path bit for bit.
-  const std::vector<int>& beams =
-      beam_stride_ <= 1 ? beam_indices_ : active_indices_;
-  const std::vector<double>& angles =
-      beam_stride_ <= 1 ? beam_angles_ : active_angles_;
+  // The beams under the governor's decimation stride: the full layout at
+  // stride 1.
+  const std::vector<int>& beams = active_indices_;
+  const std::vector<double>& angles = active_angles_;
   const std::size_t k = beams.size();
 
   // Propagated prior estimate, kept only for the pose-jump detector.
@@ -394,7 +393,6 @@ void ParticleFilter::set_beam_stride(int stride) {
   beam_stride_ = stride;
   active_indices_.clear();
   active_angles_.clear();
-  if (stride == 1) return;  // correct() reads the full layout directly
   const auto step = static_cast<std::size_t>(stride);
   for (std::size_t b = 0; b < beam_indices_.size(); b += step) {
     active_indices_.push_back(beam_indices_[b]);
@@ -411,22 +409,9 @@ void ParticleFilter::govern_resize(int target, std::uint64_t ordinal) {
   Rng rng = rng_.substream(kPfStreamGovernor, ordinal);
   if (want < n) {
     // Weight-proportional systematic subsample: the shrunken cloud is an
-    // unbiased low-variance resampling of the old one (same CDF walk as
-    // resample(), just to a smaller count).
-    drawn_scratch_.resize(want);
-    const double step = 1.0 / static_cast<double>(want);
-    double cdf_target = rng.uniform(0.0, step);
-    const double* weights = cloud_.weight();
-    double cumulative = weights[0];
-    std::size_t i = 0;
-    for (std::size_t m = 0; m < want; ++m) {
-      while (cumulative < cdf_target && i + 1 < n) {
-        ++i;
-        cumulative += weights[i];
-      }
-      drawn_scratch_.set_pose(m, cloud_.pose(i));
-      cdf_target += step;
-    }
+    // unbiased low-variance resampling of the old one (resample()'s CDF
+    // walk, just to a smaller count and from the governor stream).
+    draw_systematic(want, rng);
     cloud_.swap(drawn_scratch_);
   } else {
     // Grow: clone existing slots round-robin with init-sigma jitter so the
@@ -466,6 +451,26 @@ std::size_t ParticleFilter::kld_bound(std::size_t k) const {
   return static_cast<std::size_t>(std::ceil(n));
 }
 
+void ParticleFilter::draw_systematic(std::size_t count, Rng& rng) {
+  const std::size_t n = cloud_.size();
+  drawn_scratch_.resize(count);
+  const double step = 1.0 / static_cast<double>(count);
+  double target = rng.uniform(0.0, step);
+  const double* weights = cloud_.weight();
+  double cumulative = weights[0];
+  std::size_t i = 0;
+  // srl-lint: realtime
+  for (std::size_t m = 0; m < count; ++m) {
+    while (cumulative < target && i + 1 < n) {
+      ++i;
+      cumulative += weights[i];
+    }
+    drawn_scratch_.set_pose(m, cloud_.pose(i));
+    target += step;
+  }
+  // srl-lint: end-realtime
+}
+
 void ParticleFilter::resample() {
   // Low-variance (systematic) resampling: one uniform draw, `max_n` equally
   // spaced pointers into the cumulative weight distribution. O(N), preserves
@@ -477,27 +482,11 @@ void ParticleFilter::resample() {
   // A plain prefix of the systematic draws would cover only the low-CDF
   // region, so the draws are visited with a stride coprime to their count,
   // making every prefix an approximately uniform subsample of the CDF.
-  const std::size_t n = cloud_.size();
   const auto max_n = static_cast<std::size_t>(
       std::max(config_.n_particles, config_.kld_min_particles));
   resizing_ = true;
-  drawn_scratch_.resize(max_n);
-  const double step = 1.0 / static_cast<double>(max_n);
   // The one master-stream draw per resample event (see PfStream schedule).
-  double target = rng_.uniform(0.0, step);
-  const double* weights = cloud_.weight();
-  double cumulative = weights[0];
-  std::size_t i = 0;
-  // srl-lint: realtime
-  for (std::size_t m = 0; m < max_n; ++m) {
-    while (cumulative < target && i + 1 < n) {
-      ++i;
-      cumulative += weights[i];
-    }
-    drawn_scratch_.set_pose(m, cloud_.pose(i));
-    target += step;
-  }
-  // srl-lint: end-realtime
+  draw_systematic(max_n, rng_);
 
   if (!config_.kld_adaptive) {
     cloud_.swap(drawn_scratch_);

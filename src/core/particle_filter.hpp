@@ -176,17 +176,13 @@ class ParticleFilter {
 
   /// Governor seam (src/governor): score only every `stride`-th configured
   /// beam in subsequent correct() calls — the first rung of the shedding
-  /// ladder. `stride <= 1` restores the exact full-layout path (the same
-  /// vectors are used, so it is bitwise identical to a filter that never
-  /// changed stride); larger strides rebuild the decimated subset once per
+  /// ladder. Stride 1 is the full layout, so it is bitwise identical to a
+  /// filter that never changed stride. The subset is rebuilt once per
   /// change, never per update.
   void set_beam_stride(int stride);
   int beam_stride() const { return beam_stride_; }
   /// Beams scored by the next correct() under the current stride.
-  int active_beams() const {
-    return beam_stride_ <= 1 ? static_cast<int>(beam_indices_.size())
-                             : static_cast<int>(active_indices_.size());
-  }
+  int active_beams() const { return static_cast<int>(active_indices_.size()); }
   /// Configured beam count, independent of any decimation stride (the
   /// governor's decision input — deciding against active_beams() would
   /// compound last update's stride into this one's).
@@ -252,6 +248,10 @@ class ParticleFilter {
   /// of 1. Only evaluated in SYNPF_CHECKED builds.
   bool weights_normalized() const;
   void resample();
+  /// Systematic (low-variance) draw of `count` poses from the weighted
+  /// cloud into drawn_scratch_: one draw from `rng` places the first of
+  /// `count` equally spaced pointers into the cumulative weights.
+  void draw_systematic(std::size_t count, Rng& rng);
   /// Sample ESS / entropy / max-share gauges on the pre-resample weights.
   void sample_health();
   /// KLD bound: particles required for k occupied histogram bins.
@@ -268,7 +268,7 @@ class ParticleFilter {
   std::vector<int> beam_indices_;
   std::vector<double> beam_angles_;
   /// Governor beam decimation (set_beam_stride): every `beam_stride_`-th
-  /// entry of the full layout. Empty (and unused) while the stride is 1.
+  /// entry of the full layout, which correct() scores.
   int beam_stride_{1};
   std::vector<int> active_indices_;
   std::vector<double> active_angles_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 
 #include "range/ray_marching.hpp"
 
@@ -52,8 +51,7 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
   };
   // Self-contained black-box dump: snapshot window + event timeline (via
   // the recorder) plus everything a postmortem replay needs — the start
-  // pose, the captured sensor trace (sidecar file), the sim seed, and the
-  // sim RNG stream state at dump time.
+  // pose, the captured sensor trace (sidecar file) and the sim seed.
   auto dump_blackbox = [&](const char* reason, double dt_now) {
     if (sink.recorder == nullptr || !sink.recorder->can_dump()) return;
     const std::string path = sink.recorder->next_dump_path(reason);
@@ -67,9 +65,6 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
     extra.set("start_pose", std::move(sp));
     extra.set("sim_seed",
               json::Value::number(static_cast<double>(config_.seed)));
-    std::ostringstream rng_state;
-    rng_state << rng;
-    extra.set("sim_rng_state", json::Value::string(rng_state.str()));
     extra.set("crashed", json::Value::boolean(result.crashed));
     if (rec != nullptr) {
       const std::string trace_path =

@@ -15,8 +15,9 @@ namespace {
 
 /// One closed-loop probe: race `localizer_kind` through `scenario` on the
 /// prebuilt track. When `blackboxes` is non-null (the defining-failure
-/// re-run) the flight recorder rides along — a pure observer, so the
-/// trajectory is bitwise the one the recorder-off probe saw.
+/// re-run) the flight recorder and the event journal its boxes carry ride
+/// along — pure observers, so the trajectory is bitwise the one the
+/// recorder-off probe saw.
 FrontierEvaluation closed_loop_probe(
     const FrontierSearchConfig& config, const Track& track,
     const std::shared_ptr<const OccupancyGrid>& map,
@@ -54,7 +55,7 @@ FrontierEvaluation closed_loop_probe(
     return eval;
   }
 
-  telemetry::Telemetry telemetry;
+  telemetry::EventLog events;
   telemetry::Sink sink;
   std::unique_ptr<telemetry::FlightRecorder> recorder;
   if (blackboxes != nullptr && !config.blackbox_dir.empty()) {
@@ -62,7 +63,8 @@ FrontierEvaluation closed_loop_probe(
     provenance.set("scenario", json::Value::string(scenario.label()));
     recorder = stack->make_recorder(config.blackbox_dir,
                                     localizer_kind + "-" + scenario.label(),
-                                    &telemetry.events, provenance);
+                                    &events, provenance);
+    sink.events = &events;
     sink.recorder = recorder.get();
   }
 

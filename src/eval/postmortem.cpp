@@ -73,7 +73,6 @@ std::optional<Blackbox> load_blackbox(const std::string& path,
   box.label = str_field(*doc, "label");
   box.t = num_field(*doc, "t", 0.0);
   box.estimate_hash = parse_hash(str_field(*doc, "estimate_hash"));
-  box.sim_rng_state = str_field(*doc, "sim_rng_state");
   const json::Value* crashed = doc->find("crashed");
   box.crashed = crashed != nullptr && crashed->as_bool(false);
 

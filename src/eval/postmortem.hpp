@@ -41,7 +41,6 @@ struct Blackbox {
   std::uint64_t estimate_hash{0};
   Pose2 start_pose{};
   std::uint64_t sim_seed{0};
-  std::string sim_rng_state;
   bool crashed{false};
   PostmortemStackSpec stack{};
   bool has_stack{false};

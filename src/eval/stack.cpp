@@ -146,8 +146,18 @@ std::unique_ptr<LocalizerStack> LocalizerStack::build(
     error = "n_particles must be at least 1";
     return nullptr;
   }
+  if (spec.n_particles > kMaxStackParticles) {
+    error = "n_particles must be at most " +
+            std::to_string(kMaxStackParticles);
+    return nullptr;
+  }
   if (spec.beams < 1) {
     error = "beams must be at least 1";
+    return nullptr;
+  }
+  if (spec.beams > lidar.n_beams) {
+    error = "beams must be at most the LiDAR's " +
+            std::to_string(lidar.n_beams);
     return nullptr;
   }
   const std::optional<RangeMethodKind> range = range_from_string(spec.range);

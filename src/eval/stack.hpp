@@ -88,6 +88,11 @@ struct StackKind {
 /// Parse a localizer kind; nullopt when the base names no localizer.
 std::optional<StackKind> parse_stack_kind(const std::string& kind);
 
+/// Largest cloud `LocalizerStack::build` accepts: 25 times the largest
+/// any harness races (4,000), and small enough that an edited recipe
+/// cannot ask the allocator for gigabytes.
+inline constexpr int kMaxStackParticles = 100000;
+
 /// A built stack. Owns every layer and the fault pipeline; the layers hold
 /// references into each other, so the stack is neither copied nor moved.
 class LocalizerStack {
@@ -95,7 +100,9 @@ class LocalizerStack {
   /// Compose the stack `spec` describes over `map`. Returns nullptr and
   /// sets `error` when the spec names an unknown kind, range backend,
   /// fault or governor mode — a harness must never race a clean stack
-  /// under a faulted label — or asks for fewer than one particle or beam.
+  /// under a faulted label — or asks for fewer than one particle or beam,
+  /// more than kMaxStackParticles particles, or more beams than `lidar`
+  /// has.
   static std::unique_ptr<LocalizerStack> build(
       const PostmortemStackSpec& spec,
       const std::shared_ptr<const OccupancyGrid>& map,

@@ -12,8 +12,6 @@ namespace srl::governor {
 // ---------------------------------------------------------------------------
 
 ComputeGovernor::ComputeGovernor(GovernorConfig config) : config_{config} {
-  units_per_ms_ =
-      config_.units_per_ms > 0.0 ? config_.units_per_ms : kDefaultUnitsPerMs;
   SYNPF_EXPECTS_MSG(config_.max_beam_stride >= 1,
                     "governor beam-stride limit must be >= 1");
   SYNPF_EXPECTS_MSG(config_.min_particles >= 1,
@@ -34,7 +32,7 @@ double ComputeGovernor::cost_units(int particles, int beams, int stride) {
 double ComputeGovernor::effective_budget_units(double pressure) const {
   if (config_.budget_ms <= 0.0) return -1.0;  // unlimited
   const double p = std::clamp(pressure, 0.0, 1.0);
-  return config_.budget_ms * units_per_ms_ * (1.0 - p);
+  return config_.budget_ms * kDefaultUnitsPerMs * (1.0 - p);
 }
 
 GovernorDecision ComputeGovernor::decide(int particles, int beams,

@@ -22,14 +22,13 @@
 ///  2. **A graceful-degradation ladder under a declared budget**
 ///     (`GovernorConfig::budget_ms`, usually fed from `SRL_BUDGET_MS`).
 ///     Decisions use *virtual cost* accounting — `particles x active_beams`
-///     work units against `budget_ms x units_per_ms`, with `units_per_ms`
-///     calibrated once per range backend — **never wall clock in the
-///     control path**. A wall-clock-driven governor would shed differently
-///     on every machine and run; the virtual-cost governor's entire
-///     decision sequence is a pure function of the update index and the
-///     fault envelope, so governed runs replay bitwise (and srl-lint's
-///     `det-wall-clock-governor` rule keeps timer reads out of this
-///     directory). The ladder sheds in severity order: beam decimation →
+///     work units against `budget_ms x kDefaultUnitsPerMs` — **never wall
+///     clock in the control path**. A wall-clock-driven governor would
+///     shed differently on every machine and run; the virtual-cost
+///     governor's entire decision sequence is a pure function of the
+///     update index and the fault envelope, so governed runs replay
+///     bitwise (and srl-lint's `det-wall-clock-governor` rule keeps timer
+///     reads out of this directory). The ladder sheds in severity order: beam decimation →
 ///     particle floor clamp → skip-resample; every engagement is journaled
 ///     as a PR-6 event and exported as `governor.*` telemetry. Budget off
 ///     (and adaptive off) is a strict bitwise no-op, like every other
@@ -89,8 +88,6 @@ struct GovernorConfig {
   /// Declared per-update latency budget, ms. <= 0 disables the ladder
   /// entirely (no decision, no draw — a strict bitwise no-op).
   double budget_ms = 0.0;
-  /// Work units per millisecond; <= 0 selects kDefaultUnitsPerMs.
-  double units_per_ms = 0.0;
   /// Fixed per-update cost to account when no filter is bound (e.g. a
   /// governed CartoLite). <= 0 makes a filterless wrapper budget-blind.
   double nominal_cost_units = 0.0;
@@ -134,7 +131,6 @@ class ComputeGovernor {
   explicit ComputeGovernor(GovernorConfig config);
 
   const GovernorConfig& config() const { return config_; }
-  double units_per_ms() const { return units_per_ms_; }
 
   /// Virtual cost of one update: particles x beams surviving `stride`.
   static double cost_units(int particles, int beams, int stride);
@@ -154,7 +150,6 @@ class ComputeGovernor {
   double effective_budget_units(double pressure) const;
 
   GovernorConfig config_;
-  double units_per_ms_;
 };
 
 /// Decorator: wraps any `Localizer`, applies the governor's verdict to the

@@ -31,14 +31,12 @@ void TumMotionModel::sample_slice(const OdometryDelta& odom,
   // with distance traveled (slip scales with commanded wheel travel).
   const double sigma_trans = p.alpha_trans * trans + p.sigma_floor_xy;
 
-  // Heading increment: optionally clamped to what the steering geometry and
-  // grip could physically have produced over this step.
-  double dtheta_mean = normalize_angle(d.theta);
-  if (p.clamp_mean_heading) {
-    const double envelope =
-        p.envelope_margin * kappa * trans + p.sigma_floor_theta;
-    dtheta_mean = std::clamp(dtheta_mean, -envelope, envelope);
-  }
+  // Heading increment: clamped to what the steering geometry and grip
+  // could physically have produced over this step.
+  const double envelope =
+      p.envelope_margin * kappa * trans + p.sigma_floor_theta;
+  const double dtheta_mean =
+      std::clamp(normalize_angle(d.theta), -envelope, envelope);
 
   // Heading noise: turn-proportional term plus the curvature-capped
   // translation term (the TUM correction).

@@ -33,14 +33,14 @@ struct TumModelParams {
   double beta_curvature = 0.5;      ///< cap: fraction of kappa_max per meter
   double sigma_floor_xy = 0.012;    ///< m
   double sigma_floor_theta = 0.006; ///< rad
-  /// Clamp the *mean* heading increment to the feasible-curvature envelope.
-  /// Steering-derived wheel odometry reports the commanded curvature, which
-  /// during understeer exceeds what the tires deliver; a real Ackermann car
-  /// cannot have yawed faster than kappa_max(v) * trans, so the reported
-  /// excess is discarded. This is the model's physical insight applied to
-  /// the increment itself, not only to its dispersion.
-  bool clamp_mean_heading = true;
-  double envelope_margin = 1.15;    ///< slack factor on the clamp
+  /// Slack factor on the mean-heading clamp. The *mean* heading increment
+  /// is clamped to the feasible-curvature envelope: steering-derived wheel
+  /// odometry reports the commanded curvature, which during understeer
+  /// exceeds what the tires deliver; a real Ackermann car cannot have
+  /// yawed faster than kappa_max(v) * trans, so the reported excess is
+  /// discarded. This is the model's physical insight applied to the
+  /// increment itself, not only to its dispersion.
+  double envelope_margin = 1.15;
 };
 
 class TumMotionModel final : public MotionModel {

@@ -75,8 +75,8 @@ BinRay bin_ray(int bt, int theta_bins, double res, std::int64_t pitch) {
   return b;
 }
 
-/// The origins the build casts from, one per sample whose own cell does
-/// not block, in row order. Per axis, `ahead` and `behind` are
+/// The origins the build casts from, one per cell that does not block, in
+/// row order. Per axis, `ahead` and `behind` are
 /// BresenhamCaster::range's numerators for a positive and a negative step,
 /// (cell_min + res - p) and (cell_min - p), where cell_min is the start
 /// cell's lower edge. Padded with dead lanes to a multiple of 8.
@@ -303,24 +303,23 @@ __attribute__((target("avx2"))) void walk_rows_avx2(
 }  // namespace
 
 RangeLut::RangeLut(std::shared_ptr<const OccupancyGrid> map, double max_range,
-                   int theta_bins, int stride)
+                   int theta_bins)
     : RangeMethod{std::move(map), max_range},
       theta_bins_{std::max(theta_bins, 1)},
-      stride_{std::max(stride, 1)},
       quantum_{max_range / 65535.0} {
   SYNPF_EXPECTS_MSG(max_range > 0.0, "lut max range must be positive");
   const OccupancyGrid& grid = *map_;
-  cells_x_ = (grid.width() + stride_ - 1) / stride_;
-  cells_y_ = (grid.height() + stride_ - 1) / stride_;
+  cells_x_ = grid.width();
+  const int cells_y = grid.height();
   const auto bins = static_cast<std::size_t>(theta_bins_);
 
-  // Row 0 is the shared zero row; every sample whose own cell does not
-  // block gets the next row. Offsets are uint32_t, and the AVX2 batch
-  // reads one entry past the last row (the guard).
+  // Row 0 is the shared zero row; every cell that does not block gets the
+  // next row. Offsets are uint32_t, and the AVX2 batch reads one entry
+  // past the last row (the guard).
   std::size_t n_rows = 1;
-  for (int cy = 0; cy < cells_y_; ++cy) {
+  for (int cy = 0; cy < cells_y; ++cy) {
     for (int cx = 0; cx < cells_x_; ++cx) {
-      if (!grid.blocks_ray(cx * stride_, cy * stride_)) ++n_rows;
+      if (!grid.blocks_ray(cx, cy)) ++n_rows;
     }
   }
   constexpr std::size_t kMaxSlab = std::numeric_limits<std::uint32_t>::max();
@@ -328,19 +327,17 @@ RangeLut::RangeLut(std::shared_ptr<const OccupancyGrid> map, double max_range,
     throw std::length_error{"lut: row slab exceeds the uint32_t offset range"};
   }
   slab_.assign(n_rows * bins + 1, 0);
-  row_.assign(static_cast<std::size_t>(cells_x_) * cells_y_, 0);
+  row_.assign(static_cast<std::size_t>(cells_x_) * cells_y, 0);
 
   const WalkGrid walk_grid{grid, max_range_};
   Origins origins;
   std::uint32_t offset = 0;
-  for (int cy = 0; cy < cells_y_; ++cy) {
+  for (int cy = 0; cy < cells_y; ++cy) {
     for (int cx = 0; cx < cells_x_; ++cx) {
-      const int ix = cx * stride_;
-      const int iy = cy * stride_;
-      if (grid.blocks_ray(ix, iy)) continue;  // the zero row
+      if (grid.blocks_ray(cx, cy)) continue;  // the zero row
       offset += static_cast<std::uint32_t>(bins);
       row_[static_cast<std::size_t>(cy) * cells_x_ + cx] = offset;
-      origins.add(grid, walk_grid, ix, iy);
+      origins.add(grid, walk_grid, cx, cy);
     }
   }
   const std::size_t n_origins = origins.size();
@@ -393,11 +390,9 @@ float RangeLut::range(const Pose2& ray) const {
   note_query();
   const OccupancyGrid& grid = *map_;
   const GridIndex g = grid.world_to_grid({ray.x, ray.y});
+  // Off-grid cells block, so a cell that does not block has a row.
   if (grid.blocks_ray(g.ix, g.iy)) return 0.0F;
-
-  const int cx = std::clamp(g.ix / stride_, 0, cells_x_ - 1);
-  const int cy = std::clamp(g.iy / stride_, 0, cells_y_ - 1);
-  const std::size_t base = row(cx, cy);
+  const std::size_t base = row(g.ix, g.iy);
   // Angles arriving here are pose headings plus beam offsets — wrap_into is
   // a single add/subtract for those, and stays bounded for any input.
   const double phi = wrap_into(ray.theta, kTwoPi);
@@ -418,9 +413,7 @@ void RangeLut::ranges_from(const Pose2& sensor,
     for (std::size_t j = 0; j < out.size(); ++j) out[j] = 0.0F;
     return;
   }
-  const int cx = std::clamp(g.ix / stride_, 0, cells_x_ - 1);
-  const int cy = std::clamp(g.iy / stride_, 0, cells_y_ - 1);
-  const std::size_t base = row(cx, cy);
+  const std::size_t base = row(g.ix, g.iy);
 #if defined(SRL_SIMD_X86_AVX2)
   if (simd::active() == simd::Backend::kAvx2) {
     ranges_from_avx2(base, sensor.theta, beam_angles, out);

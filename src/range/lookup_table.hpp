@@ -5,10 +5,10 @@
 /// runs on the GPU-less Intel NUC. Ranges are precomputed with the exact
 /// cell traversal for every (x, y, theta) on a discretized grid and
 /// quantized to uint16, giving constant-time queries at the cost of memory.
-/// Only samples whose own cell does not block get a row of their own; the
-/// rest share one all-zero row:
-///   (free_samples + 1) * theta_bins * 2 bytes (row slab)
-///   + (width/stride) * (height/stride) * 4 bytes (row index).
+/// Only cells that do not block get a row of their own; the rest share one
+/// all-zero row:
+///   (free_cells + 1) * theta_bins * 2 bytes (row slab)
+///   + width * height * 4 bytes (row index).
 
 #include <cstdint>
 #include <span>
@@ -22,15 +22,15 @@ namespace srl {
 class RangeLut final : public RangeMethod {
  public:
   /// Builds the table by exhaustive exact ray casting (parallelized over
-  /// blocks of origins). `stride` samples every Nth cell in x and y; queries
-  /// snap to the nearest sample. `theta_bins` discretizes the full
-  /// [0, 2pi) circle. Every entry equals
+  /// blocks of origins), one row per cell; queries read the row of the
+  /// cell they fall in. `theta_bins` discretizes the full [0, 2pi) circle.
+  /// Every entry equals
   /// `clamp(lround(BresenhamCaster::range({p.x, p.y, 2pi * bt / bins}) /
-  /// quantum))` at the sample cell's centre p, under either SIMD backend.
+  /// quantum))` at the cell's centre p, under either SIMD backend.
   /// `max_range` must be positive. Throws std::length_error when the row
   /// slab would exceed the uint32_t offset range.
   RangeLut(std::shared_ptr<const OccupancyGrid> map, double max_range,
-           int theta_bins = 120, int stride = 1);
+           int theta_bins = 120);
 
   float range(const Pose2& ray) const override;
   std::string name() const override { return "lut"; }
@@ -52,7 +52,7 @@ class RangeLut final : public RangeMethod {
   int theta_bins() const { return theta_bins_; }
 
  private:
-  /// Offset in slab_ of sample (cx, cy)'s row.
+  /// Offset in slab_ of cell (cx, cy)'s row.
   std::size_t row(int cx, int cy) const {
     return row_[static_cast<std::size_t>(cy) * cells_x_ + cx];
   }
@@ -66,14 +66,12 @@ class RangeLut final : public RangeMethod {
 #endif
 
   int theta_bins_;
-  int stride_;
-  int cells_x_{0};
-  int cells_y_{0};
+  int cells_x_{0};  ///< row pitch of row_: the grid width
   double quantum_;  ///< meters per uint16 step
   /// Rows of theta_bins_ entries: the shared zero row at offset 0, then one
-  /// row per sample whose cell does not block, then one guard entry.
+  /// row per cell that does not block, then one guard entry.
   std::vector<std::uint16_t> slab_;
-  /// One entry per sample: the offset of its row in slab_ (0 = zero row).
+  /// One entry per cell: the offset of its row in slab_ (0 = zero row).
   std::vector<std::uint32_t> row_;
 };
 

@@ -34,8 +34,7 @@ std::unique_ptr<RangeMethod> make_range_method(
                                     options.cddt_theta_bins);
     case RangeMethodKind::kLut:
       return std::make_unique<RangeLut>(std::move(map), options.max_range,
-                                        options.lut_theta_bins,
-                                        options.lut_stride);
+                                        options.lut_theta_bins);
   }
   return nullptr;
 }

@@ -110,7 +110,6 @@ struct RangeMethodOptions {
   double max_range = 12.0;   ///< meters
   int cddt_theta_bins = 108; ///< angular discretization for CDDT
   int lut_theta_bins = 120;  ///< angular discretization for the LUT
-  int lut_stride = 1;        ///< LUT spatial stride in cells (1 = per cell)
 };
 
 /// Build a backend of the requested kind over `map`.

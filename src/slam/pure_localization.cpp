@@ -135,13 +135,7 @@ Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
   }
 
   // Queue this correction for publication after the pipeline latency.
-  if (options_.output_latency <= 0.0) {
-    published_base_ = pose_;
-    published_accum_ = Pose2{};
-    pending_.clear();
-  } else {
-    pending_.emplace_back(clock_ + options_.output_latency, pose_, Pose2{});
-  }
+  pending_.emplace_back(clock_ + options_.output_latency, pose_, Pose2{});
 
   const double busy_s = watch.elapsed_s();
   load_.add_busy(busy_s);
@@ -165,18 +159,11 @@ void CartoLocalizer::global_correction(const std::vector<Vec2>& points) {
   failed_global_ = 0;
   const ScanMatchResult fine = global_gn_.refine(field_, coarse.pose, points);
 
-  // Rigid trajectory correction (the optimization's step change): move the
-  // current pose and the live submap together so local consistency holds.
+  // Rigid trajectory correction (the optimization's step change, a hard
+  // snap): move the current pose and the live submap together so local
+  // consistency holds.
   const Pose2 correction = fine.pose * pose_.inverse();
-  Pose2 corrected = (correction * pose_).normalized();
-  if (options_.correction_gain < 1.0) {
-    const double g = options_.correction_gain;
-    corrected = Pose2{pose_.x + g * (corrected.x - pose_.x),
-                      pose_.y + g * (corrected.y - pose_.y),
-                      pose_.theta + g * angle_diff(corrected.theta,
-                                                   pose_.theta)}
-                    .normalized();
-  }
+  const Pose2 corrected = (correction * pose_).normalized();
   const Pose2 applied = corrected * pose_.inverse();
   live_->set_pose((applied * live_->pose()).normalized());
   pose_ = corrected;

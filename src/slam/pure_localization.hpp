@@ -71,12 +71,10 @@ struct PureLocalizationOptions {
   /// Constraint-search / optimization cadence in scans (40 Hz LiDAR:
   /// 24 scans ~ 0.6 s, Cartographer-like backend latency).
   int global_period = 24;
-  /// Fraction of the global correction applied (1 = hard snap, as
-  /// Cartographer's optimization step changes).
-  double correction_gain = 1.0;
   /// Pose pipeline latency (s): a scan's correction becomes visible on the
-  /// published pose only this long after the scan fired; until then the
-  /// published pose is extrapolated with raw odometry. Models the
+  /// published pose only this long after the scan fired (at the first
+  /// odometry message at or past that time); until then the published pose
+  /// is extrapolated with raw odometry. Models the
   /// cartographer_ros matching + TF pipeline delay that the paper's SynPF
   /// (1.25 ms updates) is designed to avoid. On clean odometry the delay is
   /// invisible; under wheel slip the controller acts on err_rate * latency

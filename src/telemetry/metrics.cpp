@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/csv.hpp"
-
 namespace srl::telemetry {
 
 namespace {
@@ -215,22 +213,6 @@ std::vector<MetricsRegistry::Row> MetricsRegistry::rows() const {
     out.push_back(std::move(row));
   }
   return out;
-}
-
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  CsvWriter csv{path};
-  if (!csv.ok()) return false;
-  csv.write_header({"name", "kind", "count", "value", "mean", "min", "max",
-                    "p50", "p90", "p95", "p99"});
-  for (const Row& row : rows()) {
-    csv.write_row(std::vector<std::string>{
-        row.name, row.kind, std::to_string(row.count),
-        std::to_string(row.value), std::to_string(row.hist.mean),
-        std::to_string(row.hist.min), std::to_string(row.hist.max),
-        std::to_string(row.hist.p50), std::to_string(row.hist.p90),
-        std::to_string(row.hist.p95), std::to_string(row.hist.p99)});
-  }
-  return csv.ok();
 }
 
 std::vector<std::string> MetricsRegistry::histogram_names() const {

@@ -8,7 +8,7 @@
 /// (the 1.25 ms sensor-update latency and the Table-I CPU-load column): hot
 /// paths record into pre-resolved `Histogram*` / `Counter*` handles with
 /// relaxed atomics only — no locks, no allocation, no string hashing — while
-/// readers take consistent-enough snapshots for tables and CSV export.
+/// readers take consistent-enough snapshots for tables.
 /// Components accept a nullable `MetricsRegistry*`; a null registry
 /// short-circuits every record call to a predictable branch.
 
@@ -135,9 +135,6 @@ class MetricsRegistry {
     Histogram::Snapshot hist{};
   };
   std::vector<Row> rows() const;
-
-  /// CSV dump (name,kind,count,value,mean,min,max,p50,p90,p95,p99).
-  bool write_csv(const std::string& path) const;
 
   /// Histogram names in registration-independent (sorted) order.
   std::vector<std::string> histogram_names() const;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <fstream>
 
-#include "common/csv.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace srl::telemetry {
@@ -87,18 +86,6 @@ bool TraceBuffer::write_chrome_trace(const std::string& path) const {
   }
   out << "],\"otherData\":{\"dropped_spans\":" << dropped() << "}}\n";
   return static_cast<bool>(out);
-}
-
-bool TraceBuffer::write_csv(const std::string& path) const {
-  CsvWriter csv{path};
-  if (!csv.ok()) return false;
-  csv.write_header({"name", "ts_us", "dur_us", "tid", "depth"});
-  for (const TraceEvent& e : events()) {
-    csv.write_row(std::vector<std::string>{
-        e.name, std::to_string(e.ts_us), std::to_string(e.dur_us),
-        std::to_string(e.tid), std::to_string(e.depth)});
-  }
-  return csv.ok();
 }
 
 ScopedSpan::ScopedSpan(TraceBuffer* buffer, const char* name)

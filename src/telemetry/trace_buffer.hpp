@@ -5,9 +5,9 @@
 ///
 /// `ScopedSpan` records one nested begin/end interval into a `TraceBuffer`;
 /// the buffer serializes to the Chrome `chrome://tracing` / Perfetto JSON
-/// format (`"ph":"X"` complete events) and to CSV. Span names must be string
-/// literals (or otherwise outlive the buffer): only the pointer is stored so
-/// the hot path never allocates. A null buffer makes `ScopedSpan` a no-op.
+/// format (`"ph":"X"` complete events). Span names must be string literals
+/// (or otherwise outlive the buffer): only the pointer is stored so the hot
+/// path never allocates. A null buffer makes `ScopedSpan` a no-op.
 
 #include <chrono>
 #include <cstdint>
@@ -57,8 +57,6 @@ class TraceBuffer {
   /// an "otherData" footer carrying the dropped-span count.
   /// Loadable in chrome://tracing and ui.perfetto.dev.
   bool write_chrome_trace(const std::string& path) const;
-  /// CSV: name,ts_us,dur_us,tid,depth.
-  bool write_csv(const std::string& path) const;
 
   /// Dense id of the calling thread (assigned on first use).
   static std::uint32_t this_thread_id();

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
 #include "eval/frontier/frontier_json.hpp"
 #include "eval/frontier/scenario_sampler.hpp"
+#include "eval/postmortem.hpp"
 
 namespace srl::frontier {
 namespace {
@@ -331,6 +336,42 @@ TEST(FrontierSearch, HeadlineComparesTheTwoLocalizers) {
   // Unknown axis/class: no headline.
   EXPECT_FALSE(
       compute_frontier_headline(result, "no_such_axis", "club", headline));
+}
+
+// The defining-failure re-run journals its events into the boxes it dumps:
+// each box holds the event its reason names.
+TEST(FrontierSearch, DefiningFailureBoxesJournalTheirTrigger) {
+  const std::string dir =
+      (std::filesystem::path{::testing::TempDir()} / "srl_frontier_trigger")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  FrontierSearchConfig config = FrontierSearchConfig::smoke();
+  config.localizers = {"CartoLite"};
+  config.axes = {0};  // odom_slip_ramp
+  config.bisect_iterations = 1;
+  config.blackbox_dir = dir;
+  const FrontierResult result = run_frontier_search(config);
+  ASSERT_EQ(result.points.size(), 1u);
+  const FrontierPoint& point = result.points[0];
+  ASSERT_FALSE(point.censored);
+  ASSERT_FALSE(point.blackboxes.empty());
+
+  const std::map<std::string, std::string> trigger{
+      {"divergence", "experiment.divergence_open"},
+      {"crash", "experiment.crash"}};
+  for (const std::string& rel : point.blackboxes) {
+    const std::optional<Blackbox> box = load_blackbox(dir + "/" + rel);
+    ASSERT_TRUE(box.has_value()) << rel;
+    ASSERT_EQ(trigger.count(box->reason), 1u) << rel << ": " << box->reason;
+    EXPECT_GT(box->events_total, 0u) << rel;
+    const std::string& code = trigger.at(box->reason);
+    EXPECT_TRUE(std::any_of(
+        box->events.begin(), box->events.end(),
+        [&](const telemetry::Event& e) { return e.code == code; }))
+        << rel << " lacks " << code;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FrontierSearch, CensoredSynPfStillExceedsABrokenCarto) {

@@ -125,8 +125,7 @@ TEST(TumModel, HeadingSigmaCapScalesWithSpeed) {
 TEST(TumModel, ClampRejectsInfeasibleYaw) {
   // Steering-derived odometry reporting an impossible yaw for 7 m/s gets
   // clamped to the feasible envelope.
-  TumModelParams params;
-  params.clamp_mean_heading = true;
+  const TumModelParams params;
   const TumMotionModel tum{params};
   OdometryDelta odom;
   odom.delta = Pose2{0.175, 0.0, 0.15};  // 0.86 rad/m at 7 m/s: infeasible
@@ -138,18 +137,6 @@ TEST(TumModel, ClampRejectsInfeasibleYaw) {
                           params.sigma_floor_theta;
   EXPECT_LT(std::abs(circular_mean(s.headings)), envelope + 0.01);
   EXPECT_LT(std::abs(circular_mean(s.headings)), 0.15);
-}
-
-TEST(TumModel, ClampDisabledKeepsMean) {
-  TumModelParams params;
-  params.clamp_mean_heading = false;
-  const TumMotionModel tum{params};
-  OdometryDelta odom;
-  odom.delta = Pose2{0.175, 0.0, 0.15};
-  odom.v = 7.0;
-  odom.dt = 0.025;
-  const auto s = sample_cloud(tum, odom, 8000, 9);
-  EXPECT_NEAR(circular_mean(s.headings), 0.15, 0.02);
 }
 
 TEST(TumModel, FeasibleYawPassesThrough) {
@@ -217,13 +204,11 @@ Pose2 reference_tum(const TumModelParams& p, const Pose2& pose,
                             odom.dt > 0.0 ? trans / odom.dt : 0.0);
   const double sigma_trans = p.alpha_trans * trans + p.sigma_floor_xy;
   const double trans_hat = trans + rng.gaussian(sigma_trans);
-  double dtheta_mean = reference::normalize_angle(d.theta);
-  if (p.clamp_mean_heading) {
-    const double envelope =
-        p.envelope_margin * max_curvature(p.ackermann, v) * trans +
-        p.sigma_floor_theta;
-    dtheta_mean = std::clamp(dtheta_mean, -envelope, envelope);
-  }
+  const double envelope =
+      p.envelope_margin * max_curvature(p.ackermann, v) * trans +
+      p.sigma_floor_theta;
+  const double dtheta_mean = std::clamp(reference::normalize_angle(d.theta),
+                                        -envelope, envelope);
   const double uncapped = p.alpha_rot_trans * std::abs(trans);
   const double cap =
       p.beta_curvature * max_curvature(p.ackermann, v) * std::abs(trans);
@@ -366,13 +351,11 @@ void expect_prepared_step_exact(const MotionModel& model, Reference reference) {
 }
 
 TEST(PreparedStep, TumMatchesPerParticleBody) {
-  TumModelParams clamped;
-  TumModelParams unclamped;
-  unclamped.clamp_mean_heading = false;
+  TumModelParams defaults;
   TumModelParams no_floors;
   no_floors.sigma_floor_xy = 0.0;
   no_floors.sigma_floor_theta = 0.0;
-  for (const TumModelParams& params : {clamped, unclamped, no_floors}) {
+  for (const TumModelParams& params : {defaults, no_floors}) {
     const TumMotionModel model{params};
     expect_prepared_step_exact(
         model, [&](const Pose2& pose, const OdometryDelta& odom, Rng& rng) {

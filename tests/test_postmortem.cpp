@@ -363,13 +363,24 @@ TEST(StackBuilder, RejectsUnknownFault) {
   EXPECT_EQ(build_error(spec), "unknown fault: lidar_dropuot");
 }
 
-TEST(StackBuilder, RejectsFewerThanOneParticleOrBeam) {
+// A count out of range fails the build naming the field; above the caps an
+// edited recipe would otherwise abort in the allocator. The caps build.
+TEST(StackBuilder, RejectsParticleOrBeamCountsOutOfRange) {
   PostmortemStackSpec spec;
   spec.n_particles = 0;
   EXPECT_EQ(build_error(spec), "n_particles must be at least 1");
-  spec.n_particles = 100;
+  spec.n_particles = 2000000000;
+  EXPECT_EQ(build_error(spec), "n_particles must be at most 100000");
+  spec.n_particles = kMaxStackParticles;
   spec.beams = 0;
   EXPECT_EQ(build_error(spec), "beams must be at least 1");
+  spec.beams = LidarConfig{}.n_beams + 1;
+  EXPECT_EQ(build_error(spec), "beams must be at most the LiDAR's 1081");
+  spec.beams = LidarConfig{}.n_beams;
+  std::string error;
+  EXPECT_NE(LocalizerStack::build(spec, oval_map(), LidarConfig{}, error),
+            nullptr)
+      << error;
 }
 
 TEST(StackBuilder, RejectsUnknownOrContradictedGovernor) {

@@ -130,19 +130,6 @@ TEST(PureLocalization, OutputLatencyDelaysCorrections) {
               0.1);
 }
 
-TEST(PureLocalization, ZeroLatencyPublishesImmediately) {
-  LocRun run;
-  PureLocalizationOptions opt;
-  opt.output_latency = 0.0;
-  CartoLocalizer loc{opt, run.map, run.lidar};
-  run.truth = run.start();
-  loc.initialize(run.truth);
-  run.drive(loc, 5.0, 2.0);
-  const Pose2 est = loc.pose();
-  EXPECT_NEAR(est.x, run.truth.x, 0.25);
-  EXPECT_NEAR(est.y, run.truth.y, 0.25);
-}
-
 TEST(PureLocalization, RelocalizesAfterKidnap) {
   LocRun run;
   PureLocalizationOptions opt;

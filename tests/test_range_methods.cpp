@@ -122,19 +122,11 @@ TEST(Cddt, HasCompressedEntries) {
 
 TEST(Lut, MemoryAccounting) {
   auto room = make_room();
-  const RangeLut lut{room, 12.0, 60, 2};
-  // One 60-bin row of uint16 per sample whose cell does not block, plus the
-  // shared zero row, plus a uint32 row offset for each of the 100 x 100
-  // samples.
-  std::size_t free_samples = 0;
-  for (int iy = 0; iy < 200; iy += 2) {
-    for (int ix = 0; ix < 200; ix += 2) {
-      if (!room->blocks_ray(ix, iy)) ++free_samples;
-    }
-  }
-  EXPECT_EQ(free_samples, 99U * 99U);  // the walls hold row 0 and column 0
+  const RangeLut lut{room, 12.0, 60};
+  // One 60-bin row of uint16 per cell inside the walls, plus the shared
+  // zero row, plus a uint32 row offset for each of the 200 x 200 cells.
   EXPECT_EQ(lut.memory_bytes(),
-            (free_samples + 1) * 60U * 2U + 100U * 100U * 4U);
+            (198U * 198U + 1) * 60U * 2U + 200U * 200U * 4U);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,8 +134,8 @@ TEST(Lut, MemoryAccounting) {
 // ---------------------------------------------------------------------------
 
 /// Test-only oracle for the LUT build: the entry every free cell's centre
-/// must hold per bin, filled one BresenhamCaster::range at a time (a
-/// strided table samples a subset of these cells). Blocking cells hold 0.
+/// must hold per bin, filled one BresenhamCaster::range at a time.
+/// Blocking cells hold 0.
 std::vector<std::uint16_t> lut_oracle(
     const std::shared_ptr<const OccupancyGrid>& map, double max_range,
     int bins) {
@@ -167,91 +159,57 @@ std::vector<std::uint16_t> lut_oracle(
   return entries;
 }
 
-/// Holds `lut` to the oracle through range(): at every sample centre and
-/// bin heading, the oracle's entry; at a free cell whose sample blocks
-/// (stride > 1), the zero row, also through ranges_from().
+/// Holds `lut` to the oracle through range(): at every free cell's centre
+/// and bin heading, the oracle's entry.
 void expect_lut_matches_oracle(const RangeLut& lut,
                                const std::vector<std::uint16_t>& oracle,
-                               int bins, int stride,
-                               const std::string& label) {
+                               int bins, const std::string& label) {
   const OccupancyGrid& grid = lut.map();
   const double quantum = lut.max_range() / 65535.0;
   const auto n_bins = static_cast<std::size_t>(bins);
-  const std::vector<double> beams = {0.0, 1.0, -2.5, 3.0};
-  std::size_t checked = 0;
+  std::size_t free_cells = 0;
   for (int iy = 0; iy < grid.height(); ++iy) {
     for (int ix = 0; ix < grid.width(); ++ix) {
       if (grid.blocks_ray(ix, iy)) continue;  // range() answers 0 unread
+      ++free_cells;
       const Vec2 p = grid.grid_to_world(ix, iy);
-      const int sx = ix / stride * stride;
-      const int sy = iy / stride * stride;
-      if (sx == ix && sy == iy) {
-        const std::size_t cell =
-            static_cast<std::size_t>(iy) * grid.width() + ix;
-        for (int bt = 0; bt < bins; ++bt) {
-          const std::uint16_t q = oracle[cell * n_bins + bt];
-          const float want = static_cast<float>(q * quantum);
-          const float got = lut.range({p.x, p.y, kTwoPi * bt / bins});
-          ASSERT_EQ(bits(got), bits(want))
-              << label << ": cell (" << ix << ", " << iy << ") bin " << bt
-              << ": " << got << " vs " << want;
-          ++checked;
-        }
-      } else if (grid.blocks_ray(sx, sy)) {
-        for (int bt = 0; bt < bins; ++bt) {
-          ASSERT_EQ(bits(lut.range({p.x, p.y, kTwoPi * bt / bins})),
-                    bits(0.0F))
-              << label << ": cell (" << ix << ", " << iy << ") bin " << bt;
-        }
-        std::vector<float> out(beams.size(), -1.0F);
-        lut.ranges_from({p.x, p.y, 0.5}, beams, out);
-        for (const float r : out) {
-          ASSERT_EQ(bits(r), bits(0.0F)) << label << ": batch at cell ("
-                                         << ix << ", " << iy << ")";
-        }
+      const std::size_t cell =
+          static_cast<std::size_t>(iy) * grid.width() + ix;
+      for (int bt = 0; bt < bins; ++bt) {
+        const std::uint16_t q = oracle[cell * n_bins + bt];
+        const float want = static_cast<float>(q * quantum);
+        const float got = lut.range({p.x, p.y, kTwoPi * bt / bins});
+        ASSERT_EQ(bits(got), bits(want))
+            << label << ": cell (" << ix << ", " << iy << ") bin " << bt
+            << ": " << got << " vs " << want;
       }
     }
   }
-  // Every free sample was checked: the build cast no row it then lost.
-  std::size_t free_samples = 0;
-  for (int iy = 0; iy < grid.height(); iy += stride) {
-    for (int ix = 0; ix < grid.width(); ix += stride) {
-      if (!grid.blocks_ray(ix, iy)) ++free_samples;
-    }
-  }
-  EXPECT_EQ(checked, free_samples * n_bins) << label;
-  const std::size_t samples =
-      static_cast<std::size_t>((grid.width() + stride - 1) / stride) *
-      static_cast<std::size_t>((grid.height() + stride - 1) / stride);
   EXPECT_EQ(lut.memory_bytes(),
-            (free_samples + 1) * n_bins * 2U + samples * 4U)
+            (free_cells + 1) * n_bins * 2U + grid.size() * 4U)
       << label;
 }
 
-/// Builds the LUT of `map` at every stride, bin count and max range given,
-/// under each SIMD backend, and holds every entry to the oracle.
+/// Builds the LUT of `map` at every bin count and max range given, under
+/// each SIMD backend, and holds every entry to the oracle.
 void expect_lut_builds_exact(const std::string& name,
                              const std::shared_ptr<const OccupancyGrid>& map,
                              std::initializer_list<int> bin_counts,
-                             std::initializer_list<double> max_ranges,
-                             std::initializer_list<int> strides) {
+                             std::initializer_list<double> max_ranges) {
   for (const double max_range : max_ranges) {
     for (const int bins : bin_counts) {
       const std::vector<std::uint16_t> oracle =
           lut_oracle(map, max_range, bins);
-      for (const int stride : strides) {
-        for (const simd::Backend backend :
-             {simd::Backend::kScalar, simd::Backend::kAvx2}) {
-          simd::force(backend);
-          const RangeLut lut{map, max_range, bins, stride};
-          simd::reset();
-          expect_lut_matches_oracle(
-              lut, oracle, bins, stride,
-              name + " " + std::to_string(bins) + " bins, stride " +
-                  std::to_string(stride) + ", max range " +
-                  std::to_string(max_range) + ", " + simd::name(backend));
-          if (::testing::Test::HasFatalFailure()) return;
-        }
+      for (const simd::Backend backend :
+           {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+        simd::force(backend);
+        const RangeLut lut{map, max_range, bins};
+        simd::reset();
+        expect_lut_matches_oracle(
+            lut, oracle, bins,
+            name + " " + std::to_string(bins) + " bins, max range " +
+                std::to_string(max_range) + ", " + simd::name(backend));
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
@@ -308,21 +266,20 @@ TEST(LutBuild, SmallMapsMatchTheExactCaster) {
   // degrees, where rays pass through cell corners and the < tie rule picks
   // the path. A 0.3 m max range ends most walks on the over-range test.
   expect_lut_builds_exact("unaligned", make_unaligned(), {1, 7, 120, 360},
-                          {0.3, 12.0}, {1, 2, 3});
-  expect_lut_builds_exact("open", make_open(), {1, 7, 120, 360}, {0.3, 12.0},
-                          {1, 2, 3});
+                          {0.3, 12.0});
+  expect_lut_builds_exact("open", make_open(), {1, 7, 120, 360}, {0.3, 12.0});
   expect_lut_builds_exact("row", make_line(true), {1, 7, 120, 360},
-                          {0.3, 12.0}, {1, 2, 3});
+                          {0.3, 12.0});
   expect_lut_builds_exact("column", make_line(false), {1, 7, 120, 360},
-                          {0.3, 12.0}, {1, 2, 3});
+                          {0.3, 12.0});
 }
 
 TEST(LutBuild, MapWithoutFreeCellsIsTheZeroRow) {
   auto grid = std::make_shared<OccupancyGrid>(12, 9, 0.05, Vec2{0.0, 0.0},
                                               OccupancyGrid::kUnknown);
   for (int ix = 0; ix < 12; ++ix) grid->at(ix, 4) = OccupancyGrid::kOccupied;
-  expect_lut_builds_exact("solid", grid, {1, 120}, {12.0}, {1, 3});
-  const RangeLut lut{grid, 12.0, 120, 1};
+  expect_lut_builds_exact("solid", grid, {1, 120}, {12.0});
+  const RangeLut lut{grid, 12.0, 120};
   EXPECT_EQ(lut.memory_bytes(), 120U * 2U + 12U * 9U * 4U);
 }
 
@@ -331,16 +288,15 @@ TEST(LutBuild, SlabPastTheUint32RangeThrows) {
   // entries, and the constructor refuses before allocating it.
   auto grid = std::make_shared<const OccupancyGrid>(
       10, 10, 0.05, Vec2{0.0, 0.0}, OccupancyGrid::kFree);
-  EXPECT_THROW((RangeLut{grid, 12.0, std::numeric_limits<int>::max(), 1}),
+  EXPECT_THROW((RangeLut{grid, 12.0, std::numeric_limits<int>::max()}),
                std::length_error);
 }
 
 TEST(LutBuild, RoomMatchesTheExactCaster) {
   // Long walks at 7 bins; the fine bin counts at the short range, which
   // keeps the oracle cheap.
-  expect_lut_builds_exact("room", make_room(), {7, 120}, {0.3},
-                          {1, 2, 3});
-  expect_lut_builds_exact("room", make_room(), {7}, {12.0}, {1, 2, 3});
+  expect_lut_builds_exact("room", make_room(), {7, 120}, {0.3});
+  expect_lut_builds_exact("room", make_room(), {7}, {12.0});
 }
 
 TEST(LutBuild, TestTrackMatchesTheExactCaster) {
@@ -348,7 +304,7 @@ TEST(LutBuild, TestTrackMatchesTheExactCaster) {
   const Track track = TrackGenerator::test_track();
   expect_lut_builds_exact("test track",
                           std::make_shared<const OccupancyGrid>(track.grid),
-                          {120}, {12.0}, {1, 2});
+                          {120}, {12.0});
 }
 
 struct MethodCase {
@@ -475,7 +431,7 @@ TEST(RangeMethods, ExactAngleAgreement) {
   // errors collapse to the band/cell level.
   auto room = make_room();
   const Cddt cddt{room, 12.0, 108};
-  const RangeLut lut{room, 12.0, 120, 1};
+  const RangeLut lut{room, 12.0, 120};
   const BresenhamCaster exact{room, 12.0};
   // theta = 0 is a bin center for both.
   for (double y = 1.0; y < 9.0; y += 0.73) {

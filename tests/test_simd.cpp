@@ -323,7 +323,7 @@ std::vector<double> wrapping_beam_angles() {
 
 TEST(RangesFrom, LutBatchMatchesPerRayBitwiseOnBothBackends) {
   auto room = make_room();
-  const RangeLut lut{room, 12.0, 60, 1};
+  const RangeLut lut{room, 12.0, 60};
   const std::vector<double> angles = wrapping_beam_angles();
   const Pose2 sensors[] = {
       {5.0, 5.0, 0.3}, {1.0, 8.7, -2.0}, {9.2, 0.6, 1e7}, {2.5, 2.5, -4.0}};
@@ -358,7 +358,7 @@ TEST(RangesFrom, LutBatchMatchesPerRayBitwiseOnBothBackends) {
 
 TEST(RangesFrom, LutOutOfMapSensorYieldsZeros) {
   auto room = make_room();
-  const RangeLut lut{room, 12.0, 60, 1};
+  const RangeLut lut{room, 12.0, 60};
   const std::vector<double> angles = wrapping_beam_angles();
   const Pose2 outside[] = {{-5.0, -5.0, 0.7}, {1e6, 1e6, 0.0},
                            {0.01, 0.01, 0.3} /* wall cell */};
@@ -456,7 +456,7 @@ TEST(AvxState, LutBatchReturnsClean) {
     GTEST_SKIP() << why;
   }
   auto room = make_room();
-  const RangeLut lut{room, 12.0, 60, 4};  // coarse: only the state matters
+  const RangeLut lut{room, 12.0, 60};
   const Pose2 sensor{5.0, 5.0, 0.3};
   // 61 beams: 15 vector groups plus a scalar tail beam.
   std::vector<double> fan(61);
@@ -492,7 +492,7 @@ TEST(AvxState, LutBuildReturnsClean) {
     for (int ix = 1; ix < 6; ++ix) box->at(ix, iy) = OccupancyGrid::kFree;
   }
   simd::force(simd::Backend::kAvx2);
-  const RangeLut lut{box, 12.0, 7, 1};
+  const RangeLut lut{box, 12.0, 7};
   const bool dirty = avx_upper_in_use();
   simd::reset();
   EXPECT_FALSE(dirty);

@@ -151,7 +151,6 @@ TEST(SynPf, LutBackendWorks) {
   SynPfConfig cfg;
   cfg.range = RangeMethodKind::kLut;
   cfg.range_options.lut_theta_bins = 90;
-  cfg.range_options.lut_stride = 2;
   cfg.filter.n_particles = 600;
   SynPf pf{cfg, f.map, f.lidar};
   const Pose2 truth = f.start();

@@ -126,7 +126,7 @@ TEST(MetricsRegistry, StableHandlesAndLookup) {
   EXPECT_EQ(reg.histogram_names(), std::vector<std::string>{"h"});
 }
 
-TEST(MetricsRegistry, RowsAndCsv) {
+TEST(MetricsRegistry, Rows) {
   MetricsRegistry reg;
   reg.counter("n.updates").add(7);
   reg.gauge("ess").set(812.0);
@@ -148,18 +148,6 @@ TEST(MetricsRegistry, RowsAndCsv) {
     }
   }
   EXPECT_TRUE(saw_counter && saw_gauge && saw_hist);
-
-  const std::string path = "test_telemetry_metrics.csv";
-  ASSERT_TRUE(reg.write_csv(path));
-  std::ifstream in{path};
-  std::string header;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_NE(header.find("name"), std::string::npos);
-  EXPECT_NE(header.find("p99"), std::string::npos);
-  int lines = 0;
-  for (std::string line; std::getline(in, line);) ++lines;
-  EXPECT_EQ(lines, 3);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- Tracing
