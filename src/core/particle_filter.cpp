@@ -109,13 +109,13 @@ void ParticleFilter::set_telemetry(const telemetry::Sink& sink) {
     c_updates_ = &m.counter("pf.updates");
     c_resamples_ = &m.counter("pf.resamples");
     c_jump_alarms_ = &m.counter("pf.pose_jump_alarms");
-    caster_->attach_telemetry(m);
+    c_range_queries_ = &m.counter("range." + caster_->name() + ".queries");
   } else {
     h_predict_ = h_raycast_ = h_weight_ = h_resample_ = nullptr;
     h_ess_fraction_ = nullptr;
     g_ess_ = g_ess_fraction_ = g_entropy_ = g_max_share_ = nullptr;
     g_particles_ = g_pose_jump_ = g_threads_ = nullptr;
-    c_updates_ = c_resamples_ = c_jump_alarms_ = nullptr;
+    c_updates_ = c_resamples_ = c_jump_alarms_ = c_range_queries_ = nullptr;
   }
 }
 
@@ -178,6 +178,7 @@ Pose2 ParticleFilter::correct(const LaserScan& scan) {
       // srl-lint: end-realtime
     });
     timer.stop();
+    if (c_range_queries_ != nullptr) c_range_queries_->add(n * k);
   }
 
   // Stage 2 — weight: score each particle's expected ranges against the

@@ -234,7 +234,9 @@ class ParticleFilter {
   /// records per-stage latency histograms (pf.predict_ms / pf.raycast_ms /
   /// pf.weight_ms / pf.resample_ms), samples a FilterHealth snapshot into
   /// gauges (pf.ess, pf.weight_entropy, pf.max_weight_share, ...), and
-  /// forwards the registry to the range backend's query counters. With a
+  /// adds each raycast's n x k queries to "range.<backend>.queries" in the
+  /// registry (the filter counts, not the backend, which may be shared with
+  /// filters reporting elsewhere). With a
   /// trace buffer, stages emit nested spans. A default-constructed sink
   /// detaches; the filter then runs the exact un-instrumented hot path.
   void set_telemetry(const telemetry::Sink& sink);
@@ -316,6 +318,7 @@ class ParticleFilter {
   telemetry::Counter* c_updates_{nullptr};
   telemetry::Counter* c_resamples_{nullptr};
   telemetry::Counter* c_jump_alarms_{nullptr};
+  telemetry::Counter* c_range_queries_{nullptr};
   telemetry::PoseJumpDetector jump_detector_{};
   telemetry::FilterHealth health_{};
 

@@ -13,7 +13,7 @@ SynPf::SynPf(SynPfConfig config, std::shared_ptr<const OccupancyGrid> map,
   config_.beam.max_range = lidar.max_range;
 
   std::shared_ptr<const RangeMethod> caster =
-      make_range_method(config_.range, std::move(map), config_.range_options);
+      shared_range_method(config_.range, std::move(map), config_.range_options);
 
   std::shared_ptr<const MotionModel> motion;
   if (config_.motion == PfMotionKind::kTum) {

@@ -42,8 +42,9 @@ struct SynPfConfig {
 
 class SynPf final : public Localizer {
  public:
-  /// Builds the range backend over `map` (which for the LUT involves the
-  /// precomputation pass — done once, before the race).
+  /// Takes the range backend over `map` from the MapAssets store: the LUT's
+  /// precomputation pass runs once, before the race, for every SynPF on a
+  /// map with the same backend options.
   SynPf(SynPfConfig config, std::shared_ptr<const OccupancyGrid> map,
         LidarConfig lidar);
 

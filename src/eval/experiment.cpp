@@ -4,7 +4,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "range/ray_marching.hpp"
+#include "range/range_method.hpp"
 
 namespace srl {
 
@@ -15,9 +15,11 @@ ExperimentRunner::ExperimentRunner(const Track& track, ExperimentConfig config)
                                                  : config.raceline_override},
       profile_{raceline_, config.profile},
       alignment_{track.grid, config.align_tolerance} {
-  auto map = std::make_shared<const OccupancyGrid>(track_.grid);
-  truth_caster_ =
-      std::make_shared<RayMarching>(std::move(map), config_.lidar.max_range);
+  RangeMethodOptions options;
+  options.max_range = config_.lidar.max_range;
+  truth_caster_ = shared_range_method(
+      RangeMethodKind::kRayMarching,
+      std::make_shared<const OccupancyGrid>(track_.grid), options);
 }
 
 Pose2 ExperimentRunner::start_pose() const {

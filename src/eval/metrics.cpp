@@ -6,7 +6,8 @@ namespace srl {
 
 ScanAlignmentScorer::ScanAlignmentScorer(const OccupancyGrid& map,
                                          double tolerance)
-    : wall_distance_{distance_to_occupied(map)}, tolerance_{tolerance} {}
+    : wall_distance_{shared_distance_to_occupied(map)},
+      tolerance_{tolerance} {}
 
 double ScanAlignmentScorer::score(const LaserScan& scan,
                                   const LidarConfig& config,
@@ -24,7 +25,7 @@ double ScanAlignmentScorer::score(const LaserScan& scan,
     const double a = sensor.theta + config.beam_angle(i);
     const Vec2 endpoint{sensor.x + r * std::cos(a),
                         sensor.y + r * std::sin(a)};
-    if (wall_distance_.at_world(endpoint) <= tolerance_) ++aligned;
+    if (wall_distance_->at_world(endpoint) <= tolerance_) ++aligned;
   }
   if (valid == 0) return 0.0;
   return 100.0 * static_cast<double>(aligned) / static_cast<double>(valid);

@@ -12,14 +12,16 @@
 ///  - compute load: localizer busy time as a percentage of simulated time
 ///    (the htop-style single-core load proxy).
 
+#include <memory>
+
 #include "gridmap/distance_transform.hpp"
 #include "gridmap/occupancy_grid.hpp"
 #include "sensor/lidar.hpp"
 
 namespace srl {
 
-/// Precomputes the wall-distance field once; then each scan is scored in
-/// O(beams).
+/// Takes the wall-distance field from the MapAssets store (one per map,
+/// shared by every scorer on it); then each scan is scored in O(beams).
 class ScanAlignmentScorer {
  public:
   /// `tolerance`: max distance (m) from an endpoint to a wall to count as
@@ -33,10 +35,10 @@ class ScanAlignmentScorer {
 
   double tolerance() const { return tolerance_; }
   /// Distance (m) from each cell to the nearest occupied cell.
-  const DistanceField& wall_distance() const { return wall_distance_; }
+  const DistanceField& wall_distance() const { return *wall_distance_; }
 
  private:
-  DistanceField wall_distance_;
+  std::shared_ptr<const DistanceField> wall_distance_;
   double tolerance_;
 };
 

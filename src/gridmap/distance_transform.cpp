@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "gridmap/map_assets.hpp"
+
 namespace srl {
 namespace {
 
@@ -115,6 +117,16 @@ DistanceField distance_transform(const OccupancyGrid& grid) {
 DistanceField distance_to_occupied(const OccupancyGrid& grid) {
   return transform_impl(
       grid, [&](int ix, int iy) { return grid.is_occupied(ix, iy); });
+}
+
+std::shared_ptr<const DistanceField> shared_distance_to_occupied(
+    const OccupancyGrid& grid) {
+  return MapAssets::get<DistanceField>(
+      grid, MapAssetKey{"distance_to_occupied", {}},
+      [](const std::shared_ptr<const OccupancyGrid>& map) {
+        return std::make_shared<const DistanceField>(
+            distance_to_occupied(*map));
+      });
 }
 
 }  // namespace srl

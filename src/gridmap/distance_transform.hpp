@@ -7,6 +7,7 @@
 /// acceleration structure for ray-marching range queries and for the
 /// scan-alignment metric.
 
+#include <memory>
 #include <vector>
 
 #include "gridmap/occupancy_grid.hpp"
@@ -79,5 +80,11 @@ DistanceField distance_transform(const OccupancyGrid& grid);
 /// Distance to the nearest *occupied* cell only (unknown treated as free);
 /// used by the scan-alignment metric, which scores hits against walls.
 DistanceField distance_to_occupied(const OccupancyGrid& grid);
+
+/// `distance_to_occupied(grid)` from the process-wide MapAssets store: one
+/// field per grid content, shared by the alignment scorer, the crash check
+/// and the likelihood fields built on it.
+std::shared_ptr<const DistanceField> shared_distance_to_occupied(
+    const OccupancyGrid& grid);
 
 }  // namespace srl

@@ -7,7 +7,6 @@ namespace srl {
 
 float BresenhamCaster::range(const Pose2& ray) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(ray), "bresenham query pose not finite");
-  note_query();
   const OccupancyGrid& grid = *map_;
   const double res = grid.resolution();
 

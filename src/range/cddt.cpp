@@ -123,7 +123,6 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
 
 float Cddt::range(const Pose2& ray) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(ray), "cddt query pose not finite");
-  note_query();
   const OccupancyGrid& grid = *map_;
   const GridIndex start = grid.world_to_grid({ray.x, ray.y});
   if (grid.blocks_ray(start.ix, start.iy)) return 0.0F;
@@ -134,7 +133,6 @@ void Cddt::ranges_from(const Pose2& sensor,
                        std::span<const double> beam_angles,
                        std::span<float> out) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(sensor), "cddt query pose not finite");
-  note_queries(beam_angles.size());
   const OccupancyGrid& grid = *map_;
   const GridIndex start = grid.world_to_grid({sensor.x, sensor.y});
   if (grid.blocks_ray(start.ix, start.iy)) {

@@ -387,7 +387,6 @@ RangeLut::RangeLut(std::shared_ptr<const OccupancyGrid> map, double max_range,
 
 float RangeLut::range(const Pose2& ray) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(ray), "lut query pose not finite");
-  note_query();
   const OccupancyGrid& grid = *map_;
   const GridIndex g = grid.world_to_grid({ray.x, ray.y});
   // Off-grid cells block, so a cell that does not block has a row.
@@ -406,7 +405,6 @@ void RangeLut::ranges_from(const Pose2& sensor,
                            std::span<const double> beam_angles,
                            std::span<float> out) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(sensor), "lut query pose not finite");
-  note_queries(beam_angles.size());
   const OccupancyGrid& grid = *map_;
   const GridIndex g = grid.world_to_grid({sensor.x, sensor.y});
   if (grid.blocks_ray(g.ix, g.iy)) {

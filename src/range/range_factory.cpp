@@ -1,3 +1,4 @@
+#include "gridmap/map_assets.hpp"
 #include "range/bresenham.hpp"
 #include "range/cddt.hpp"
 #include "range/lookup_table.hpp"
@@ -37,6 +38,24 @@ std::unique_ptr<RangeMethod> make_range_method(
                                         options.lut_theta_bins);
   }
   return nullptr;
+}
+
+std::shared_ptr<const RangeMethod> shared_range_method(
+    RangeMethodKind kind, std::shared_ptr<const OccupancyGrid> map,
+    const RangeMethodOptions& options) {
+  // The key carries exactly what the kind's constructor reads.
+  MapAssetKey key{to_string(kind), {options.max_range}};
+  if (kind == RangeMethodKind::kCddt) {
+    key.params.push_back(options.cddt_theta_bins);
+  } else if (kind == RangeMethodKind::kLut) {
+    key.params.push_back(options.lut_theta_bins);
+  }
+  return MapAssets::get<RangeMethod>(
+      map, std::move(key),
+      [&](const std::shared_ptr<const OccupancyGrid>& grid) {
+        return std::shared_ptr<const RangeMethod>{
+            make_range_method(kind, grid, options)};
+      });
 }
 
 }  // namespace srl

@@ -16,7 +16,6 @@
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "gridmap/occupancy_grid.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace srl {
 
@@ -27,7 +26,9 @@ namespace srl {
 inline bool valid_ray_pose(const Pose2& ray) { return finite(ray); }
 
 /// Abstract range-query backend. Implementations are immutable after
-/// construction and safe for concurrent queries.
+/// construction and safe for concurrent queries, so one instance can serve
+/// every filter on a map (shared_range_method). Query counts are the
+/// caller's: the particle filter counts its own casts (DESIGN.md §7).
 class RangeMethod {
  public:
   RangeMethod(std::shared_ptr<const OccupancyGrid> map, double max_range)
@@ -71,31 +72,9 @@ class RangeMethod {
   const OccupancyGrid& map() const { return *map_; }
   std::shared_ptr<const OccupancyGrid> map_ptr() const { return map_; }
 
-  /// Register this backend's query counter ("range.<name>.queries") with
-  /// `registry`. Declared const because backends are logically immutable —
-  /// the counter handle is the only mutable state. Attach before concurrent
-  /// use; the counter itself is thread-safe.
-  void attach_telemetry(telemetry::MetricsRegistry& registry) const {
-    queries_ = &registry.counter("range." + name() + ".queries");
-  }
-
  protected:
-  /// Called by every backend's range() — one relaxed increment when
-  /// attached, one predictable branch when not.
-  void note_query() const {
-    if (queries_ != nullptr) queries_->add();
-  }
-
-  /// Batched variant for ranges_from() overrides: one atomic add for the
-  /// whole beam fan instead of one per beam. Counter totals stay equal to
-  /// the per-query path.
-  void note_queries(std::size_t n) const {
-    if (queries_ != nullptr) queries_->add(n);
-  }
-
   std::shared_ptr<const OccupancyGrid> map_;
   double max_range_;
-  mutable telemetry::Counter* queries_{nullptr};
 };
 
 /// Which backend to build. `kLut` is the mode the paper uses on the GPU-less
@@ -112,8 +91,17 @@ struct RangeMethodOptions {
   int lut_theta_bins = 120;  ///< angular discretization for the LUT
 };
 
-/// Build a backend of the requested kind over `map`.
+/// Build a backend of the requested kind over `map`: always a fresh build
+/// (the LUT's and CDDT's precomputation pass runs every call).
 std::unique_ptr<RangeMethod> make_range_method(
+    RangeMethodKind kind, std::shared_ptr<const OccupancyGrid> map,
+    const RangeMethodOptions& options = {});
+
+/// The same backend from the process-wide MapAssets store: one build per
+/// (grid content, kind, max range, the kind's theta bins), shared by every
+/// caller while any of them holds it. Bitwise the backend
+/// make_range_method would build.
+std::shared_ptr<const RangeMethod> shared_range_method(
     RangeMethodKind kind, std::shared_ptr<const OccupancyGrid> map,
     const RangeMethodOptions& options = {});
 

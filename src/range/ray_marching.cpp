@@ -14,7 +14,6 @@ namespace srl {
 
 float RayMarching::range(const Pose2& ray) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(ray), "ray-marching query pose not finite");
-  note_query();
   return march(ray.x, ray.y, std::cos(ray.theta), std::sin(ray.theta));
 }
 
@@ -152,7 +151,6 @@ __attribute__((target("avx2"))) void march_block_avx2(
 
 void RayMarching::ranges(std::span<const Pose2> rays,
                          std::span<float> out) const {
-  note_queries(rays.size());
 #if defined(SRL_SIMD_X86_AVX2)
   // 32-bit gather indices, and floor_to_cell's 1e9 sentinel must stay
   // outside the field: both hold for any field under 1e9 cells.

@@ -174,8 +174,7 @@ std::optional<Pose2> RecoveryPolicy::global_relocalize(
   std::unique_ptr<CorrelativeScanMatcher> matcher;
   if (!points.empty()) {
     if (field_ == nullptr) {
-      field_ = std::make_unique<ProbabilityGrid>(
-          ProbabilityGrid::likelihood_field(*map_));
+      field_ = ProbabilityGrid::shared_likelihood_field(*map_);
     }
     // The linear window must cover the worst-case lattice offset
     // (reloc_grid_m * sqrt(2) / 2); the matcher closes the last few cm.

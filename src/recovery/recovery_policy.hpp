@@ -198,8 +198,8 @@ class RecoveryPolicy {
   std::uint64_t inject_ordinal_{0};
   std::uint64_t scatter_ordinal_{0};
   int diverged_entries_{0};
-  /// Likelihood field + matcher for refinement, built on first use.
-  mutable std::unique_ptr<ProbabilityGrid> field_;
+  /// Likelihood field for refinement, taken from MapAssets on first use.
+  mutable std::shared_ptr<const ProbabilityGrid> field_;
 };
 
 }  // namespace srl::recovery

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "gridmap/distance_transform.hpp"
+#include "gridmap/map_assets.hpp"
 
 namespace srl {
 namespace {
@@ -30,7 +31,9 @@ ProbabilityGrid ProbabilityGrid::likelihood_field(const OccupancyGrid& map,
   ProbabilityGrid grid{map.width(), map.height(), map.resolution(),
                        map.origin()};
   grid.out_of_bounds_p_ = static_cast<float>(p_min);
-  const DistanceField df = distance_to_occupied(map);
+  const std::shared_ptr<const DistanceField> walls =
+      shared_distance_to_occupied(map);
+  const DistanceField& df = *walls;
   const double inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma);
   for (int iy = 0; iy < map.height(); ++iy) {
     for (int ix = 0; ix < map.width(); ++ix) {
@@ -45,6 +48,16 @@ ProbabilityGrid ProbabilityGrid::likelihood_field(const OccupancyGrid& map,
     }
   }
   return grid;
+}
+
+std::shared_ptr<const ProbabilityGrid> ProbabilityGrid::shared_likelihood_field(
+    const OccupancyGrid& map, double sigma, double p_min, double p_max) {
+  return MapAssets::get<ProbabilityGrid>(
+      map, MapAssetKey{"likelihood_field", {sigma, p_min, p_max}},
+      [&](const std::shared_ptr<const OccupancyGrid>& grid) {
+        return std::make_shared<const ProbabilityGrid>(
+            likelihood_field(*grid, sigma, p_min, p_max));
+      });
 }
 
 void ProbabilityGrid::apply_odds(int ix, int iy, float odds_factor) {

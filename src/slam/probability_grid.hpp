@@ -9,6 +9,7 @@
 /// Cartographer's interpolated grid costs.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,10 +27,18 @@ class ProbabilityGrid {
   /// p_min + (p_max - p_min) * exp(-d^2 / (2 sigma^2)) where d is the
   /// distance to the nearest occupied cell. Cells outside the mapped free
   /// space keep p_min so the matcher is repelled from unknown territory.
+  /// The distances come from the shared wall field
+  /// (shared_distance_to_occupied).
   static ProbabilityGrid likelihood_field(const OccupancyGrid& map,
                                           double sigma = 0.2,
                                           double p_min = 0.05,
                                           double p_max = 0.95);
+  /// The same field from the process-wide MapAssets store: one build per
+  /// (grid content, sigma, p_min, p_max), shared by every CartoLite and
+  /// relocalization search on the map while any of them holds it.
+  static std::shared_ptr<const ProbabilityGrid> shared_likelihood_field(
+      const OccupancyGrid& map, double sigma = 0.2, double p_min = 0.05,
+      double p_max = 0.95);
 
   int width() const { return width_; }
   int height() const { return height_; }

@@ -23,8 +23,8 @@ CartoLocalizer::CartoLocalizer(PureLocalizationOptions options,
     : options_{options},
       lidar_{std::move(lidar)},
       beam_dirs_{beam_directions(lidar_)},
-      field_{ProbabilityGrid::likelihood_field(*map,
-                                               options.likelihood_sigma)},
+      field_{ProbabilityGrid::shared_likelihood_field(
+          *map, options.likelihood_sigma)},
       local_gn_{options.gn},
       global_gn_{make_global_gn(options.gn)},
       local_csm_{options.local_csm},
@@ -144,7 +144,7 @@ Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
 }
 
 void CartoLocalizer::global_correction(const std::vector<Vec2>& points) {
-  ScanMatchResult coarse = global_csm_.match(field_, pose_, points);
+  ScanMatchResult coarse = global_csm_.match(*field_, pose_, points);
   last_global_score_ = coarse.score;
   if (!coarse.ok) {
     if (c_global_failures_ != nullptr) c_global_failures_->add();
@@ -152,12 +152,12 @@ void CartoLocalizer::global_correction(const std::vector<Vec2>& points) {
     // the search window: fall back to the wide relocalization search.
     if (++failed_global_ < options_.reloc_after_failures) return;
     if (c_relocs_ != nullptr) c_relocs_->add();
-    coarse = reloc_csm_.match(field_, pose_, points);
+    coarse = reloc_csm_.match(*field_, pose_, points);
     last_global_score_ = coarse.score;
     if (!coarse.ok) return;
   }
   failed_global_ = 0;
-  const ScanMatchResult fine = global_gn_.refine(field_, coarse.pose, points);
+  const ScanMatchResult fine = global_gn_.refine(*field_, coarse.pose, points);
 
   // Rigid trajectory correction (the optimization's step change, a hard
   // snap): move the current pose and the live submap together so local

@@ -104,7 +104,7 @@ class CartoLocalizer final : public Localizer {
   /// constraint searches.
   void set_telemetry(const telemetry::Sink& sink) override;
 
-  const ProbabilityGrid& field() const { return field_; }
+  const ProbabilityGrid& field() const { return *field_; }
   double last_global_score() const { return last_global_score_; }
   long global_fixes() const { return global_fixes_; }
 
@@ -114,7 +114,8 @@ class CartoLocalizer final : public Localizer {
   PureLocalizationOptions options_;
   LidarConfig lidar_;
   std::vector<Vec2> beam_dirs_;  ///< beam_directions(lidar_), for deskewing
-  ProbabilityGrid field_;  ///< likelihood field of the frozen prior map
+  /// Likelihood field of the frozen prior map (shared through MapAssets).
+  std::shared_ptr<const ProbabilityGrid> field_;
   GaussNewtonMatcher local_gn_;
   GaussNewtonMatcher global_gn_;
   CorrelativeScanMatcher local_csm_;

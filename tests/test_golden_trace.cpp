@@ -37,6 +37,7 @@
 #include "eval/experiment.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
+#include "range/range_method.hpp"
 #include "slam/pure_localization.hpp"
 
 #ifndef SRL_TEST_DATA_DIR
@@ -230,6 +231,84 @@ TEST(GoldenTrace, CartoLiteReplayMatchesCommittedBits) {
   EXPECT_TRUE(bits_equal(result.heading_rmse_rad, golden.heading_rmse_rad))
       << std::hexfloat << result.heading_rmse_rad << " vs "
       << golden.heading_rmse_rad;
+}
+
+/// Feed the trace into several localizers in lockstep: each odometry
+/// increment to every localizer in turn, then each scan. Returns the
+/// estimates per localizer.
+std::vector<std::vector<Pose2>> replay_interleaved(
+    const SensorTrace& trace, const std::vector<Localizer*>& users) {
+  std::vector<std::vector<Pose2>> estimates(users.size());
+  for (Localizer* l : users) l->initialize(trace.scans().front().truth);
+  std::size_t oi = 0;
+  for (const SensorTrace::ScanRecord& rec : trace.scans()) {
+    for (; oi < trace.odometry().size() &&
+           trace.odometry()[oi].t <= rec.scan.t;
+         ++oi) {
+      for (Localizer* l : users) l->on_odometry(trace.odometry()[oi].odom);
+    }
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      estimates[u].push_back(users[u]->on_scan(rec.scan));
+    }
+  }
+  return estimates;
+}
+
+void expect_bits_equal(const std::vector<Pose2>& got,
+                       const std::vector<Pose2>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(bits_equal(got[i].x, want[i].x) &&
+                bits_equal(got[i].y, want[i].y) &&
+                bits_equal(got[i].theta, want[i].theta))
+        << what << ": estimate " << i << " differs from the lone replay";
+  }
+}
+
+/// Two users of one shared table, stepped alternately through the golden
+/// lap, land on the bits of a lone instance: SynPF pairs on the LUT and on
+/// CDDT (one range backend each, from MapAssets) and a CartoLite pair (one
+/// likelihood field). The lone replay runs first and dies with its table,
+/// so the pair's table is a fresh build.
+TEST(GoldenTrace, InterleavedUsersOfOneTableMatchALoneReplay) {
+  if (regen_requested()) GTEST_SKIP() << "regeneration run";
+  const auto trace = SensorTrace::load(kTracePath);
+  ASSERT_TRUE(trace.has_value()) << "missing/corrupt " << kTracePath;
+  const Track track = golden_track();
+  auto map = std::make_shared<const OccupancyGrid>(track.grid);
+  const LidarConfig lidar;
+
+  for (const RangeMethodKind kind :
+       {RangeMethodKind::kLut, RangeMethodKind::kCddt}) {
+    SynPfConfig cfg = golden_config();
+    cfg.range = kind;
+    const std::vector<Pose2> lone = [&] {
+      SynPf pf{cfg, map, lidar};
+      return trace->replay(pf).estimates;
+    }();
+    SynPf first{cfg, map, lidar};
+    SynPf second{cfg, std::make_shared<const OccupancyGrid>(track.grid),
+                 lidar};
+    RangeMethodOptions options = cfg.range_options;
+    options.max_range = lidar.max_range;
+    // The two filters and this request hold the one table.
+    EXPECT_EQ(shared_range_method(kind, map, options).use_count(), 3)
+        << to_string(kind);
+    const auto both = replay_interleaved(*trace, {&first, &second});
+    expect_bits_equal(both[0], lone, to_string(kind).c_str());
+    expect_bits_equal(both[1], lone, to_string(kind).c_str());
+  }
+
+  const std::vector<Pose2> lone = [&] {
+    CartoLocalizer carto{PureLocalizationOptions{}, map, lidar};
+    return trace->replay(carto).estimates;
+  }();
+  CartoLocalizer first{PureLocalizationOptions{}, map, lidar};
+  CartoLocalizer second{PureLocalizationOptions{}, map, lidar};
+  EXPECT_EQ(&first.field(), &second.field());
+  const auto both = replay_interleaved(*trace, {&first, &second});
+  expect_bits_equal(both[0], lone, "cartolite");
+  expect_bits_equal(both[1], lone, "cartolite");
 }
 
 /// The simulator's own bits: recording the golden lap again must write the

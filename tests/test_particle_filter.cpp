@@ -11,6 +11,7 @@
 #include "common/angles.hpp"
 #include "motion/tum_model.hpp"
 #include "range/bresenham.hpp"
+#include "range/range_method.hpp"
 #include "sensor/lidar_sim.hpp"
 #include "sensor/scanline_layout.hpp"
 
@@ -437,6 +438,58 @@ TEST(ParticleFilter, GovernResizeThenTopParticlesDigestStaysCoherent) {
     // Oversized k clamps to the whole cloud instead of reading stale slots.
     EXPECT_EQ(pf.top_particles(static_cast<std::size_t>(target) + 64).size(),
               static_cast<std::size_t>(target));
+  }
+}
+
+/// Two filters on one shared LUT, each reporting into its own registry:
+/// every update adds exactly its own n x k casts to its own
+/// "range.lut.queries" and nothing to the other's. (A counter handle kept
+/// in the shared backend would follow whichever filter attached last.)
+TEST(ParticleFilter, SharedBackendCountsQueriesPerFilter) {
+  auto map = make_room();
+  const LidarConfig lidar;
+  RangeMethodOptions options;
+  options.max_range = lidar.max_range;
+  const std::shared_ptr<const RangeMethod> lut =
+      shared_range_method(RangeMethodKind::kLut, map, options);
+  ASSERT_EQ(lut->name(), "lut");
+  constexpr int kBeams = 30;
+  auto make = [&](int particles) {
+    ParticleFilterConfig cfg;
+    cfg.n_particles = particles;
+    return ParticleFilter{cfg,
+                          lut,
+                          std::make_shared<TumMotionModel>(),
+                          BeamModel{},
+                          lidar,
+                          uniform_layout(lidar, kBeams),
+                          42};
+  };
+  ParticleFilter a = make(200);
+  ParticleFilter b = make(300);
+  telemetry::MetricsRegistry metrics_a;
+  telemetry::MetricsRegistry metrics_b;
+  a.set_telemetry(telemetry::Sink{&metrics_a});
+  b.set_telemetry(telemetry::Sink{&metrics_b});
+  const telemetry::Counter& queries_a = metrics_a.counter("range.lut.queries");
+  const telemetry::Counter& queries_b = metrics_b.counter("range.lut.queries");
+
+  const Pose2 truth{4.0, 2.0, 0.8};
+  a.init_pose(truth);
+  b.init_pose(truth);
+  Rng scan_rng{7};
+  const LaserScan scan = observe(map, truth, scan_rng);
+  std::uint64_t want_a = 0;
+  std::uint64_t want_b = 0;
+  for (int i = 0; i < 3; ++i) {
+    want_a += static_cast<std::uint64_t>(a.current_particles()) * kBeams;
+    a.correct(scan);
+    EXPECT_EQ(queries_a.value(), want_a) << "update " << i;
+    EXPECT_EQ(queries_b.value(), want_b) << "update " << i;
+    want_b += static_cast<std::uint64_t>(b.current_particles()) * kBeams;
+    b.correct(scan);
+    EXPECT_EQ(queries_a.value(), want_a) << "update " << i;
+    EXPECT_EQ(queries_b.value(), want_b) << "update " << i;
   }
 }
 

@@ -164,9 +164,12 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // 1. Same seed, two fresh filters.
-  SynPf a{cfg, map, LidarConfig{}};
-  const auto ra = trace.replay(a);
+  // 1. Same seed, two fresh filters. The reference dies with its replay,
+  // so its LUT cannot outlive it into regime 9's forced builds.
+  const auto ra = [&] {
+    SynPf a{cfg, map, LidarConfig{}};
+    return trace.replay(a);
+  }();
   {
     SynPf b{cfg, map, LidarConfig{}};
     const auto rb = trace.replay(b);
@@ -474,8 +477,13 @@ int main(int argc, char** argv) {
       simd::reset();
       return r;
     };
-    SynPf cddt_ref{cddt_cfg, map, LidarConfig{}};
-    const auto rcddt = trace.replay(cddt_ref);
+    // The references die before the forced runs: MapAssets keeps no table
+    // without a user, so each forced SynPF builds its LUT or CDDT under the
+    // forced backend instead of reusing the ambient one.
+    const auto rcddt = [&] {
+      SynPf cddt_ref{cddt_cfg, map, LidarConfig{}};
+      return trace.replay(cddt_ref);
+    }();
     const auto rcarto = carto_replay();
     auto check_backend = [&](simd::Backend backend) {
       const std::string tag = std::string{"simd-"} + simd::name(backend);
