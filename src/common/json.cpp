@@ -109,9 +109,16 @@ const std::vector<std::pair<std::string, Value>>& Value::members() const {
 }
 
 std::string format_number(double d) {
-  // Shortest representation that round-trips: try increasing precision and
-  // take the first that parses back to the same bits.
   char buf[40];
+  // Whole numbers below 2^53 in magnitude print as integers ("270", not
+  // "2.7e+02"): each is exactly its integer, so the text round-trips, and
+  // "-0" keeps the sign bit.
+  if (std::abs(d) < 0x1p53 && d == std::trunc(d)) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  // Otherwise the shortest representation that round-trips: try increasing
+  // precision and take the first that parses back to the same bits.
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
     if (std::strtod(buf, nullptr) == d) break;

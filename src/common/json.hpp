@@ -114,8 +114,10 @@ bool read_uint(const Value& object, const std::string& key, Int& out,
   return true;
 }
 
-/// Round-trip double formatting ("%.17g"-class, shortest faithful): the one
-/// number format used across every benchmark JSON.
+/// Round-trip double formatting, the one number format used across every
+/// benchmark JSON: a finite whole number below 2^53 in magnitude as an
+/// integer ("270", "-0"), any other number in the shortest "%.*g" form
+/// that parses back to the same bits.
 std::string format_number(double d);
 
 /// 64-bit hashes and seeds do not fit a double exactly, so every benchmark

@@ -160,18 +160,9 @@ bool truthy(const json::Value* v) {
   return !v->is_null();
 }
 
-/// Integral values print as integers ("1500", not "1.5e+03"), others in the
-/// round-trip format.
-std::string number_text(double d) {
-  if (std::trunc(d) == d && std::fabs(d) < 1e15) {
-    return std::to_string(static_cast<long long>(d));
-  }
-  return json::format_number(d);
-}
-
 std::string text(const json::Value& v) {
   if (v.is_string()) return v.as_string();
-  return v.is_number() ? number_text(v.as_double()) : v.dump(0);
+  return v.dump(0);
 }
 
 struct Row {
@@ -373,9 +364,9 @@ void judge(const FieldRule& rule, const std::string& cell,
   const bool upper = rule.rule == Rule::kAtMost;
   const double limit = upper ? bv * (1.0 + rule.frac) + rule.slack
                              : bv * (1.0 - rule.frac) - rule.slack;
-  const CompareFailure breach{cell, rule.field, json::Value::number(bv),
-                              json::Value::number(cv),
-                              (upper ? "<= " : ">= ") + number_text(limit)};
+  const CompareFailure breach{
+      cell, rule.field, json::Value::number(bv), json::Value::number(cv),
+      (upper ? "<= " : ">= ") + json::format_number(limit)};
   if (upper ? cv <= limit : cv >= limit) {
     const bool improved =
         rule.improve > 0.0 && (upper ? cv < bv * (1.0 - rule.improve)
@@ -441,8 +432,8 @@ void judge_lane_scaling(const LaneScaling& rule, const json::Value& candidate,
       report.failures.push_back(
           {wide->key, rule.field, json::Value::number(o),
            json::Value::number(w),
-           "<= " + number_text(limit) + " (" + number_text(rule.max_ratio) +
-               " x its t=1 row)"});
+           "<= " + json::format_number(limit) + " (" +
+               json::format_number(rule.max_ratio) + " x its t=1 row)"});
     }
   }
 }

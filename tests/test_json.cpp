@@ -70,6 +70,33 @@ TEST(JsonParse, NumbersRoundTripBitwise) {
   }
 }
 
+TEST(JsonParse, WholeNumbersBelowTwoToThe53PrintAsIntegers) {
+  const struct {
+    double value;
+    const char* text;
+  } cases[] = {
+      {270.0, "270"},
+      {800.0, "800"},
+      {0x1p53 - 1.0, "9007199254740991"},
+      {-(0x1p53 - 1.0), "-9007199254740991"},
+      {-0.0, "-0"},
+      {0.0, "0"},
+      // From 2^53 on, and for every number that is not whole, the shortest
+      // round-trip form stays (2^53 happens to need all 16 digits).
+      {0x1p53, "9007199254740992"},
+      {1e20, "1e+20"},
+      {0.5, "0.5"},
+      {1e-300, "1e-300"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(format_number(c.value), c.text);
+    const auto parsed = Value::parse(format_number(c.value));
+    ASSERT_TRUE(parsed.has_value()) << c.text;
+    const double back = parsed->as_double();
+    EXPECT_EQ(std::memcmp(&back, &c.value, sizeof(double)), 0) << c.text;
+  }
+}
+
 TEST(JsonParse, AcceptsSurroundingWhitespaceOnly) {
   EXPECT_TRUE(Value::parse("  \t\n true \r\n ").has_value());
   EXPECT_TRUE(Value::parse("[1 , 2 ,\t3]").has_value());
