@@ -234,11 +234,11 @@ class ParticleFilter {
   /// records per-stage latency histograms (pf.predict_ms / pf.raycast_ms /
   /// pf.weight_ms / pf.resample_ms), samples a FilterHealth snapshot into
   /// gauges (pf.ess, pf.weight_entropy, pf.max_weight_share, ...), and
-  /// adds each raycast's n x k queries to "range.<backend>.queries" in the
-  /// registry (the filter counts, not the backend, which may be shared with
-  /// filters reporting elsewhere). With a
-  /// trace buffer, stages emit nested spans. A default-constructed sink
-  /// detaches; the filter then runs the exact un-instrumented hot path.
+  /// adds each raycast's n x k queries to "range.<backend>.queries" (the
+  /// filter counts them because its backend may be shared with filters
+  /// that report elsewhere). With a trace buffer, stages emit nested
+  /// spans. A default-constructed sink detaches; the filter then runs the
+  /// exact un-instrumented hot path.
   void set_telemetry(const telemetry::Sink& sink);
   /// Health snapshot of the most recent measurement update (only populated
   /// while a metrics registry is attached).

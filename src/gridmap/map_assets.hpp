@@ -57,7 +57,9 @@ class MapAssets {
     return std::static_pointer_cast<const T>(get_erased(
         *map, map, typeid(T), std::move(key),
         [&](const std::shared_ptr<const OccupancyGrid>& grid)
-            -> std::shared_ptr<const void> { return build(grid); }));
+            -> std::shared_ptr<const void> {
+          return std::shared_ptr<const T>{build(grid)};
+        }));
   }
 
   /// As above for a grid the caller holds by reference: on a miss the store
@@ -69,7 +71,9 @@ class MapAssets {
     return std::static_pointer_cast<const T>(get_erased(
         map, nullptr, typeid(T), std::move(key),
         [&](const std::shared_ptr<const OccupancyGrid>& grid)
-            -> std::shared_ptr<const void> { return build(grid); }));
+            -> std::shared_ptr<const void> {
+          return std::shared_ptr<const T>{build(grid)};
+        }));
   }
 
  private:

@@ -53,8 +53,7 @@ std::shared_ptr<const RangeMethod> shared_range_method(
   return MapAssets::get<RangeMethod>(
       map, std::move(key),
       [&](const std::shared_ptr<const OccupancyGrid>& grid) {
-        return std::shared_ptr<const RangeMethod>{
-            make_range_method(kind, grid, options)};
+        return make_range_method(kind, grid, options);
       });
 }
 
