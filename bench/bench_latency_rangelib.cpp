@@ -9,6 +9,8 @@
 ///    matching computation time" on the GPU-less NUC;
 ///  - one moving 1081-beam truth scan of the simulated LiDAR per SIMD
 ///    backend (the closed loop's truth cast);
+///  - the CDDT batch alone over a clustered particle cloud, and the
+///    sampler's raw, uniform and Gaussian draws, per SIMD backend;
 ///  - acceleration-structure build time (the LUT's precompute trade-off);
 ///  - CartoLite's three scan-update stages (correlative search, Gauss-Newton
 ///    refinement, submap insertion) on a submap and scan from a recorded
@@ -24,9 +26,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/particle_filter.hpp"
 #include "core/synpf.hpp"
@@ -183,6 +187,82 @@ BENCHMARK(BM_TruthScan)
     ->Arg(static_cast<int>(simd::Backend::kScalar))
     ->Arg(static_cast<int>(simd::Backend::kAvx2))
     ->Unit(benchmark::kMicrosecond);
+
+/// The CDDT batch alone: `ranges_from` for every particle of a filter-like
+/// cloud (eight clusters of 200 particles on the centerline, 0.3 m and 0.1
+/// rad spread) over SynPF's boxed layout of 60 beams, which de-duplicates
+/// to 37, per SIMD backend.
+void BM_CddtBatch(benchmark::State& state) {
+  const auto backend = static_cast<simd::Backend>(state.range(0));
+  if (backend == simd::Backend::kAvx2 && !simd::cpu_has_avx2()) {
+    state.SkipWithError("host CPU lacks AVX2");
+    return;
+  }
+  const LidarConfig lidar;
+  const std::vector<double> angles =
+      layout_angles(lidar, boxed_layout(lidar, 60, 3.0));
+  const auto& cl = track().centerline;
+  std::vector<Pose2> cloud;
+  Rng rng{5};
+  for (std::size_t c = 0; c < 8; ++c) {
+    const std::size_t at = c * cl.size() / 8;
+    const Vec2 ahead = cl[(at + 1) % cl.size()] - cl[at];
+    const double heading = std::atan2(ahead.y, ahead.x);
+    for (int i = 0; i < 200; ++i) {
+      cloud.push_back({cl[at].x + rng.gaussian(0.3),
+                       cl[at].y + rng.gaussian(0.3),
+                       heading + rng.gaussian(0.1)});
+    }
+  }
+  const RangeMethod& cddt = *method(RangeMethodKind::kCddt);
+  std::vector<float> out(cloud.size() * angles.size());
+  simd::force(backend);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < cloud.size(); ++i) {
+      cddt.ranges_from(cloud[i], angles,
+                       std::span<float>{out}.subspan(i * angles.size(),
+                                                     angles.size()));
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  simd::reset();
+  state.SetLabel(std::string{simd::name(backend)} + "/" +
+                 std::to_string(angles.size()) + " beams");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_CddtBatch)
+    ->Arg(static_cast<int>(simd::Backend::kScalar))
+    ->Arg(static_cast<int>(simd::Backend::kAvx2))
+    ->Unit(benchmark::kMicrosecond);
+
+/// The sampler's draws, per SIMD backend (the engine's twist dispatches):
+/// a raw engine word (arg 0), `uniform()` (1) and `gaussian(1)` (2).
+void BM_RngDraw(benchmark::State& state) {
+  const auto kind = state.range(0);
+  const auto backend = static_cast<simd::Backend>(state.range(1));
+  if (backend == simd::Backend::kAvx2 && !simd::cpu_has_avx2()) {
+    state.SkipWithError("host CPU lacks AVX2");
+    return;
+  }
+  Rng rng{0x5eed5eedULL};
+  simd::force(backend);
+  if (kind == 0) {
+    for (auto _ : state) benchmark::DoNotOptimize(rng.next_seed());
+  } else if (kind == 1) {
+    for (auto _ : state) benchmark::DoNotOptimize(rng.uniform());
+  } else {
+    for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(1.0));
+  }
+  simd::reset();
+  const char* names[] = {"raw", "uniform", "gaussian"};
+  state.SetLabel(std::string{names[kind]} + "/" + simd::name(backend));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw)
+    ->ArgsProduct({{0, 1, 2},
+                   {static_cast<int>(simd::Backend::kScalar),
+                    static_cast<int>(simd::Backend::kAvx2)}});
 
 /// Acceleration-structure construction cost (the LUT's trade-off), at the
 /// race configuration (the default options: LUT stride 1, 120 bins).

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <ios>
 #include <istream>
@@ -24,6 +25,75 @@
 #include <random>
 
 namespace srl {
+
+/// MT19937-64 (Nishimura 2000), the standard's `mt19937_64`: the same seeding,
+/// output sequence and stream text as libstdc++'s engine, with the state
+/// twist vectorized (DESIGN.md §15). The twist rewrites the 312-word state
+/// in place. New word k reads words k and k + 1 and one word 156 positions
+/// away: word k + 156 while k < 156, both still old, and word k - 156 after,
+/// already new. So four neighbouring words never read each other and one
+/// AVX2 pass computes them together; `twist()` dispatches through
+/// `simd::active()`, and libstdc++'s scalar loop is the reference.
+class MersenneTwister64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateSize = 312;
+  static constexpr std::size_t kShift = 156;  ///< libstdc++'s `shift_size`
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit MersenneTwister64(result_type seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kStateSize; ++i) {
+      const result_type prev = state_[i - 1];
+      state_[i] = (prev ^ (prev >> 62)) * 6364136223846793005ULL + i;
+    }
+  }
+
+  /// The next tempered word; twists the state first once it is used up.
+  result_type operator()() {
+    if (index_ >= kStateSize) twist();
+    result_type z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// libstdc++'s text: the 312 words and the index, decimal, one space
+  /// apart; the stream's flags and fill come back unchanged.
+  friend std::ostream& operator<<(std::ostream& os,
+                                  const MersenneTwister64& engine) {
+    const std::ios_base::fmtflags flags = os.flags();
+    const char fill = os.fill();
+    os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
+    os.fill(' ');
+    for (const result_type word : engine.state_) os << word << ' ';
+    os << engine.index_;
+    os.flags(flags);
+    os.fill(fill);
+    return os;
+  }
+  /// Reads what operator<< writes, as libstdc++ reads it: no check on the
+  /// index, and any index from 312 up twists at the next draw.
+  friend std::istream& operator>>(std::istream& is,
+                                  MersenneTwister64& engine) {
+    const std::ios_base::fmtflags flags = is.flags();
+    is.flags(std::ios_base::dec | std::ios_base::skipws);
+    for (result_type& word : engine.state_) is >> word;
+    is >> engine.index_;
+    is.flags(flags);
+    return is;
+  }
+
+ private:
+  /// Regenerates all 312 words and rewinds the index (rng.cpp).
+  void twist();
+
+  result_type state_[kStateSize];
+  std::size_t index_{kStateSize};
+};
 
 /// SplitMix64 finalizer (Steele, Lea & Flood 2014): bijective 64-bit mixing
 /// used to derive substream seeds. This derivation is *pinned*: changing it
@@ -46,10 +116,10 @@ inline double uint64_to_double(std::uint64_t x) {
 }
 
 /// A seeded pseudo-random generator with the distributions the library needs.
-/// An std::mt19937_64 engine under samplers that reproduce libstdc++'s
-/// `uniform_real_distribution` and `normal_distribution` bit for bit
-/// (DESIGN.md §15); copyable, so particle clouds can fork deterministic
-/// sub-streams if needed.
+/// A MersenneTwister64 engine under samplers that reproduce libstdc++'s
+/// `uniform_real_distribution` and `normal_distribution` over
+/// `std::mt19937_64` bit for bit (DESIGN.md §15); copyable, so particle
+/// clouds can fork deterministic sub-streams if needed.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eedULL)
@@ -182,7 +252,7 @@ class Rng {
   }
 
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
   double saved_{0.0};
   bool saved_available_{false};
 };

@@ -35,6 +35,12 @@ namespace srl::range_avx2 {
 struct Wrapped4 {
   __m256d value;   ///< wrap_into(a, period) on the lanes set in `inside`
   __m256d inside;  ///< all-ones on the lanes the form covers
+  /// All-ones on the lanes whose `value` is `a` moved by an odd number of
+  /// periods, where a +0.0 that replaces a sum rounded up to p counts as
+  /// one period more (it stands for p): [-p, 0) and [p, 2p) are odd and
+  /// [0, p) and (-2p, -p) even, and the +0.0 case flips the two negative
+  /// regions. CDDT's direction test reads it.
+  __m256d odd;
 };
 
 /// The three regions [-period, 2 period).
@@ -47,13 +53,15 @@ __attribute__((target("avx2"))) inline Wrapped4 wrap_into(__m256d a,
   // The scalar branches' single addition or subtraction, unfused. A sum
   // that rounds up to exactly p becomes +0.0 (AND with its "< p" mask).
   const __m256d plus = _mm256_add_pd(a, p);
-  const __m256d plus_ok =
-      _mm256_and_pd(plus, _mm256_cmp_pd(plus, p, _CMP_LT_OQ));
+  const __m256d plus_below_p = _mm256_cmp_pd(plus, p, _CMP_LT_OQ);
+  const __m256d plus_ok = _mm256_and_pd(plus, plus_below_p);
   const __m256d minus = _mm256_sub_pd(a, p);
-  __m256d v = _mm256_blendv_pd(
-      a, plus_ok, _mm256_cmp_pd(a, _mm256_setzero_pd(), _CMP_LT_OQ));
-  v = _mm256_blendv_pd(v, minus, _mm256_cmp_pd(a, p, _CMP_GE_OQ));
-  return {v, inside};
+  const __m256d negative = _mm256_cmp_pd(a, _mm256_setzero_pd(), _CMP_LT_OQ);
+  const __m256d high = _mm256_cmp_pd(a, p, _CMP_GE_OQ);
+  __m256d v = _mm256_blendv_pd(a, plus_ok, negative);
+  v = _mm256_blendv_pd(v, minus, high);
+  return {v, inside,
+          _mm256_or_pd(_mm256_and_pd(negative, plus_below_p), high)};
 }
 
 /// All four regions, (-2 period, 2 period).
@@ -63,11 +71,11 @@ __attribute__((target("avx2"))) inline Wrapped4 wrap_into_wide(
       _mm256_cmp_pd(a, _mm256_set1_pd(-period), _CMP_LT_OQ);
   const __m256d a_up = _mm256_add_pd(a, _mm256_set1_pd(period));
   const Wrapped4 w = wrap_into(_mm256_blendv_pd(a, a_up, below), period);
-  return {w.value, _mm256_and_pd(
-                       _mm256_cmp_pd(a, _mm256_set1_pd(-2.0 * period),
-                                     _CMP_GT_OQ),
-                       _mm256_cmp_pd(a, _mm256_set1_pd(2.0 * period),
-                                     _CMP_LT_OQ))};
+  return {w.value,
+          _mm256_and_pd(
+              _mm256_cmp_pd(a, _mm256_set1_pd(-2.0 * period), _CMP_GT_OQ),
+              _mm256_cmp_pd(a, _mm256_set1_pd(2.0 * period), _CMP_LT_OQ)),
+          _mm256_xor_pd(w.odd, below)};
 }
 
 /// True when every lane of a `Wrapped4::inside` mask is set.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -56,12 +57,8 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
   };
 
   const auto bins = static_cast<std::size_t>(m);
-  cos_t_.resize(bins);
-  sin_t_.resize(bins);
+  bins_.resize(bins);
   angle_.resize(bins);
-  v_min_.resize(bins);
-  first_band_.resize(bins);
-  band_count_.resize(bins);
   band_start_.push_back(0);
   for (int bin = 0; bin < m; ++bin) {
     const auto b = static_cast<std::size_t>(bin);
@@ -69,8 +66,8 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
     const double cos_t = std::cos(theta);
     const double sin_t = std::sin(theta);
     angle_[b] = theta;
-    cos_t_[b] = cos_t;
-    sin_t_[b] = sin_t;
+    bins_[b].cos_t = cos_t;
+    bins_[b].sin_t = sin_t;
 
     double v_min = 0.0;
     double v_max = 0.0;
@@ -83,7 +80,7 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
         v_max = std::max(v_max, v);
       }
     }
-    v_min_[b] = v_min;
+    bins_[b].v_min = v_min;
     const auto n_bands = static_cast<std::size_t>(
                              std::floor((v_max - v_min) / band_width_)) +
                          1;
@@ -96,18 +93,20 @@ Cddt::Cddt(std::shared_ptr<const OccupancyGrid> map, double max_range,
       if (band >= bands.size()) band = bands.size() - 1;
       bands[band].push_back(static_cast<float>(u));
     }
-    // Compress: sort each band and drop duplicates within half a cell,
-    // then append it to the flat store.
+    // Compress: sort each band and keep a value only when it lies at least
+    // half a cell above the last value kept, then append the band to the
+    // flat store.
     const float quantum = static_cast<float>(0.5 * band_width_);
-    first_band_[b] = static_cast<std::int32_t>(band_start_.size() - 1);
-    band_count_[b] = static_cast<std::int32_t>(n_bands);
+    bins_[b].first_band = static_cast<std::int32_t>(band_start_.size() - 1);
+    bins_[b].band_count = static_cast<std::int32_t>(n_bands);
     for (auto& band : bands) {
       std::sort(band.begin(), band.end());
-      auto last = std::unique(band.begin(), band.end(),
-                              [quantum](float a, float c) {
-                                return c - a < quantum;
-                              });
-      obstacles_.insert(obstacles_.end(), band.begin(), last);
+      std::size_t kept = 0;
+      for (const float u : band) {
+        if (kept == 0 || !(u - band[kept - 1] < quantum)) band[kept++] = u;
+      }
+      obstacles_.insert(obstacles_.end(), band.begin(),
+                        band.begin() + static_cast<std::ptrdiff_t>(kept));
       band_start_.push_back(static_cast<std::uint32_t>(obstacles_.size()));
     }
     // Offsets and band indices are 32-bit, and the AVX2 batch gathers
@@ -159,8 +158,9 @@ float Cddt::range_line(double x, double y, double theta) const {
   int b = static_cast<int>(line_angle * m / kPi + 0.5);
   if (b >= m) b -= m;
   const auto bin = static_cast<std::size_t>(b);
-  const double cos_t = cos_t_[bin];
-  const double sin_t = sin_t_[bin];
+  const Bin& rec = bins_[bin];
+  const double cos_t = rec.cos_t;
+  const double sin_t = rec.sin_t;
 
   // Forward along +u if the actual ray direction agrees with the bin axis.
   // Historically this evaluated sign(cos(theta)*cos_t + sin(theta)*sin_t)
@@ -185,13 +185,13 @@ float Cddt::range_line(double x, double y, double theta) const {
 
   const double u = x * cos_t + y * sin_t;
   const double v = -x * sin_t + y * cos_t;
-  const double band_f = (v - v_min_[bin]) / band_width_;
+  const double band_f = (v - rec.v_min) / band_width_;
   if (band_f < 0.0) return static_cast<float>(max_range_);
   const auto band = static_cast<std::size_t>(band_f);
-  if (band >= static_cast<std::size_t>(band_count_[bin])) {
+  if (band >= static_cast<std::size_t>(rec.band_count)) {
     return static_cast<float>(max_range_);
   }
-  const std::size_t at = static_cast<std::size_t>(first_band_[bin]) + band;
+  const std::size_t at = static_cast<std::size_t>(rec.first_band) + band;
   const float* first = obstacles_.data() + band_start_[at];
   const float* last = obstacles_.data() + band_start_[at + 1];
 
@@ -214,17 +214,15 @@ float Cddt::range_line(double x, double y, double theta) const {
 #if defined(SRL_SIMD_X86_AVX2)
 namespace {
 
+/// Four-lane groups a batch keeps in flight; longer fans run in batches.
+constexpr std::size_t kMaxGroups = 16;
+
 /// What the kernel reads of a Cddt, as raw arrays and constants.
 struct CddtView {
-  const double* cos_t;
-  const double* sin_t;
-  const double* angle;
-  const double* v_min;
-  const int* first_band;
-  const int* band_count;
-  const int* band_start;
+  const double* bins;  ///< Cddt::Bin records, four doubles each
+  const long long* band_start;  ///< read as {start, end} pairs
   const float* obstacles;
-  int bins;
+  int bins_count;
   double band_width;
   float max_range;
 };
@@ -234,38 +232,49 @@ struct BeamSearch {
   __m128 forward;  ///< lanes that search ahead (upper_bound)
   __m128 uf;       ///< float(u), the origin along the bin axis
   __m128 key;      ///< u - slack ahead, u + slack behind
-  __m128i in_bin;  ///< lanes whose band exists
+  __m128i in_bin;  ///< live lanes whose band exists
   __m128i first, last, lo, len;
 };
 
-/// range_line's bin selection, direction test and band bounds for four
-/// headings `theta` whose wrap into [0, pi) is `line`.
-__attribute__((target("avx2"))) inline BeamSearch locate(const CddtView& c,
-                                                         __m256d x, __m256d y,
-                                                         __m256d theta,
-                                                         __m256d line) {
+/// range_line's bin selection, direction test and band bounds for the
+/// headings wrapped into `line`, on the lanes set in `lanes`.
+__attribute__((target("avx2"))) inline BeamSearch locate(
+    const CddtView& c, __m256d x, __m256d y, const range_avx2::Wrapped4& line,
+    __m128i lanes) {
   // Bin selection in range_line's order: mul, div, add, truncate, wrap.
-  __m128i b = _mm256_cvttpd_epi32(_mm256_add_pd(
-      _mm256_div_pd(_mm256_mul_pd(line, _mm256_set1_pd(c.bins)),
-                    _mm256_set1_pd(kPi)),
-      _mm256_set1_pd(0.5)));
-  const __m128i wrap = _mm_cmpgt_epi32(b, _mm_set1_epi32(c.bins - 1));
-  b = _mm_sub_epi32(b, _mm_and_si128(wrap, _mm_set1_epi32(c.bins)));
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  const __m256d cos_t = _mm256_mask_i32gather_pd(zero, c.cos_t, b, all, 8);
-  const __m256d sin_t = _mm256_mask_i32gather_pd(zero, c.sin_t, b, all, 8);
-  const __m256d angle = _mm256_mask_i32gather_pd(zero, c.angle, b, all, 8);
-  const __m256d v_min = _mm256_mask_i32gather_pd(zero, c.v_min, b, all, 8);
+  const __m256d scaled =
+      _mm256_mul_pd(line.value, _mm256_set1_pd(c.bins_count));
+  const __m256d bin_f = _mm256_add_pd(
+      _mm256_div_pd(scaled, _mm256_set1_pd(kPi)), _mm256_set1_pd(0.5));
+  // A lane past the end of the fan reads bin 0.
+  __m128i b = _mm_and_si128(_mm256_cvttpd_epi32(bin_f), lanes);
+  const __m128i wrapped = _mm_cmpgt_epi32(b, _mm_set1_epi32(c.bins_count - 1));
+  b = _mm_sub_epi32(b, _mm_and_si128(wrapped, _mm_set1_epi32(c.bins_count)));
 
-  // Direction test. theta in (-2pi, 2pi) and angle in [0, pi) put
-  // theta - angle in (-3pi, 2pi), inside the 2pi wrap's vector regions.
-  const __m256d d =
-      range_avx2::wrap_into_wide(_mm256_sub_pd(theta, angle), kTwoPi)
-          .value;
-  const __m128 forward = _mm_castsi128_ps(range_avx2::narrow_mask(_mm256_or_pd(
-      _mm256_cmp_pd(d, _mm256_set1_pd(0.5 * kPi), _CMP_LT_OQ),
-      _mm256_cmp_pd(d, _mm256_set1_pd(1.5 * kPi), _CMP_GT_OQ))));
+  // Direction: the ray runs along the bin axis when the heading is the
+  // axis angle plus an even multiple of pi, counting the wrap into [0, pi)
+  // and the bin wrap (DESIGN §15).
+  const __m128i forward =
+      _mm_cmpeq_epi32(range_avx2::narrow_mask(line.odd), wrapped);
+
+  // One 32-byte record per lane, transposed: cos, sin, v_min and the
+  // {first band, band count} pairs.
+  const __m256d r0 = _mm256_load_pd(c.bins + 4 * _mm_cvtsi128_si32(b));
+  const __m256d r1 = _mm256_load_pd(c.bins + 4 * _mm_extract_epi32(b, 1));
+  const __m256d r2 = _mm256_load_pd(c.bins + 4 * _mm_extract_epi32(b, 2));
+  const __m256d r3 = _mm256_load_pd(c.bins + 4 * _mm_extract_epi32(b, 3));
+  const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);
+  const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);
+  const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+  const __m256d cos_t = _mm256_permute2f128_pd(lo01, lo23, 0x20);
+  const __m256d sin_t = _mm256_permute2f128_pd(hi01, hi23, 0x20);
+  const __m256d v_min = _mm256_permute2f128_pd(lo01, lo23, 0x31);
+  const __m256i pairs = _mm256_permutevar8x32_epi32(
+      _mm256_castpd_si256(_mm256_permute2f128_pd(hi01, hi23, 0x31)),
+      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+  const __m128i first_band = _mm256_castsi256_si128(pairs);
+  const __m128i count = _mm256_extracti128_si256(pairs, 1);
 
   // Band bounds; lanes outside the bin's bands load nothing.
   const __m256d u =
@@ -273,25 +282,31 @@ __attribute__((target("avx2"))) inline BeamSearch locate(const CddtView& c,
   const __m256d neg_x = _mm256_xor_pd(x, _mm256_set1_pd(-0.0));  // -x
   const __m256d v = _mm256_add_pd(_mm256_mul_pd(neg_x, sin_t),
                                   _mm256_mul_pd(y, cos_t));
-  const __m256d band_f = _mm256_div_pd(_mm256_sub_pd(v, v_min),
-                                       _mm256_set1_pd(c.band_width));
-  const __m128i count = _mm_i32gather_epi32(c.band_count, b, 4);
-  const __m128i in_bin = range_avx2::narrow_mask(_mm256_and_pd(
-      _mm256_cmp_pd(band_f, zero, _CMP_GE_OQ),
-      _mm256_cmp_pd(band_f, _mm256_cvtepi32_pd(count), _CMP_LT_OQ)));
-  const __m128i at = _mm_add_epi32(_mm_i32gather_epi32(c.first_band, b, 4),
-                                   _mm256_cvttpd_epi32(band_f));
-  const __m128i none = _mm_setzero_si128();
-  const __m128i first =
-      _mm_mask_i32gather_epi32(none, c.band_start, at, in_bin, 4);
-  const __m128i last =
-      _mm_mask_i32gather_epi32(none, c.band_start + 1, at, in_bin, 4);
+  const __m256d offset = _mm256_sub_pd(v, v_min);
+  const __m256d band_f =
+      _mm256_div_pd(offset, _mm256_set1_pd(c.band_width));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m128i in_bin = _mm_and_si128(
+      lanes, range_avx2::narrow_mask(_mm256_and_pd(
+                 _mm256_cmp_pd(band_f, zero, _CMP_GE_OQ),
+                 _mm256_cmp_pd(band_f, _mm256_cvtepi32_pd(count),
+                               _CMP_LT_OQ))));
+  const __m128i at =
+      _mm_add_epi32(first_band, _mm256_cvttpd_epi32(band_f));
+  // One 64-bit gather reads both bounds: band_start[at], band_start[at + 1].
+  const __m256i bounds = _mm256_permutevar8x32_epi32(
+      _mm256_mask_i32gather_epi64(_mm256_setzero_si256(), c.band_start, at,
+                                  _mm256_cvtepi32_epi64(in_bin), 4),
+      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+  const __m128i first = _mm256_castsi256_si128(bounds);
+  const __m128i last = _mm256_extracti128_si256(bounds, 1);
 
   const __m128 slack = _mm_set1_ps(static_cast<float>(0.5 * c.band_width));
   const __m128 uf = _mm256_cvtpd_ps(u);
+  const __m128 fwd = _mm_castsi128_ps(forward);
   const __m128 key =
-      _mm_blendv_ps(_mm_add_ps(uf, slack), _mm_sub_ps(uf, slack), forward);
-  return {forward, uf, key, in_bin, first, last, first,
+      _mm_blendv_ps(_mm_add_ps(uf, slack), _mm_sub_ps(uf, slack), fwd);
+  return {fwd, uf, key, in_bin, first, last, first,
           _mm_sub_epi32(last, first)};
 }
 
@@ -348,14 +363,9 @@ __attribute__((target("avx2"))) inline __m128 finish(const CddtView& c,
 __attribute__((target("avx2"))) void Cddt::ranges_from_avx2(
     const Pose2& sensor, std::span<const double> beam_angles,
     std::span<float> out) const {
-  const CddtView c{cos_t_.data(),
-                   sin_t_.data(),
-                   angle_.data(),
-                   v_min_.data(),
-                   first_band_.data(),
-                   band_count_.data(),
+  const CddtView c{reinterpret_cast<const double*>(bins_.data()),
                    // Same bits, signed: every offset is below 2^31.
-                   reinterpret_cast<const int*>(band_start_.data()),
+                   reinterpret_cast<const long long*>(band_start_.data()),
                    obstacles_.data(),
                    theta_bins(),
                    band_width_,
@@ -366,55 +376,66 @@ __attribute__((target("avx2"))) void Cddt::ranges_from_avx2(
   const std::size_t k = beam_angles.size();
   const double* angles = beam_angles.data();
 
-  std::size_t j = 0;
-  while (j + 4 <= k) {
-    // Eight beams as two groups: a search step is a dependent gather
-    // chain, so the second group fills the core while the first waits.
-    if (j + 8 <= k) {
-      const __m256d theta_a =
-          _mm256_add_pd(theta0, _mm256_loadu_pd(angles + j));
-      const __m256d theta_b =
-          _mm256_add_pd(theta0, _mm256_loadu_pd(angles + j + 4));
-      const range_avx2::Wrapped4 line_a =
-          range_avx2::wrap_into_wide(theta_a, kPi);
-      const range_avx2::Wrapped4 line_b =
-          range_avx2::wrap_into_wide(theta_b, kPi);
-      if (range_avx2::all_inside(line_a) && range_avx2::all_inside(line_b)) {
-        BeamSearch a = locate(c, x, y, theta_a, line_a.value);
-        BeamSearch b = locate(c, x, y, theta_b, line_b.value);
-        for (bool more = true; more;) {
-          const bool a_more = search_step(c, a);
-          more = search_step(c, b) || a_more;
-        }
-        _mm_storeu_ps(out.data() + j, finish(c, a));
-        _mm_storeu_ps(out.data() + j + 4, finish(c, b));
-        j += 8;
+  for (std::size_t batch = 0; batch < k; batch += 4 * kMaxGroups) {
+    const std::size_t groups =
+        (std::min(k - batch, 4 * kMaxGroups) + 3) / 4;
+    // Locate every group of the batch, then run their searches side by
+    // side: a search step is a dependent gather chain, so each group
+    // fills the core while the others wait. The last group of the fan may
+    // have fewer than four live lanes.
+    BeamSearch s[kMaxGroups];
+    unsigned searching = 0;
+    unsigned scalar = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t at = batch + 4 * g;
+      const auto live = static_cast<int>(std::min<std::size_t>(k - at, 4));
+      const __m128i lanes = _mm_cmpgt_epi32(_mm_set1_epi32(live),
+                                            _mm_setr_epi32(0, 1, 2, 3));
+      const __m256d theta = _mm256_add_pd(
+          theta0,
+          _mm256_maskload_pd(angles + at, _mm256_cvtepi32_epi64(lanes)));
+      // Lanes outside (-2pi, 2pi) need wrap_into's fmod: the whole group
+      // takes range_line (NaN and huge headings; never a filter's beams).
+      const range_avx2::Wrapped4 line = range_avx2::wrap_into_wide(theta, kPi);
+      if ((_mm256_movemask_pd(line.inside) | ((0xF << live) & 0xF)) != 0xF) {
+        scalar |= 1U << g;
         continue;
       }
+      s[g] = locate(c, x, y, line, lanes);
+      searching |= 1U << g;
     }
-    // One group. Lanes outside (-2pi, 2pi) need wrap_into's fmod: the
-    // whole group takes range_line (NaN and huge headings; never a
-    // filter's beams).
-    const __m256d theta = _mm256_add_pd(theta0, _mm256_loadu_pd(angles + j));
-    const range_avx2::Wrapped4 line =
-        range_avx2::wrap_into_wide(theta, kPi);
-    if (range_avx2::all_inside(line)) {
-      BeamSearch a = locate(c, x, y, theta, line.value);
-      while (search_step(c, a)) {
-      }
-      _mm_storeu_ps(out.data() + j, finish(c, a));
-    } else {
-      for (std::size_t l = j; l < j + 4; ++l) {
-        out[l] = range_line(sensor.x, sensor.y, sensor.theta + beam_angles[l]);
+    for (unsigned more = searching; more != 0;) {
+      for (unsigned left = more; left != 0; left &= left - 1) {
+        const auto g = static_cast<std::size_t>(__builtin_ctz(left));
+        if (!search_step(c, s[g])) more &= ~(1U << g);
       }
     }
-    j += 4;
+    for (unsigned left = searching; left != 0; left &= left - 1) {
+      const auto g = static_cast<std::size_t>(__builtin_ctz(left));
+      const std::size_t at = batch + 4 * g;
+      const __m128 r = finish(c, s[g]);
+      if (at + 4 <= k) {
+        _mm_storeu_ps(out.data() + at, r);
+      } else {
+        alignas(16) float tail[4];
+        _mm_store_ps(tail, r);
+        std::copy(tail, tail + (k - at), out.data() + at);
+      }
+    }
+    if (scalar != 0) {
+      // Clean upper-YMM state before the scalar beams (DESIGN §15).
+      _mm256_zeroupper();
+      for (unsigned left = scalar; left != 0; left &= left - 1) {
+        const std::size_t at =
+            batch + 4 * static_cast<std::size_t>(__builtin_ctz(left));
+        for (std::size_t l = at; l < std::min(at + 4, k); ++l) {
+          out[l] = range_line(sensor.x, sensor.y, sensor.theta + angles[l]);
+        }
+      }
+    }
   }
-  // Clean upper-YMM state before the tail and the return (DESIGN §15).
+  // Clean upper-YMM state before the return (DESIGN §15).
   _mm256_zeroupper();
-  for (; j < k; ++j) {
-    out[j] = range_line(sensor.x, sensor.y, sensor.theta + beam_angles[j]);
-  }
 }
 #endif
 

@@ -14,9 +14,9 @@
 /// error is bounded by the angular bin width and the band discretization.
 /// Every bin's bands share one flat obstacle array and one flat 32-bit
 /// offset array: a vector per band costs more in headers than its
-/// obstacles take, and the batch jobs hold one table per lane. The
-/// per-bin fields are struct-of-arrays so the AVX2 batch gathers them
-/// for four beams at a time (DESIGN §15).
+/// obstacles take, and the batch jobs hold one table per lane. Each bin's
+/// fields sit in one 32-byte record, so the AVX2 batch loads a beam's bin
+/// with one load (DESIGN §15).
 
 #include <cstdint>
 #include <span>
@@ -36,14 +36,19 @@ class Cddt final : public RangeMethod {
   std::string name() const override { return "cddt"; }
 
   /// Per-particle batch: hoists the shared grid lookup / occupancy test
-  /// out of the beam loop and, under AVX2, scores eight beams per pass as
-  /// two four-lane groups; per-beam results are bit-identical to range().
+  /// out of the beam loop and, under AVX2, scores the beams in four-lane
+  /// groups, up to 16 groups in flight; per-beam results are bit-identical
+  /// to range().
   void ranges_from(const Pose2& sensor, std::span<const double> beam_angles,
                    std::span<float> out) const override;
 
-  int theta_bins() const { return static_cast<int>(cos_t_.size()); }
+  int theta_bins() const { return static_cast<int>(bins_.size()); }
   /// Total stored obstacle projections (memory diagnostic).
   std::size_t total_entries() const;
+  /// Every bin's bands back to back, and the band offsets into them (tests
+  /// pin the table's bits through these).
+  std::span<const float> obstacles() const { return obstacles_; }
+  std::span<const std::uint32_t> band_starts() const { return band_start_; }
 
  private:
   /// range() after the shared precondition / occupancy checks: bin
@@ -58,17 +63,21 @@ class Cddt final : public RangeMethod {
                         std::span<float> out) const;
 #endif
 
-  // Theta bin b, one entry per bin.
-  std::vector<double> cos_t_;
-  std::vector<double> sin_t_;
+  /// Theta bin b's record. Band k of bin b holds
+  /// obstacles_[band_start_[first_band + k], band_start_[first_band + k + 1])
+  /// for k < band_count. A bin's last bound is the next bin's first, so
+  /// band_start_ has one entry more than all bins have bands.
+  struct alignas(32) Bin {
+    double cos_t;
+    double sin_t;
+    double v_min;  ///< band-0 offset along v
+    std::int32_t first_band;
+    std::int32_t band_count;
+  };
+  static_assert(sizeof(Bin) == 32);
+
+  std::vector<Bin> bins_;
   std::vector<double> angle_;  ///< bin axis angle kPi * b / m
-  std::vector<double> v_min_;  ///< band-0 offset along v
-  /// Band k of bin b holds obstacles_[band_start_[first_band_[b] + k],
-  /// band_start_[first_band_[b] + k + 1]), for k < band_count_[b]. A bin's
-  /// last bound is the next bin's first, so band_start_ has one entry more
-  /// than all bins have bands.
-  std::vector<std::int32_t> first_band_;
-  std::vector<std::int32_t> band_count_;
   std::vector<std::uint32_t> band_start_;
   std::vector<float> obstacles_;  ///< every bin's bands, back to back
   double band_width_;

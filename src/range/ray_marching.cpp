@@ -33,15 +33,16 @@ float RayMarching::march(double x, double y, double dx, double dy) const {
 #if defined(SRL_SIMD_X86_AVX2)
 namespace {
 
-constexpr std::size_t kBlock = 8;  ///< rays per kernel call: two groups
+constexpr std::size_t kGroups = 8;           ///< four-lane groups per block
+constexpr std::size_t kBlock = 4 * kGroups;  ///< rays per kernel call
 
-/// One block's rays, structure of arrays. Lanes past the live count keep
+/// One block's rays, structure of arrays. Lanes past the live count hold
 /// zeros and never load a cell.
 struct RayBlock {
-  alignas(32) double x[kBlock]{};
-  alignas(32) double y[kBlock]{};
-  alignas(32) double dx[kBlock]{};
-  alignas(32) double dy[kBlock]{};
+  alignas(32) double x[kBlock];
+  alignas(32) double y[kBlock];
+  alignas(32) double dx[kBlock];
+  alignas(32) double dy[kBlock];
 };
 
 /// Four rays in flight: march()'s state per lane, plus whether the lane is
@@ -110,10 +111,11 @@ __attribute__((target("avx2"))) inline MarchGroup start_group(
           _mm_set1_ps(static_cast<float>(max_range))};
 }
 
-/// march() on the first `live` rays of `in`, as two four-lane groups. A
-/// step is a dependent divide-floor-gather chain, so the second group
-/// fills the core while the first waits. The step counter is shared: every
-/// lane starts at step 0 and takes one step per pass until it leaves.
+/// march() on the first `live` rays of `in`, as up to eight four-lane
+/// groups. A step is a dependent divide-floor-gather chain, so the groups
+/// keep eight chains in flight. Every group starts at step 0 and takes one
+/// step per pass until all its lanes have left, or the pass count reaches
+/// max_steps; a group that is done drops out of the passes.
 __attribute__((target("avx2"))) void march_block_avx2(
     const DistanceField& field, double epsilon, double max_range,
     int max_steps, const RayBlock& in, std::size_t live, float* out) {
@@ -124,23 +126,32 @@ __attribute__((target("avx2"))) void march_block_avx2(
                      _mm_set1_epi32(field.height()),
                      field.data().data(),
                      _mm_set1_ps(static_cast<float>(epsilon))};
+  const std::size_t groups = (live + 3) / 4;
   const __m256d v_max_range = _mm256_set1_pd(max_range);
-  MarchGroup g[2] = {start_group(in, 0, live, max_range),
-                     start_group(in, 4, live, max_range)};
-  for (int i = 0; i < max_steps; ++i) {
-    // march()'s loop test `t < max_range`; a lane that fails it returns
-    // max range, which its `range` already holds.
-    g[0].live = _mm256_and_pd(g[0].live,
-                              _mm256_cmp_pd(g[0].t, v_max_range, _CMP_LT_OQ));
-    g[1].live = _mm256_and_pd(g[1].live,
-                              _mm256_cmp_pd(g[1].t, v_max_range, _CMP_LT_OQ));
-    if (_mm256_movemask_pd(_mm256_or_pd(g[0].live, g[1].live)) == 0) break;
-    march_step(f, g[0]);
-    march_step(f, g[1]);
+  MarchGroup g[kGroups];
+  unsigned running = 0;
+  for (std::size_t k = 0; k < groups; ++k) {
+    g[k] = start_group(in, 4 * k, live, max_range);
+    running |= 1U << k;
   }
-  alignas(16) float result[kBlock] = {};
-  _mm_store_ps(result, g[0].range);
-  _mm_store_ps(result + 4, g[1].range);
+  for (int i = 0; i < max_steps && running != 0; ++i) {
+    for (std::size_t k = 0; k < groups; ++k) {
+      if ((running & (1U << k)) == 0) continue;
+      // march()'s loop test `t < max_range`; a lane that fails it returns
+      // max range, which its `range` already holds.
+      g[k].live = _mm256_and_pd(
+          g[k].live, _mm256_cmp_pd(g[k].t, v_max_range, _CMP_LT_OQ));
+      if (_mm256_movemask_pd(g[k].live) == 0) {
+        running &= ~(1U << k);
+        continue;
+      }
+      march_step(f, g[k]);
+    }
+  }
+  alignas(16) float result[kBlock];
+  for (std::size_t k = 0; k < groups; ++k) {
+    _mm_store_ps(result + 4 * k, g[k].range);
+  }
   // Clean upper-YMM state before the caller's libm trig (DESIGN §15).
   _mm256_zeroupper();
   std::copy_n(result, live, out);
@@ -157,9 +168,9 @@ void RayMarching::ranges(std::span<const Pose2> rays,
   if (simd::active() == simd::Backend::kAvx2 &&
       field_.data().size() < 1000000000U) {
     const int steps = max_steps();
+    RayBlock block;
     for (std::size_t i = 0; i < rays.size(); i += kBlock) {
       const std::size_t live = std::min(kBlock, rays.size() - i);
-      RayBlock block;
       for (std::size_t l = 0; l < live; ++l) {
         const Pose2& ray = rays[i + l];
         SYNPF_EXPECTS_MSG(valid_ray_pose(ray),
@@ -168,6 +179,9 @@ void RayMarching::ranges(std::span<const Pose2> rays,
         block.y[l] = ray.y;
         block.dx[l] = std::cos(ray.theta);
         block.dy[l] = std::sin(ray.theta);
+      }
+      for (std::size_t l = live; l < (live + 3) / 4 * 4; ++l) {
+        block.x[l] = block.y[l] = block.dx[l] = block.dy[l] = 0.0;
       }
       march_block_avx2(field_, epsilon_, max_range_, steps, block, live,
                        out.data() + i);

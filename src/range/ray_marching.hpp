@@ -25,7 +25,7 @@ class RayMarching final : public RangeMethod {
   std::string name() const override { return "ray_marching"; }
 
   /// Batch cast (the simulated LiDAR's whole revolution). Under AVX2 it
-  /// sphere-traces eight rays at a time (DESIGN §15); every result is
+  /// sphere-traces 32 rays at a time (DESIGN §15); every result is
   /// bitwise identical to range() on the same ray.
   void ranges(std::span<const Pose2> rays,
               std::span<float> out) const override;

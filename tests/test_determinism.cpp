@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <ios>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "core/synpf.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
@@ -503,6 +505,137 @@ TEST(RngSampler, LoadsStateTextOfTheLibstdcxxSampler) {
           << "state " << k << " draw " << i;
     }
     EXPECT_EQ(rng.next_seed(), next_seed[k]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The engine against libstdc++'s: MersenneTwister64 must draw what
+// std::mt19937_64 draws, under each twist backend, and read and write its
+// text byte for byte.
+// ---------------------------------------------------------------------------
+
+/// The twist backends this host runs: scalar always, AVX2 where the CPU
+/// has it.
+std::vector<simd::Backend> twist_backends() {
+  if (simd::cpu_has_avx2()) {
+    return {simd::Backend::kScalar, simd::Backend::kAvx2};
+  }
+  return {simd::Backend::kScalar};
+}
+
+/// Pins one SIMD backend for a scope; a failed ASSERT still unpins.
+struct PinnedBackend {
+  explicit PinnedBackend(simd::Backend backend) { simd::force(backend); }
+  ~PinnedBackend() { simd::reset(); }
+  PinnedBackend(const PinnedBackend&) = delete;
+  PinnedBackend& operator=(const PinnedBackend&) = delete;
+};
+
+template <typename Engine>
+std::string engine_text(const Engine& engine) {
+  std::ostringstream os;
+  os << engine;
+  return os.str();
+}
+
+constexpr std::uint64_t kEngineSeeds[] = {
+    0, 1, 5489, 0x5eed5eedULL, std::numeric_limits<std::uint64_t>::max()};
+
+TEST(RngEngine, MatchesLibstdcxxDrawForDraw) {
+  for (const simd::Backend backend : twist_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const PinnedBackend pin{backend};
+    for (const std::uint64_t seed : kEngineSeeds) {
+      MersenneTwister64 engine{seed};
+      ReferenceEngine ref{seed};
+      // Five twists and part of a sixth.
+      for (std::size_t i = 0; i < 5 * MersenneTwister64::kStateSize + 17;
+           ++i) {
+        ASSERT_EQ(engine(), ref()) << "seed " << seed << " draw " << i;
+      }
+      ASSERT_EQ(engine_text(engine), engine_text(ref)) << "seed " << seed;
+      // Through Rng too: the raw draws behind next_seed().
+      Rng rng{seed};
+      ReferenceEngine ref_rng{seed};
+      for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.next_seed(), ref_rng());
+    }
+  }
+}
+
+TEST(RngEngine, TextMatchesLibstdcxxAtEveryIndex) {
+  // A fresh engine sits at index 312; one draw moves it to 1, 311 draws
+  // to 311, 312 draws back to 312. Index 0 only comes from text.
+  for (const simd::Backend backend : twist_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const PinnedBackend pin{backend};
+    for (const std::uint64_t seed : kEngineSeeds) {
+      for (const std::size_t draws : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{311}, std::size_t{312}}) {
+        MersenneTwister64 engine{seed};
+        ReferenceEngine ref{seed};
+        for (std::size_t i = 0; i < draws; ++i) {
+          engine();
+          ref();
+        }
+        ASSERT_EQ(engine_text(engine), engine_text(ref))
+            << "seed " << seed << " after " << draws << " draws";
+      }
+      // Index 0: a libstdc++ text whose index reads 0 loads into both and
+      // writes back, then both draw the same words.
+      ReferenceEngine ref{seed};
+      for (int i = 0; i < 400; ++i) ref();
+      std::string text = engine_text(ref);
+      text.replace(text.rfind(' ') + 1, std::string::npos, "0");
+      std::istringstream in_ref{text};
+      std::istringstream in{text};
+      MersenneTwister64 engine{1};
+      ASSERT_TRUE(in_ref >> ref);
+      ASSERT_TRUE(in >> engine);
+      ASSERT_EQ(engine_text(engine), text);
+      ASSERT_EQ(engine_text(ref), text);
+      for (int i = 0; i < 700; ++i) ASSERT_EQ(engine(), ref()) << i;
+    }
+  }
+}
+
+TEST(RngEngine, ContinuesALibstdcxxTextReadMidBlock) {
+  for (const simd::Backend backend : twist_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const PinnedBackend pin{backend};
+    for (const std::uint64_t seed : kEngineSeeds) {
+      ReferenceEngine ref{seed};
+      for (int i = 0; i < 1000; ++i) ref();  // index 1000 - 3 * 312 = 64
+      std::istringstream in{engine_text(ref)};
+      MersenneTwister64 engine{7};
+      ASSERT_TRUE(in >> engine);
+      // The read leaves the stream's flags as they were.
+      EXPECT_EQ(in.flags(), std::istringstream{}.flags());
+      for (int i = 0; i < 1300; ++i) {
+        ASSERT_EQ(engine(), ref()) << "seed " << seed << " draw " << i;
+      }
+      EXPECT_EQ(engine_text(engine), engine_text(ref));
+    }
+  }
+}
+
+TEST(RngEngine, UniformIntMatchesLibstdcxx) {
+  for (const simd::Backend backend : twist_backends()) {
+    SCOPED_TRACE(simd::name(backend));
+    const PinnedBackend pin{backend};
+    for (const std::uint64_t seed : kEngineSeeds) {
+      MersenneTwister64 engine{seed};
+      ReferenceEngine ref{seed};
+      Rng rng{seed};
+      ReferenceRng ref_rng{seed};
+      for (int i = 0; i < 2000; ++i) {
+        const int lo = -(i % 37);
+        const int hi = (i % 5 == 0) ? std::numeric_limits<int>::max()
+                                    : lo + i % 1000;
+        std::uniform_int_distribution<int> dist{lo, hi};
+        ASSERT_EQ(dist(engine), dist(ref)) << "seed " << seed << " " << i;
+        ASSERT_EQ(rng.uniform_int(lo, hi), ref_rng.uniform_int(lo, hi));
+      }
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "common/angles.hpp"
 #include "common/contracts.hpp"
+#include "common/fnv1a.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/stats.hpp"
@@ -118,6 +119,21 @@ TEST(Cddt, HasCompressedEntries) {
   EXPECT_GT(cddt.total_entries(), 1000U);
   // Compression: entries should be far fewer than bins * all wall cells.
   EXPECT_LT(cddt.total_entries(), 108U * 800U * 2U);
+}
+
+TEST(Cddt, TestTrackTableIsPinned) {
+  // The test track's table, entry for entry: its size and an FNV-1a over
+  // the obstacle and offset arrays. The build sorts each band and keeps a
+  // value only at least half a cell above the last kept one.
+  const Track track = TrackGenerator::test_track();
+  const Cddt cddt{std::make_shared<const OccupancyGrid>(track.grid), 12.0};
+  EXPECT_EQ(cddt.total_entries(), 212886U);
+  EXPECT_EQ(cddt.band_starts().size(), 44327U);
+  std::uint64_t h = fnv1a_bytes(kFnv1aOffset, cddt.obstacles().data(),
+                                cddt.obstacles().size_bytes());
+  h = fnv1a_bytes(h, cddt.band_starts().data(),
+                  cddt.band_starts().size_bytes());
+  EXPECT_EQ(h, 0xbad163dc6200781fULL);
 }
 
 TEST(Lut, MemoryAccounting) {
@@ -493,9 +509,15 @@ std::shared_ptr<const OccupancyGrid> make_sparse() {
   return grid;
 }
 
-/// Beam counts of the contract: empty, single, sub-group, group plus one,
-/// the filter's 60 plus one, and the simulated LiDAR's 1081.
-constexpr std::size_t kBeamCounts[] = {0, 1, 3, 5, 61, 1081};
+/// CDDT beam counts: empty, single, sub-group, group plus one, SynPF's
+/// de-duplicated 37, the filter's 60 plus one, and the simulated LiDAR's
+/// 1081 (more than one batch of sixteen groups).
+constexpr std::size_t kBeamCounts[] = {0, 1, 2, 3, 5, 37, 61, 1081};
+
+/// Ray-marching ray counts: around one group (4) and one block (32) of the
+/// batch, two blocks and the simulated LiDAR's 1081.
+constexpr std::size_t kRayCounts[] = {0,  1,  3,  4,  5,  31,
+                                      32, 33, 63, 65, 1081};
 
 /// A LiDAR-like fan of `n` beams over 270 degrees.
 std::vector<double> fan(std::size_t n) {
@@ -533,6 +555,26 @@ std::vector<double> boundary_angles() {
       angles.push_back(a);
       angles.push_back(std::nextafter(a, -1e9));
       angles.push_back(std::nextafter(a, 1e9));
+    }
+  }
+  return angles;
+}
+
+/// Beam offsets that put a heading of 0 on the edges of the AVX2 direction
+/// test for `bins` bins: the line angle where the bin rounds up to `bins`
+/// and wraps to bin 0, in every wrap region of the heading, and headings a
+/// hair below 0, whose wrap into [0, pi) rounds up to pi and reads +0.0.
+std::vector<double> direction_angles(int bins) {
+  const double edge = kPi * (bins - 0.5) / bins;
+  std::vector<double> angles = {
+      -1e-300,  -0x1p-60, -0x1p-53, -0x1p-52,
+      -0x1p-51, -std::numeric_limits<double>::denorm_min()};
+  for (const double shift : {0.0, -kPi, -kTwoPi, kPi}) {
+    double a = edge + shift;
+    for (int i = 0; i < 3; ++i) a = std::nextafter(a, -1e9);
+    for (int i = 0; i < 7; ++i) {
+      angles.push_back(a);
+      a = std::nextafter(a, 1e9);
     }
   }
   return angles;
@@ -578,6 +620,8 @@ TEST(BatchKernels, CddtRangesFromMatchesRangeBitwise) {
           }
         }
         expect_cddt_batch_matches(cddt, {o.x, o.y, 0.0}, boundary_angles());
+        expect_cddt_batch_matches(cddt, {o.x, o.y, 0.0},
+                                  direction_angles(cddt.theta_bins()));
       }
     }
   }
@@ -665,8 +709,8 @@ void expect_marching_batch_matches(const RayMarching& caster,
   }
 }
 
-/// `n` LiDAR-like rays cycling over the given origins, so one block of
-/// eight mixes free, blocked and off-map origins.
+/// `n` LiDAR-like rays cycling over the given origins, so one group of
+/// four mixes free, blocked and off-map origins.
 std::vector<Pose2> ray_fan(std::size_t n, const std::vector<Pose2>& origins) {
   const std::vector<double> angles = fan(n);
   std::vector<Pose2> rays;
@@ -696,7 +740,7 @@ TEST(BatchKernels, RayMarchingRangesMatchesRangeBitwise) {
     SCOPED_TRACE(simd::name(backend));
     const ForcedBackend pin{backend};
     for (const RayMarching& caster : casters) {
-      for (const std::size_t n : kBeamCounts) {
+      for (const std::size_t n : kRayCounts) {
         expect_marching_batch_matches(caster, ray_fan(n, origins));
       }
       // One origin per call: the whole block shares its fate.
@@ -725,14 +769,16 @@ TEST(BatchKernels, RayMarchingNonFiniteHeadingsMatchRange) {
 
 #if defined(SRL_SIMD_X86_AVX2)
 /// range_avx2::wrap_into (or its wide form) on four inputs, unpacked.
+/// `odd` is the parity of the periods the wrap moved each lane by.
 __attribute__((target("avx2"))) void wrap4(const double* a, double period,
                                            bool wide, double* value,
-                                           double* inside) {
+                                           double* inside, double* odd) {
   const __m256d v = _mm256_loadu_pd(a);
   const range_avx2::Wrapped4 w = wide ? range_avx2::wrap_into_wide(v, period)
                                       : range_avx2::wrap_into(v, period);
   _mm256_storeu_pd(value, w.value);
   _mm256_storeu_pd(inside, w.inside);
+  _mm256_storeu_pd(odd, w.odd);
   _mm256_zeroupper();
 }
 #endif
@@ -745,7 +791,8 @@ TEST(BatchKernels, VectorWrapMatchesScalarWrapInto) {
         std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity(), 0.5 * p, -0.5 * p,
-        1.5 * p, -1.5 * p, 3.0 * p, -3.0 * p, 1e-300, -1e-300};
+        1.5 * p, -1.5 * p, 3.0 * p, -3.0 * p, 1e-300, -1e-300,
+        -0x1p-53, -0x1p-51, -p - 0x1p-50};
     for (const double edge : {0.0, p, 2.0 * p}) {
       for (const double a : {edge, -edge}) {
         inputs.push_back(a);
@@ -758,7 +805,8 @@ TEST(BatchKernels, VectorWrapMatchesScalarWrapInto) {
       for (std::size_t i = 0; i < inputs.size(); i += 4) {
         double value[4] = {};
         double inside[4] = {};
-        wrap4(inputs.data() + i, p, wide, value, inside);
+        double odd[4] = {};
+        wrap4(inputs.data() + i, p, wide, value, inside, odd);
         for (std::size_t l = 0; l < 4; ++l) {
           const double a = inputs[i + l];
           const bool covered =
@@ -770,6 +818,13 @@ TEST(BatchKernels, VectorWrapMatchesScalarWrapInto) {
                 << std::hexfloat << a << " period " << p
                 << (wide ? " wide: " : ": ") << value[l] << " vs "
                 << wrap_into(a, p);
+            // Periods moved, a sum that rounds up to p counting as p.
+            bool odd_periods = a >= p;
+            if (a < 0.0 && a >= -p) odd_periods = a + p < p;
+            if (a < -p) odd_periods = !((a + p) + p < p);
+            EXPECT_EQ(bits(odd[l]) != 0, odd_periods)
+                << std::hexfloat << a << " period " << p
+                << (wide ? " wide" : "");
           }
         }
       }

@@ -15,6 +15,7 @@
 #endif
 
 #include "common/angles.hpp"
+#include "common/rng.hpp"
 #include "core/particle_cloud.hpp"
 #include "core/pf_kernels.hpp"
 #include "range/cddt.hpp"
@@ -506,8 +507,7 @@ TEST(AvxState, CddtBatchReturnsClean) {
   auto room = make_room();
   const Cddt cddt{room, 12.0, 108};
   const Pose2 sensor{5.0, 5.0, 0.3};
-  // 61 beams: seven eight-beam passes, one four-beam group and a scalar
-  // tail beam.
+  // 61 beams: a batch of sixteen groups, the last with one live lane.
   std::vector<double> fan(61);
   for (std::size_t j = 0; j < fan.size(); ++j) {
     fan[j] = -2.35 + 4.7 * static_cast<double>(j) / 60.0;
@@ -528,13 +528,32 @@ TEST(AvxState, CddtBatchReturnsClean) {
   }
 }
 
+TEST(AvxState, RngTwistReturnsClean) {
+  if (const std::string why = xinuse_skip_reason(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  // A fresh engine twists on its first draw, and again on draw 313.
+  Rng rng{42};
+  simd::force(simd::Backend::kAvx2);
+  const std::uint64_t first = rng.next_seed();
+  const bool dirty_first = avx_upper_in_use();
+  for (int i = 1; i < 312; ++i) rng.next_seed();
+  const std::uint64_t again = rng.next_seed();
+  const bool dirty_again = avx_upper_in_use();
+  simd::reset();
+  EXPECT_FALSE(dirty_first);
+  EXPECT_FALSE(dirty_again);
+  EXPECT_NE(first, again);
+}
+
 TEST(AvxState, RayMarchingBatchReturnsClean) {
   if (const std::string why = xinuse_skip_reason(); !why.empty()) {
     GTEST_SKIP() << why;
   }
   auto room = make_room();
   const RayMarching caster{room, 12.0};
-  // 1081 rays: 135 blocks of eight plus a block with one live lane.
+  // 1081 rays: 33 blocks of 32 and a block of 25, whose last group has
+  // one live lane.
   std::vector<Pose2> rays(1081);
   for (std::size_t i = 0; i < rays.size(); ++i) {
     rays[i] = {5.0, 5.0, -2.35 + 4.7 * static_cast<double>(i) / 1080.0};
