@@ -11,7 +11,7 @@
 /// all), each stated with its final bisection bracket.
 ///
 /// Usage: bench_frontier [output.json]
-///   SRL_FAST=1          smoke budget (2 localizers x 2 axes, 3 bisections)
+///   SRL_FAST=1          smoke budget (2 localizers x 3 axes, 3 bisections)
 ///   SRL_GIT_SHA         recorded into provenance when set
 ///   SRL_BLACKBOX_DIR=d  black-box artifact directory for frontier-defining
 ///                       failures (default "blackbox"; "" = recorder off)

@@ -17,11 +17,12 @@
 ///     per-index result must depend only on the index, never on the chunk it
 ///     landed in. Under that discipline the output is identical for *any*
 ///     lane count, including 1 (which runs the body inline with zero
-///     synchronization — the exact serial path). The batch jobs (scenario
-///     matrix, frontier search) run coarse items of uneven cost instead;
-///     `ThreadPool::claim_each` lets each lane claim the next index from one
-///     cursor. The lane that runs an index then depends on timing, and is
-///     still not observable, because results are written per index.
+///     synchronization — the exact serial path). The scenario matrix runs
+///     coarse items of uneven cost instead; `ThreadPool::claim_each` lets
+///     each lane claim the next index from one cursor. The lane that runs an
+///     index then depends on timing, and is still not observable, because
+///     results are written per index. The frontier search hands out single
+///     probes from its own ready set, one `parallel_for` index per lane.
 ///  2. **Fixed-order reductions.** Floating-point addition does not
 ///     associate, so sums must not be accumulated per-chunk. `pairwise_reduce`
 ///     computes a cascade (pairwise-tree) sum whose association structure is

@@ -1,7 +1,12 @@
 #include "eval/frontier/frontier_search.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -87,15 +92,65 @@ struct Combo {
   int track_class{0};
 };
 
+/// One combination's bracket-then-bisect walk as a state machine that
+/// advances one probe at a time: the 1.0 bracket, the 0.0 bracket, up to B
+/// bisections, then the defining-failure re-run when the search records
+/// black boxes. Each step's severity is a pure function of the verdicts
+/// before it.
+struct ComboWalk {
+  enum class Stage { kBracketHi, kBracketLo, kBisect, kDefine };
+  Stage stage{Stage::kBracketHi};
+  int lo{0};
+  int hi{kSeverityDenominator};
+  int bisections{0};
+
+  int sev_step() const {
+    switch (stage) {
+      case Stage::kBracketHi:
+        return kSeverityDenominator;
+      case Stage::kBracketLo:
+        return 0;
+      case Stage::kBisect:
+        return lo + (hi - lo) / 2;  // deterministic floor midpoint
+      case Stage::kDefine:
+        break;
+    }
+    return hi;  // the frontier-defining failure
+  }
+};
+
+void require_in_range(const char* field, int value, int end) {
+  if (value >= 0 && value < end) return;
+  throw std::invalid_argument("FrontierSearchConfig::" + std::string{field} +
+                              ": " + std::to_string(value) +
+                              " is outside [0, " + std::to_string(end) + ")");
+}
+
+/// Every id the search indexes with or packs into a scenario key must be in
+/// range: an axis or class id past its table would index out of bounds, and
+/// a variant past its 14 key bits would alias another variant's scenarios.
+void validate(const FrontierSearchConfig& config) {
+  for (const int axis : config.axes) {
+    require_in_range("axes", axis, static_cast<int>(frontier_axes().size()));
+  }
+  for (const int tc : config.track_classes) {
+    require_in_range("track_classes", tc,
+                     static_cast<int>(frontier_track_classes().size()));
+  }
+  require_in_range("variant", config.variant, 1 << kVariantBits);
+}
+
+using Probe =
+    std::function<FrontierEvaluation(const Combo&, const SampledScenario&)>;
+using DefineFailure = std::function<void(const Combo&, const SampledScenario&,
+                                         FrontierPoint&)>;
+
 /// Shared bracket-then-bisect driver. `probe` scores one scenario and
-/// `define_failure` (native path only) re-runs the frontier-defining
-/// failure with the recorder attached.
-FrontierResult run_search_impl(
-    const FrontierSearchConfig& config,
-    const std::function<FrontierEvaluation(const Combo&,
-                                           const SampledScenario&)>& probe,
-    const std::function<void(const Combo&, const SampledScenario&,
-                             FrontierPoint&)>& define_failure) {
+/// `define_failure` (native path with a black-box directory only) re-runs
+/// the frontier-defining failure with the recorder attached.
+FrontierResult run_search_impl(const FrontierSearchConfig& config,
+                               const Probe& probe,
+                               const DefineFailure& define_failure) {
   FrontierResult result;
   result.seed = config.seed;
   result.fault_seed = config.fault_seed;
@@ -121,66 +176,124 @@ FrontierResult run_search_impl(
     }
   }
   result.points.resize(combos.size());
-
-  // A censored point costs one probe, a bisected one up to 2 + B plus its
-  // defining failure, so lanes claim combinations one at a time.
-  const ScenarioSampler sampler{config.seed};
-  ThreadPool pool{config.search_threads};
-  pool.claim_each(combos.size(), [&](int /*lane*/, std::size_t i) {
-    const Combo& combo = combos[i];
+  for (std::size_t i = 0; i < combos.size(); ++i) {
     FrontierPoint& point = result.points[i];
-    point.localizer = combo.localizer;
-    point.axis = frontier_axes()[static_cast<std::size_t>(combo.axis)];
-    point.track_class =
-        frontier_track_classes()[static_cast<std::size_t>(combo.track_class)];
+    point.localizer = combos[i].localizer;
+    point.axis = frontier_axes()[static_cast<std::size_t>(combos[i].axis)];
+    point.track_class = frontier_track_classes()[static_cast<std::size_t>(
+        combos[i].track_class)];
     point.variant = config.variant;
+  }
 
-    const auto scenario_at = [&](int sev_step) {
-      ScenarioKey key;
-      key.sev_step = sev_step;
-      key.axis = combo.axis;
-      key.track_class = combo.track_class;
-      key.variant = config.variant;
-      return sampler.sample(key.pack());
-    };
-    const auto probe_at = [&](int sev_step) {
-      const SampledScenario scenario = scenario_at(sev_step);
-      point.evaluations.push_back(probe(combo, scenario));
-      return point.evaluations.back().failed;
-    };
+  const ScenarioSampler sampler{config.seed};
+  const auto scenario_at = [&](const Combo& combo, int sev_step) {
+    ScenarioKey key;
+    key.sev_step = sev_step;
+    key.axis = combo.axis;
+    key.track_class = combo.track_class;
+    key.variant = config.variant;
+    return sampler.sample(key.pack());
+  };
 
-    // Bracket: the full-severity probe decides censoring, the clean
-    // probe decides degeneracy; only a [pass, fail] bracket is bisected.
-    int lo = 0;
-    int hi = kSeverityDenominator;
-    if (!probe_at(hi)) {
+  // Runs combination i's next step on the calling lane and reports whether
+  // the walk is finished. Only the lane holding i touches walks[i] and
+  // points[i], so each point records its probes in its own order.
+  std::vector<ComboWalk> walks(combos.size());
+  const auto run_step = [&](std::size_t i) {
+    using Stage = ComboWalk::Stage;
+    const Combo& combo = combos[i];
+    ComboWalk& walk = walks[i];
+    FrontierPoint& point = result.points[i];
+    const int sev_step = walk.sev_step();
+    const SampledScenario scenario = scenario_at(combo, sev_step);
+    if (walk.stage == Stage::kDefine) {
+      define_failure(combo, scenario, point);
+      return true;
+    }
+    point.evaluations.push_back(probe(combo, scenario));
+    const bool failed = point.evaluations.back().failed;
+
+    // Bracket: the full-severity probe decides censoring, the clean probe
+    // decides degeneracy; only a [pass, fail] bracket is bisected.
+    if (walk.stage == Stage::kBracketHi) {
+      if (failed) {
+        walk.stage = Stage::kBracketLo;
+        return false;
+      }
       point.censored = true;
       point.bracket_lo = 1.0;
       point.bracket_hi = 1.0;
-    } else if (probe_at(lo)) {
-      point.degenerate = true;
-      hi = lo;
+      return true;
+    }
+    if (walk.stage == Stage::kBracketLo) {
+      point.degenerate = failed;
+      if (failed) walk.hi = walk.lo;
+      walk.stage = Stage::kBisect;
     } else {
-      for (int it = 0; it < config.bisect_iterations && hi - lo > 1; ++it) {
-        const int mid = lo + (hi - lo) / 2;  // deterministic floor midpoint
-        if (probe_at(mid)) {
-          hi = mid;
-        } else {
-          lo = mid;
-        }
+      (failed ? walk.hi : walk.lo) = sev_step;
+      ++walk.bisections;
+    }
+    if (!point.degenerate && walk.bisections < config.bisect_iterations &&
+        walk.hi - walk.lo > 1) {
+      return false;
+    }
+    point.bracket_lo = static_cast<double>(walk.lo) / kSeverityDenominator;
+    point.bracket_hi = static_cast<double>(walk.hi) / kSeverityDenominator;
+    point.breaking_severity = point.bracket_hi;
+    point.breaking_index = scenario_at(combo, walk.hi).index;
+    walk.stage = Stage::kDefine;
+    return !define_failure;
+  };
+
+  // A censored point costs one probe, a bisected one up to 2 + B plus its
+  // defining failure, so lanes claim probes, not combinations. A lane takes
+  // the next step of the ready combination with the fewest probes so far
+  // (ties to the lower index), runs it outside the lock, then puts the
+  // combination back. The put-back and the lane's next take share one lock
+  // hold, so the ready set never grows once the search starts: a lane that
+  // finds it empty waits only for the end or for an error.
+  std::mutex mutex;
+  std::condition_variable wake;
+  std::set<std::pair<std::size_t, std::size_t>> ready;  // (probes, combo)
+  std::size_t unfinished = combos.size();
+  std::exception_ptr error;
+  for (std::size_t i = 0; i < combos.size(); ++i) ready.emplace(0, i);
+
+  const auto run_lane = [&] {
+    std::unique_lock lock{mutex};
+    for (;;) {
+      wake.wait(lock, [&] {
+        return error != nullptr || unfinished == 0 || !ready.empty();
+      });
+      if (error != nullptr || ready.empty()) return;
+      const std::size_t i = ready.begin()->second;
+      ready.erase(ready.begin());
+      lock.unlock();
+      const bool done = run_step(i);
+      lock.lock();
+      if (!done) {
+        ready.emplace(result.points[i].evaluations.size(), i);
+      } else if (--unfinished == 0) {
+        wake.notify_all();
       }
     }
-    if (!point.censored) {
-      point.bracket_lo =
-          static_cast<double>(lo) / kSeverityDenominator;
-      point.bracket_hi =
-          static_cast<double>(hi) / kSeverityDenominator;
-      point.breaking_severity = point.bracket_hi;
-      const SampledScenario defining = scenario_at(hi);
-      point.breaking_index = defining.index;
-      if (define_failure) define_failure(combo, defining, point);
-    }
-  });
+  };
+  // Every lane catches what its steps throw, so nothing escapes a worker;
+  // the first error stops the hand-out and reaches the caller once every
+  // lane has returned.
+  ThreadPool pool{config.search_threads};
+  pool.parallel_for(
+      std::min(combos.size(), static_cast<std::size_t>(pool.threads())),
+      [&](int /*lane*/, std::size_t, std::size_t) {
+        try {
+          run_lane();
+        } catch (...) {
+          const std::lock_guard lock{mutex};
+          if (error == nullptr) error = std::current_exception();
+          wake.notify_all();
+        }
+      });
+  if (error != nullptr) std::rethrow_exception(error);
   return result;
 }
 
@@ -204,6 +317,7 @@ FrontierSearchConfig FrontierSearchConfig::smoke() {
 }
 
 FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
+  validate(config);
   // Prebuild one track (+ map + metadata) per requested class — the track
   // key excludes severity and axis bits, so every combo of a class races
   // the same circuit.
@@ -236,6 +350,19 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
     return contexts[static_cast<std::size_t>(
         class_slot[static_cast<std::size_t>(combo.track_class)])];
   };
+  const auto define_failure = [&](const Combo& combo,
+                                  const SampledScenario& defining,
+                                  FrontierPoint& point) {
+    const ClassContext& ctx = context_of(combo);
+    closed_loop_probe(config, ctx.track, ctx.map, combo.localizer, defining,
+                      &point.blackboxes);
+    // Store paths relative to the dump root: the artifact must be
+    // byte-identical no matter where the black boxes land on disk.
+    const std::string prefix = config.blackbox_dir + "/";
+    for (std::string& path : point.blackboxes) {
+      if (path.rfind(prefix, 0) == 0) path.erase(0, prefix.size());
+    }
+  };
   FrontierResult result = run_search_impl(
       config,
       [&](const Combo& combo, const SampledScenario& scenario) {
@@ -243,19 +370,8 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
         return closed_loop_probe(config, ctx.track, ctx.map, combo.localizer,
                                  scenario, nullptr);
       },
-      [&](const Combo& combo, const SampledScenario& defining,
-          FrontierPoint& point) {
-        if (config.blackbox_dir.empty()) return;
-        const ClassContext& ctx = context_of(combo);
-        closed_loop_probe(config, ctx.track, ctx.map, combo.localizer,
-                          defining, &point.blackboxes);
-        // Store paths relative to the dump root: the artifact must be
-        // byte-identical no matter where the black boxes land on disk.
-        const std::string prefix = config.blackbox_dir + "/";
-        for (std::string& path : point.blackboxes) {
-          if (path.rfind(prefix, 0) == 0) path.erase(0, prefix.size());
-        }
-      });
+      config.blackbox_dir.empty() ? DefineFailure{}
+                                  : DefineFailure{define_failure});
 
   for (FrontierPoint& point : result.points) {
     const std::size_t tc = static_cast<std::size_t>(std::distance(
@@ -272,6 +388,7 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
 
 FrontierResult run_frontier_search(const FrontierSearchConfig& config,
                                    const ScenarioEvaluator& evaluate) {
+  validate(config);
   return run_search_impl(
       config,
       [&](const Combo& combo, const SampledScenario& scenario) {

@@ -21,9 +21,17 @@
 /// run as not recovered (`crashed`, or an episode opened and never closed —
 /// eval/experiment.hpp). The final bracket is [highest passing severity,
 /// lowest failing severity]; its width after B bisections is 2^-B of the
-/// initial bracket. Combinations fan out over the PR-3 thread pool, each
-/// lane claiming the next one (`claim_each`), with per-index result
-/// writes, so the artifact is bitwise identical at any thread count.
+/// initial bracket.
+///
+/// Lanes of the thread pool (common/parallel.hpp) claim single probes, not
+/// combinations. Each combination walks its steps as a small state machine
+/// (1.0 bracket, 0.0 bracket, bisections, then the defining-failure re-run)
+/// with at most one probe in flight; a lane takes the ready probe of the
+/// combination that has taken the fewest so far, ties going to the lower
+/// combination index. Every probe is a pure function of (combination,
+/// severity step) and each point records its probes in its own order, so
+/// the artifact is bitwise identical at any thread count; only which lane
+/// runs a probe, and when, depends on timing.
 
 #include <cstdint>
 #include <functional>
@@ -58,9 +66,11 @@ struct FrontierSearchConfig {
   /// width is kSeverityDenominator / 2^iterations severity steps.
   int bisect_iterations = 5;
   int n_particles = 800;
-  /// Worker lanes inside each filter (keep 1: combos already parallelize).
+  /// Worker lanes inside each filter (keep 1: probes already parallelize).
   int cell_threads = 1;
-  /// Worker lanes across combinations (0 = hardware/SRL_THREADS default).
+  /// Worker lanes across probes (0 = hardware/SRL_THREADS default). One
+  /// combination runs at most one probe at a time, so lanes beyond the
+  /// number of combinations stay idle.
   int search_threads = 0;
   /// Closed-loop template for every probe; `seed` here is the sim seed.
   ExperimentConfig experiment{};
@@ -70,7 +80,8 @@ struct FrontierSearchConfig {
   std::string blackbox_dir{};
 
   /// Tiny-budget search for the CI smoke job: SynPF vs CartoLite on the
-  /// club class, slip + dropout axes, 3 bisections, short runs.
+  /// club class, slip + dropout + compute-pressure axes, 3 bisections,
+  /// short runs.
   static FrontierSearchConfig smoke();
 };
 
@@ -126,14 +137,18 @@ struct FrontierResult {
 /// Custom probe hook for tests: score `scenario` against `localizer` and
 /// return the evaluation (the search fills `index`/`severity` itself). The
 /// hook must be a pure function of its arguments — it runs concurrently
-/// across combinations.
+/// across combinations, though never twice at once for one combination. If
+/// it throws, no further probe starts and the first exception reaches the
+/// caller once every lane has stopped.
 using ScenarioEvaluator = std::function<FrontierEvaluation(
     const std::string& localizer, const SampledScenario& scenario)>;
 
 /// Full closed-loop search: every probe races the localizer through the
 /// sampled scenario (ExperimentRunner + FaultPipeline) and frontier
 /// failures are re-run under the flight recorder when `blackbox_dir` is
-/// set. Bitwise deterministic at any `search_threads`.
+/// set. Bitwise deterministic at any `search_threads`. Both entry points
+/// throw std::invalid_argument, before any probe runs, for an axis or
+/// track-class id outside its table or a variant outside [0, 2^14).
 FrontierResult run_frontier_search(const FrontierSearchConfig& config);
 
 /// Same bracketing/bisection driver with an injected probe — the unit-test

@@ -59,6 +59,7 @@ inline constexpr int kSeverityDenominator = 1024;
 inline constexpr std::uint32_t kSeverityBits = 11;
 inline constexpr std::uint32_t kAxisBits = 4;
 inline constexpr std::uint32_t kTrackClassBits = 2;
+inline constexpr std::uint32_t kVariantBits = 14;
 inline constexpr std::uint32_t kAxisShift = kSeverityBits;
 inline constexpr std::uint32_t kTrackClassShift = kSeverityBits + kAxisBits;
 inline constexpr std::uint32_t kVariantShift =

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -276,42 +282,253 @@ TEST(FrontierSearch, CleanFailureIsDegenerate) {
   EXPECT_EQ(result.points[0].breaking_severity, 0.0);
 }
 
-TEST(FrontierSearch, ProbeSequenceIsDeterministicAndThreadInvariant) {
+// ---------------------------------------------------------------------------
+// Config validation
+// ---------------------------------------------------------------------------
+
+/// Both entry points must refuse `config` with std::invalid_argument naming
+/// `field` and `value`, before any probe runs.
+void expect_rejected(const FrontierSearchConfig& config,
+                     const std::string& field, int value) {
+  int probes = 0;
+  const ScenarioEvaluator counting = [&](const std::string&,
+                                         const SampledScenario&) {
+    ++probes;
+    return FrontierEvaluation{};
+  };
+  const std::string named = field + ": " + std::to_string(value) + " ";
+  for (const bool native : {false, true}) {
+    try {
+      if (native) {
+        run_frontier_search(config);
+      } else {
+        run_frontier_search(config, counting);
+      }
+      ADD_FAILURE() << named << "accepted (native=" << native << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(named), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(probes, 0);
+}
+
+TEST(FrontierSearch, RejectsAxisIdsOutsideTheAxisTable) {
+  FrontierSearchConfig config = tiny_config();
+  config.axes = {0, 9};
+  expect_rejected(config, "axes", 9);
+  config.axes = {-1};
+  expect_rejected(config, "axes", -1);
+}
+
+TEST(FrontierSearch, RejectsTrackClassIdsOutsideTheClassTable) {
+  FrontierSearchConfig config = tiny_config();
+  config.track_classes = {0, 3};
+  expect_rejected(config, "track_classes", 3);
+  config.track_classes = {-1};
+  expect_rejected(config, "track_classes", -1);
+}
+
+TEST(FrontierSearch, RejectsVariantsOutsideTheirKeyBits) {
+  FrontierSearchConfig config = tiny_config();
+  config.variant = 1 << kVariantBits;
+  expect_rejected(config, "variant", 1 << kVariantBits);
+  config.variant = -1;
+  expect_rejected(config, "variant", -1);
+  // The widest variant that packs is accepted.
+  config.variant = (1 << kVariantBits) - 1;
+  EXPECT_EQ(run_frontier_search(config, step_oracle(0.37)).variant,
+            config.variant);
+}
+
+// ---------------------------------------------------------------------------
+// Probe scheduling across search lanes
+// ---------------------------------------------------------------------------
+
+/// Busy work whose length (0 to about 0.3 ms) is a pure function of the
+/// scenario key, so lanes finish probes out of step without any sleep.
+double key_cost(std::uint32_t index) {
+  std::uint64_t x = (index + 1) * 0x9E3779B97F4A7C15ULL;
+  const int rounds = static_cast<int>(x >> 56) * 1000;
+  for (int r = 0; r < rounds; ++r) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/// 2 localizers x 5 axes x 2 classes with per-combination thresholds: one
+/// degenerate cell (CartoLite, axis 0, club), one censored cell (SynPF,
+/// axis 4, narrow), and bisections of every other length class.
+FrontierSearchConfig lanes_config() {
   FrontierSearchConfig config;
   config.localizers = {"SynPF", "CartoLite"};
   config.axes = {0, 1, 2, 3, 4};
   config.track_classes = {0, 1};
   config.bisect_iterations = 6;
-  // Per-combination threshold so every cell walks a different path.
-  const ScenarioEvaluator oracle = [](const std::string& localizer,
-                                      const SampledScenario& scenario) {
-    FrontierEvaluation eval;
-    const double threshold =
-        (localizer == "SynPF" ? 0.55 : 0.2) + 0.07 * scenario.key.axis;
-    eval.failed = scenario.severity >= threshold;
-    eval.lateral_mean_cm = 2.0 + 30.0 * scenario.severity;
-    return eval;
-  };
-  config.search_threads = 1;
-  const FrontierResult serial = run_frontier_search(config, oracle);
-  config.search_threads = 8;
-  const FrontierResult parallel = run_frontier_search(config, oracle);
+  return config;
+}
 
-  ASSERT_EQ(serial.points.size(), 20u);
-  ASSERT_EQ(parallel.points.size(), serial.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    const FrontierPoint& a = serial.points[i];
-    const FrontierPoint& b = parallel.points[i];
-    EXPECT_EQ(a.cell(), b.cell());
-    EXPECT_EQ(a.breaking_index, b.breaking_index);
-    EXPECT_EQ(a.bracket_lo, b.bracket_lo);
-    EXPECT_EQ(a.bracket_hi, b.bracket_hi);
-    ASSERT_EQ(a.evaluations.size(), b.evaluations.size());
-    for (std::size_t j = 0; j < a.evaluations.size(); ++j) {
-      EXPECT_EQ(a.evaluations[j].index, b.evaluations[j].index);
-      EXPECT_EQ(a.evaluations[j].failed, b.evaluations[j].failed);
-      EXPECT_EQ(a.evaluations[j].lateral_mean_cm,
-                b.evaluations[j].lateral_mean_cm);
+FrontierEvaluation threshold_oracle(const std::string& localizer,
+                                    const SampledScenario& scenario) {
+  const double threshold = (localizer == "SynPF" ? 0.45 : 0.0) +
+                           0.13 * scenario.key.axis +
+                           0.06 * scenario.key.track_class;
+  FrontierEvaluation eval;
+  eval.failed = scenario.severity >= threshold;
+  eval.divergence_episodes = eval.failed ? 1 : 0;
+  eval.lateral_mean_cm = 2.0 + 30.0 * scenario.severity;
+  eval.final_pose_error_m = key_cost(scenario.index);
+  return eval;
+}
+
+/// Counts the probes of each combination in flight and remembers every
+/// overlap and the order in which the probes arrived.
+class ProbeLog {
+ public:
+  ScenarioEvaluator evaluator() {
+    return [this](const std::string& localizer,
+                  const SampledScenario& scenario) {
+      const std::size_t combo =
+          (localizer == "SynPF" ? 0 : 32) +
+          static_cast<std::size_t>(scenario.key.axis) * 3 +
+          static_cast<std::size_t>(scenario.key.track_class);
+      if (in_flight_[combo].fetch_add(1) != 0) overlaps_.fetch_add(1);
+      {
+        const std::lock_guard lock{mutex_};
+        order_.emplace_back(localizer, scenario.index);
+      }
+      FrontierEvaluation eval = threshold_oracle(localizer, scenario);
+      in_flight_[combo].fetch_sub(1);
+      return eval;
+    };
+  }
+
+  int overlaps() const { return overlaps_.load(); }
+  const std::vector<std::pair<std::string, std::uint32_t>>& order() const {
+    return order_;
+  }
+
+ private:
+  std::array<std::atomic<int>, 64> in_flight_{};
+  std::atomic<int> overlaps_{0};
+  std::mutex mutex_;
+  std::vector<std::pair<std::string, std::uint32_t>> order_;
+};
+
+TEST(FrontierSearch, ProbeSequenceIsDeterministicAndThreadInvariant) {
+  std::string reference;
+  for (const int lanes : {1, 2, 3, 4, 8}) {
+    FrontierSearchConfig config = lanes_config();
+    config.search_threads = lanes;
+    ProbeLog log;
+    FrontierDocument doc;
+    doc.result = run_frontier_search(config, log.evaluator());
+    EXPECT_EQ(log.overlaps(), 0)
+        << "two probes of one combination overlapped at " << lanes
+        << " lanes";
+    const std::string bytes = frontier_to_json(doc).dump();
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "artifact differs at " << lanes
+                                  << " lanes";
+    }
+  }
+}
+
+TEST(FrontierScheduling, OneLaneTakesTheShallowestProbeFirst) {
+  FrontierSearchConfig config = lanes_config();
+  config.search_threads = 1;
+  ProbeLog log;
+  const FrontierResult result = run_frontier_search(config, log.evaluator());
+  const std::vector<FrontierPoint>& points = result.points;
+  ASSERT_EQ(points.size(), 20u);
+  ASSERT_TRUE(points[9].censored);     // SynPF/lidar_noise/narrow
+  ASSERT_TRUE(points[10].degenerate);  // CartoLite/odom_slip_ramp/club
+
+  // Depth-major: every combination's k-th probe, in combination order,
+  // before any (k+1)-th probe.
+  std::vector<std::pair<std::string, std::uint32_t>> expected;
+  for (std::size_t depth = 0;; ++depth) {
+    const std::size_t before = expected.size();
+    for (const FrontierPoint& point : points) {
+      if (depth < point.evaluations.size()) {
+        expected.emplace_back(point.localizer, point.evaluations[depth].index);
+      }
+    }
+    if (expected.size() == before) break;
+  }
+  ASSERT_EQ(log.order(), expected);
+
+  // So the 1.0 brackets come first, then the 0.0 brackets of every point
+  // that failed at 1.0, then the first bisection midpoints.
+  std::size_t at = 0;
+  for (; at < points.size(); ++at) {
+    EXPECT_EQ(ScenarioKey::unpack(log.order()[at].second).sev_step, 1024);
+  }
+  for (const FrontierPoint& point : points) {
+    if (point.censored) continue;
+    EXPECT_EQ(ScenarioKey::unpack(log.order()[at++].second).sev_step, 0);
+  }
+  for (const FrontierPoint& point : points) {
+    if (point.censored || point.degenerate) continue;
+    EXPECT_EQ(ScenarioKey::unpack(log.order()[at++].second).sev_step, 512);
+  }
+}
+
+TEST(FrontierScheduling, ThrowingProbeReachesTheCaller) {
+  // The chosen scenario (CartoLite/odom_yaw_bias/narrow brackets, then
+  // bisects through 0.5) throws at 1 and at 4 lanes. In the last case every
+  // lane's first probe waits until all four lanes hold one, and then all
+  // of them throw, so at least three throws come from worker lanes.
+  const std::uint32_t poison = ScenarioKey{512, 2, 1, 0}.pack();
+  for (const auto& [lanes, every_lane] :
+       {std::pair{1, false}, std::pair{4, false}, std::pair{4, true}}) {
+    FrontierSearchConfig config = lanes_config();
+    config.search_threads = lanes;
+    std::atomic<int> in_flight{0};
+    std::atomic<int> calls{0};
+    std::atomic<int> calls_at_throw{-1};
+    const ScenarioEvaluator evaluator = [&](const std::string& localizer,
+                                            const SampledScenario& scenario) {
+      const int call = calls.fetch_add(1) + 1;
+      in_flight.fetch_add(1);
+      if (every_lane) {
+        while (calls.load() < lanes) std::this_thread::yield();
+      }
+      if (every_lane ||
+          (localizer == "CartoLite" && scenario.index == poison)) {
+        calls_at_throw.store(call);
+        in_flight.fetch_sub(1);
+        throw std::runtime_error("probe failed: " + scenario.label());
+      }
+      in_flight.fetch_sub(1);
+      return threshold_oracle(localizer, scenario);
+    };
+    const std::string where = std::to_string(lanes) + " lanes" +
+                              (every_lane ? ", every lane throws" : "");
+    try {
+      run_frontier_search(config, evaluator);
+      ADD_FAILURE() << "the probe's exception was lost at " << where;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      if (every_lane) {
+        EXPECT_EQ(what.rfind("probe failed: ", 0), 0u) << what;
+      } else {
+        EXPECT_EQ(what, "probe failed: odom_yaw_bias/narrow#0@0.5") << where;
+      }
+    }
+    // Every lane stopped before the rethrow; on one lane nothing was handed
+    // out after the throw, and with every lane throwing nothing was handed
+    // out after the first four.
+    EXPECT_EQ(in_flight.load(), 0) << where;
+    if (lanes == 1) {
+      EXPECT_EQ(calls.load(), calls_at_throw.load());
+    }
+    if (every_lane) {
+      EXPECT_EQ(calls.load(), lanes);
     }
   }
 }
