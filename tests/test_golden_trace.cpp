@@ -26,15 +26,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iterator>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/synpf.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
+#include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
 #include "range/range_method.hpp"
@@ -51,6 +56,7 @@ const char* kTracePath = SRL_TEST_DATA_DIR "/golden_oval.srlt";
 const char* kEstimatesPath = SRL_TEST_DATA_DIR "/golden_oval_estimates.txt";
 const char* kCartoEstimatesPath =
     SRL_TEST_DATA_DIR "/golden_oval_carto_estimates.txt";
+const char* kClosedLoopPath = SRL_TEST_DATA_DIR "/golden_oval_closed_loop.txt";
 
 /// The pinned scenario. Every knob that feeds the numeric path is spelled
 /// out here; changing any of them is a golden regeneration event.
@@ -330,6 +336,120 @@ TEST(GoldenTrace, RecordingReproducesCommittedTrace) {
   EXPECT_TRUE(diverge.first == recorded.end())
       << "re-recorded trace differs from " << kTracePath << " at byte "
       << (diverge.first - recorded.begin());
+}
+
+/// Every deterministic field of a closed-loop result (the set the e2e
+/// fingerprint folds), the dumped box count, and the flight recorder's tick
+/// count and estimate hash: one named line each, doubles in hexfloat.
+std::vector<std::string> closed_loop_lines(
+    const ExperimentResult& r, const telemetry::FlightRecorder& recorder) {
+  std::ostringstream os;
+  os << "golden-closed-loop v1\n" << std::hexfloat;
+  const auto list = [&](const char* name, const std::vector<double>& values) {
+    os << name << ' ' << values.size();
+    for (const double v : values) os << ' ' << v;
+    os << '\n';
+  };
+  list("lap_times", r.lap_times);
+  list("lap_lateral_mean_cm", r.lap_lateral_mean_cm);
+  list("time_to_relocalize_s", r.time_to_relocalize_s);
+  const std::pair<const char*, double> scalars[] = {
+      {"lap_time_mean", r.lap_time_mean},
+      {"lap_time_std", r.lap_time_std},
+      {"lateral_mean_cm", r.lateral_mean_cm},
+      {"lateral_std_cm", r.lateral_std_cm},
+      {"scan_alignment", r.scan_alignment},
+      {"pose_rmse_m", r.pose_rmse_m},
+      {"pose_lat_rmse_m", r.pose_lat_rmse_m},
+      {"pose_long_rmse_m", r.pose_long_rmse_m},
+      {"heading_rmse_rad", r.heading_rmse_rad},
+      {"mean_abs_slip", r.mean_abs_slip},
+      {"odom_drift_m_per_lap", r.odom_drift_m_per_lap},
+      {"sim_time", r.sim_time},
+      {"time_to_relocalize_mean_s", r.time_to_relocalize_mean_s},
+      {"time_to_relocalize_max_s", r.time_to_relocalize_max_s},
+      {"post_divergence_lateral_cm", r.post_divergence_lateral_cm},
+      {"post_recovery_lateral_cm", r.post_recovery_lateral_cm},
+      {"final_pose_error_m", r.final_pose_error_m}};
+  for (const auto& [name, value] : scalars) os << name << ' ' << value << '\n';
+  os << "crashed " << r.crashed << "\ncompleted " << r.completed
+     << "\nrecovered " << r.recovered << "\nkidnaps_applied "
+     << r.kidnaps_applied << "\ndivergence_episodes " << r.divergence_episodes
+     << "\nrecoveries " << r.recoveries << "\nblackboxes "
+     << recorder.dump_paths().size() << "\nrecorder_ticks "
+     << recorder.ticks() << "\nrecorder_estimate_hash " << std::hex
+     << recorder.estimate_hash() << '\n';
+  std::vector<std::string> lines;
+  std::istringstream is{os.str()};
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// A short SynPF+Recovery race on the golden oval, built by the stack
+/// builder, kidnapped at 8 s, with an event log and a flight recorder
+/// attached: the estimate steers the car, so every layer of the tick feeds
+/// the next lap's bits.
+std::vector<std::string> race_closed_loop(int threads) {
+  const Track track = golden_track();
+  PostmortemStackSpec spec;
+  spec.track = "oval:8,2.5";
+  spec.localizer = "SynPF+Recovery";
+  spec.n_particles = 800;
+  spec.threads = threads;
+  std::string error;
+  const std::unique_ptr<LocalizerStack> stack = LocalizerStack::build(
+      spec, std::make_shared<const OccupancyGrid>(track.grid), LidarConfig{},
+      error);
+  if (stack == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
+  ExperimentConfig cfg;
+  cfg.laps = 1000000;  // run the clock out, as the matrix's kidnap cells do
+  cfg.max_sim_time = 25.0;
+  cfg.profile.scale = 0.5;
+  cfg.kidnaps.push_back({8.0, 0.25, 0.0, 0.0});
+
+  const std::string dir =
+      ::testing::TempDir() + "srl_golden_closed_loop_" + std::to_string(threads);
+  std::filesystem::remove_all(dir);
+  telemetry::EventLog events;
+  const auto recorder = stack->make_recorder(dir, "golden", &events);
+  telemetry::Sink sink;
+  sink.events = &events;
+  sink.recorder = recorder.get();
+  const ExperimentResult result =
+      ExperimentRunner{track, cfg}.run(stack->top(), nullptr, sink);
+  std::filesystem::remove_all(dir);
+  return closed_loop_lines(result, *recorder);
+}
+
+/// The closed loop's own bits. The replay walls above drive a fixed stream
+/// and the recording wall drives a dead reckoner, so neither sees a change
+/// that moves the estimate the controller steers from. This one races the
+/// full tick (vehicle, crash check, kidnap, odometry, truth scan, localize,
+/// scoring, control, lap timing) at 1 and 4 filter lanes against one file.
+TEST(GoldenTrace, ClosedLoopResultMatchesCommittedBits) {
+  if (regen_requested()) {
+    const std::vector<std::string> lines = race_closed_loop(1);
+    std::ofstream os{kClosedLoopPath};
+    ASSERT_TRUE(os.good()) << "cannot write " << kClosedLoopPath;
+    for (const std::string& line : lines) os << line << '\n';
+    std::printf("regenerated %s\n", kClosedLoopPath);
+    return;
+  }
+  std::vector<std::string> golden;
+  std::ifstream is{kClosedLoopPath};
+  for (std::string line; std::getline(is, line);) golden.push_back(line);
+  ASSERT_FALSE(golden.empty()) << "missing " << kClosedLoopPath
+                               << " — regenerate with SRL_REGEN_GOLDEN=1";
+  for (const int threads : {1, 4}) {
+    const std::vector<std::string> got = race_closed_loop(threads);
+    ASSERT_EQ(got.size(), golden.size()) << threads << " lanes";
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      EXPECT_EQ(got[i], golden[i]) << threads << " lanes";
+    }
+  }
 }
 
 /// The committed trace itself must stay parseable and internally coherent —
