@@ -114,6 +114,20 @@ bool read_uint(const Value& object, const std::string& key, Int& out,
   return true;
 }
 
+/// Member `key` of `object` through `Value::as_double`; `fallback` when it
+/// is absent.
+inline double num_field(const Value& object, const char* key,
+                        double fallback) {
+  const Value* member = object.find(key);
+  return member != nullptr ? member->as_double(fallback) : fallback;
+}
+
+/// Member `key` of `object` through `Value::as_string`; empty when absent.
+inline std::string str_field(const Value& object, const char* key) {
+  const Value* member = object.find(key);
+  return member != nullptr ? member->as_string() : std::string{};
+}
+
 /// Round-trip double formatting, the one number format used across every
 /// benchmark JSON: a finite whole number below 2^53 in magnitude as an
 /// integer ("270", "-0"), any other number in the shortest "%.*g" form

@@ -45,4 +45,31 @@ class Localizer {
   virtual void set_telemetry(const telemetry::Sink& sink) { (void)sink; }
 };
 
+/// Base of the localizer decorators (fault injection, supervision, the
+/// compute governor): holds the wrapped localizer and forwards every call
+/// to it, so a decorator overrides only the calls it changes.
+class LocalizerDecorator : public Localizer {
+ public:
+  /// `inner` is not owned and must outlive the decorator.
+  explicit LocalizerDecorator(Localizer& inner) : inner_{inner} {}
+
+  void initialize(const Pose2& pose) override { inner_.initialize(pose); }
+  void on_odometry(const OdometryDelta& odom) override {
+    inner_.on_odometry(odom);
+  }
+  Pose2 on_scan(const LaserScan& scan) override { return inner_.on_scan(scan); }
+  Pose2 pose() const override { return inner_.pose(); }
+  std::string name() const override { return inner_.name(); }
+  double mean_scan_update_ms() const override {
+    return inner_.mean_scan_update_ms();
+  }
+  double total_busy_s() const override { return inner_.total_busy_s(); }
+  void set_telemetry(const telemetry::Sink& sink) override {
+    inner_.set_telemetry(sink);
+  }
+
+ protected:
+  Localizer& inner_;
+};
+
 }  // namespace srl

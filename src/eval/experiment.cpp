@@ -9,8 +9,7 @@
 namespace srl {
 
 ExperimentRunner::ExperimentRunner(const Track& track, ExperimentConfig config)
-    : track_{track},
-      config_{config},
+    : config_{config},
       raceline_{config.raceline_override.empty() ? track.centerline
                                                  : config.raceline_override},
       profile_{raceline_, config.profile},
@@ -19,7 +18,7 @@ ExperimentRunner::ExperimentRunner(const Track& track, ExperimentConfig config)
   options.max_range = config_.lidar.max_range;
   truth_caster_ = shared_range_method(
       RangeMethodKind::kRayMarching,
-      std::make_shared<const OccupancyGrid>(track_.grid), options);
+      std::make_shared<const OccupancyGrid>(track.grid), options);
 }
 
 Pose2 ExperimentRunner::start_pose() const {
@@ -36,7 +35,6 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
   ExperimentResult result;
   Rng rng{config_.seed};
   if (sink.enabled()) localizer.set_telemetry(sink);
-  telemetry::Histogram update_ms;  // harness-side latency distribution
 
   // Flight recorder: black-box dumps need the sensor stream alongside the
   // snapshot ring, so with a recorder attached the run always records a
@@ -68,34 +66,33 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
     extra.set("sim_seed",
               json::Value::number(static_cast<double>(config_.seed)));
     extra.set("crashed", json::Value::boolean(result.crashed));
-    if (rec != nullptr) {
-      const std::string trace_path =
-          telemetry::FlightRecorder::trace_sidecar_path(path);
-      // The sidecar lands before dump() creates the artifact directory.
-      std::error_code ec;
-      std::filesystem::create_directories(
-          std::filesystem::path(trace_path).parent_path(), ec);
-      if (rec->save(trace_path)) {
-        extra.set("trace_file",
-                  json::Value::string(
-                      std::filesystem::path(trace_path).filename().string()));
-      }
+    const std::string trace_path =
+        telemetry::FlightRecorder::trace_sidecar_path(path);
+    // The sidecar lands before dump() creates the artifact directory.
+    std::error_code ec;
+    std::filesystem::create_directories(
+        std::filesystem::path(trace_path).parent_path(), ec);
+    if (rec->save(trace_path)) {
+      extra.set("trace_file",
+                json::Value::string(
+                    std::filesystem::path(trace_path).filename().string()));
     }
     sink.recorder->dump(path, reason, dt_now, extra);
   };
   std::uint64_t seen_critical =
       sink.events != nullptr ? sink.events->critical_count() : 0;
-  std::uint64_t tick = 0;
 
   VehicleParams vp = config_.vehicle;
   vp.mu = config_.mu;
-  VehicleSim vehicle{vp, start_pose()};
+  VehicleSim car{vp, start_pose()};
+  const VehicleState& state = car.state();
   WheelOdometrySensor odom_sensor{vp.ackermann, config_.odom_noise};
   LidarSim lidar{config_.lidar, truth_caster_, config_.lidar_noise};
   PurePursuit pursuit{config_.pursuit, vp.ackermann};
 
   localizer.initialize(start_pose());
   LapTimer timer{raceline_.length()};
+  LocalizeStep localize{localizer, sink};
 
   const double odom_dt = 1.0 / config_.odom_rate_hz;
   const double scan_dt = 1.0 / config_.lidar_rate_hz;
@@ -104,6 +101,7 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
   double next_scan = 0.0;
   double next_ctrl = 0.0;
 
+  // Tick state the layers hand on.
   DriveCommand cmd{};
   double believed_speed = 0.0;
   double t = 0.0;
@@ -133,194 +131,196 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
   double first_divergence_t = -1.0;
   double last_recovery_t = -1.0;
 
+  // The tick's layers. `localize` is the step replay shares
+  // (eval/trace.hpp); the loop below calls them in their one fixed order.
+  const auto vehicle = [&] {
+    car.step(cmd, config_.sim_dt);
+    t += config_.sim_dt;
+    true_dist += state.v * config_.sim_dt;
+    slip_abs.add(std::abs(state.slip));
+  };
+
+  // Crash: true pose too close to (or inside) a wall.
+  const auto crash = [&] {
+    result.crashed =
+        alignment_.wall_distance().at_world({state.pose.x, state.pose.y}) <
+        static_cast<float>(config_.crash_wall_distance);
+    return result.crashed;
+  };
+
+  // Scripted kidnap: teleport the *true* vehicle (at rest) along the race
+  // line; the localizer only ever learns through its sensors.
+  const auto kidnap = [&] {
+    const ExperimentConfig::KidnapSpec& k = config_.kidnaps[kidnap_idx];
+    const Raceline::Projection cur =
+        raceline_.project({state.pose.x, state.pose.y});
+    const double s1 =
+        raceline_.wrap(cur.s + k.advance_frac * raceline_.length());
+    const Vec2 p = raceline_.position(s1);
+    const double h = raceline_.heading(s1);
+    const Vec2 normal{-std::sin(h), std::cos(h)};
+    car.reset(Pose2{p.x + normal.x * k.lateral_m,
+                    p.y + normal.y * k.lateral_m,
+                    normalize_angle(h + k.yaw)});
+    ++kidnap_idx;
+    ++result.kidnaps_applied;
+    json::Value data = json::Value::object();
+    data.set("advance_frac", json::Value::number(k.advance_frac));
+    data.set("lateral_m", json::Value::number(k.lateral_m));
+    data.set("yaw", json::Value::number(k.yaw));
+    emit(t, telemetry::EventSeverity::kInfo, "experiment.kidnap",
+         std::move(data));
+  };
+
+  const auto odometry = [&] {
+    const OdometryDelta odom = odom_sensor.measure(state, odom_dt, rng);
+    if (rec != nullptr) rec->add_odometry(t, odom);
+    localizer.on_odometry(odom);
+    believed_speed = odom.v;
+    odom_dist += odom.v * odom_dt;
+  };
+
+  const auto truth_scan = [&] {
+    LaserScan scan = lidar.scan(state.pose, state.twist(), t, rng);
+    if (rec != nullptr) rec->add_scan(scan, state.pose);
+    return scan;
+  };
+
+  const auto score = [&](const LaserScan& scan, const Pose2& est,
+                         double est_err) {
+    result.final_pose_error_m = est_err;
+    // Episode hysteresis: open after `dwell` scans over the open
+    // threshold, close after `dwell` scans under the close threshold.
+    if (!episode_open) {
+      if (est_err > config_.divergence_open_m) {
+        if (over_run == 0) episode_open_t = t;
+        ++over_run;
+        if (over_run >= config_.divergence_dwell) {
+          episode_open = true;
+          under_run = 0;
+          ++result.divergence_episodes;
+          if (first_divergence_t < 0.0) first_divergence_t = t;
+          json::Value data = json::Value::object();
+          data.set("error_m", json::Value::number(est_err));
+          emit(t, telemetry::EventSeverity::kError,
+               "experiment.divergence_open", std::move(data));
+          dump_blackbox("divergence", t);
+        }
+      } else {
+        over_run = 0;
+      }
+    } else if (est_err < config_.divergence_close_m) {
+      ++under_run;
+      if (under_run >= config_.divergence_dwell) {
+        episode_open = false;
+        over_run = 0;
+        ++result.recoveries;
+        result.time_to_relocalize_s.push_back(t - episode_open_t);
+        last_recovery_t = t;
+        json::Value data = json::Value::object();
+        data.set("duration_s", json::Value::number(t - episode_open_t));
+        emit(t, telemetry::EventSeverity::kInfo, "experiment.episode_closed",
+             std::move(data));
+      }
+    } else {
+      under_run = 0;
+    }
+
+    // Contract violations (or any other critical event) since the last
+    // scan trip a black-box dump of their own.
+    if (sink.events != nullptr) {
+      const std::uint64_t crit = sink.events->critical_count();
+      if (crit > seen_critical) {
+        seen_critical = crit;
+        dump_blackbox("critical", t);
+      }
+    }
+
+    if (!timer.armed()) return;
+    alignment_percent.add(alignment_.score(scan, config_.lidar, est));
+    const double ex = est.x - state.pose.x;
+    const double ey = est.y - state.pose.y;
+    pose_err_sq_sum += ex * ex + ey * ey;
+    // Decompose along/normal to the race line at the true position.
+    const Raceline::Projection p =
+        raceline_.project({state.pose.x, state.pose.y});
+    const double line_heading = raceline_.heading(p.s);
+    const double c = std::cos(line_heading);
+    const double sn = std::sin(line_heading);
+    const double e_long = c * ex + sn * ey;
+    const double e_lat = -sn * ex + c * ey;
+    pose_long_sq_sum += e_long * e_long;
+    pose_lat_sq_sum += e_lat * e_lat;
+    const double e_th = angle_dist(est.theta, state.pose.theta);
+    heading_sq_sum += e_th * e_th;
+    ++pose_err_samples;
+  };
+
+  const auto control = [&] {
+    cmd = pursuit.control(localizer.pose(), believed_speed, raceline_,
+                          profile_);
+    if (config_.launch_ramp_s > 0.0 && t < config_.launch_ramp_s) {
+      cmd.target_speed *= t / config_.launch_ramp_s;
+    }
+  };
+
+  const auto lap = [&] {
+    const Raceline::Projection proj =
+        raceline_.project({state.pose.x, state.pose.y});
+    if (timer.armed()) {
+      lap_lateral_cm.add(std::abs(proj.lateral) * 100.0);
+    }
+    if (first_divergence_t >= 0.0) {
+      post_div_lateral_cm.add(std::abs(proj.lateral) * 100.0);
+      if (!episode_open && last_recovery_t >= 0.0 &&
+          result.recoveries == result.divergence_episodes &&
+          t >= last_recovery_t + config_.recovery_settle_s) {
+        post_rec_lateral_cm.add(std::abs(proj.lateral) * 100.0);
+      }
+    }
+    const bool was_armed = timer.armed();
+    if (timer.update(proj.s, t)) {
+      result.lap_times.push_back(timer.lap_times().back());
+      result.lap_lateral_mean_cm.push_back(lap_lateral_cm.mean());
+      lap_lateral_cm.reset();
+      odom_drift_per_lap.add(std::abs((odom_dist - lap_odom_dist) -
+                                      (true_dist - lap_true_dist)));
+      lap_odom_dist = odom_dist;
+      lap_true_dist = true_dist;
+    } else if (!was_armed && timer.armed()) {
+      // Timer just armed (out-lap finished): reset lap accumulators.
+      lap_lateral_cm.reset();
+      lap_odom_dist = odom_dist;
+      lap_true_dist = true_dist;
+    }
+  };
+
+  // The order is behaviour: odometry draws from `rng` before the truth
+  // scan does, and the controller steers from the estimate the localize
+  // layer just produced.
   const int want_laps = std::max(config_.laps, 1);
   while (t < config_.max_sim_time &&
          static_cast<int>(result.lap_times.size()) < want_laps) {
-    vehicle.step(cmd, config_.sim_dt);
-    t += config_.sim_dt;
-    const VehicleState& state = vehicle.state();
-    true_dist += state.v * config_.sim_dt;
-    slip_abs.add(std::abs(state.slip));
-
-    // Crash: true pose too close to (or inside) a wall.
-    if (alignment_.wall_distance().at_world({state.pose.x, state.pose.y}) <
-        static_cast<float>(config_.crash_wall_distance)) {
-      result.crashed = true;
-      break;
-    }
-
-    // Scripted kidnap: teleport the *true* vehicle (at rest) along the race
-    // line; the localizer only ever learns through its sensors.
+    vehicle();
+    if (crash()) break;
     if (kidnap_idx < config_.kidnaps.size() &&
         t >= config_.kidnaps[kidnap_idx].t) {
-      const ExperimentConfig::KidnapSpec& k = config_.kidnaps[kidnap_idx];
-      const Raceline::Projection cur =
-          raceline_.project({state.pose.x, state.pose.y});
-      const double s1 =
-          raceline_.wrap(cur.s + k.advance_frac * raceline_.length());
-      const Vec2 p = raceline_.position(s1);
-      const double h = raceline_.heading(s1);
-      const Vec2 normal{-std::sin(h), std::cos(h)};
-      vehicle.reset(Pose2{p.x + normal.x * k.lateral_m,
-                          p.y + normal.y * k.lateral_m,
-                          normalize_angle(h + k.yaw)});
-      ++kidnap_idx;
-      ++result.kidnaps_applied;
-      {
-        json::Value data = json::Value::object();
-        data.set("advance_frac", json::Value::number(k.advance_frac));
-        data.set("lateral_m", json::Value::number(k.lateral_m));
-        data.set("yaw", json::Value::number(k.yaw));
-        emit(t, telemetry::EventSeverity::kInfo, "experiment.kidnap",
-             std::move(data));
-      }
+      kidnap();
     }
-
     if (t >= next_odom) {
       next_odom += odom_dt;
-      const OdometryDelta odom = odom_sensor.measure(state, odom_dt, rng);
-      if (rec != nullptr) rec->add_odometry(t, odom);
-      localizer.on_odometry(odom);
-      believed_speed = odom.v;
-      odom_dist += odom.v * odom_dt;
+      odometry();
     }
-
     if (t >= next_scan) {
       next_scan += scan_dt;
-      const LaserScan scan = lidar.scan(state.pose, state.twist(), t, rng);
-      if (rec != nullptr) rec->add_scan(scan, state.pose);
-      Stopwatch update_watch;
-      const Pose2 est = localizer.on_scan(scan);
-      update_ms.record(update_watch.elapsed_ms());
-
-      // Episode hysteresis: open after `dwell` scans over the open
-      // threshold, close after `dwell` scans under the close threshold.
-      const double est_err =
-          std::hypot(est.x - state.pose.x, est.y - state.pose.y);
-      result.final_pose_error_m = est_err;
-
-      if (sink.recorder != nullptr) {
-        telemetry::TickSnapshot snap;
-        snap.tick = tick;
-        snap.t = t;
-        snap.est_x = est.x;
-        snap.est_y = est.y;
-        snap.est_theta = est.theta;
-        snap.truth_err_m = est_err;
-        sink.recorder->record_tick(std::move(snap));
-      }
-      ++tick;
-
-      if (!episode_open) {
-        if (est_err > config_.divergence_open_m) {
-          if (over_run == 0) episode_open_t = t;
-          ++over_run;
-          if (over_run >= config_.divergence_dwell) {
-            episode_open = true;
-            under_run = 0;
-            ++result.divergence_episodes;
-            if (first_divergence_t < 0.0) first_divergence_t = t;
-            {
-              json::Value data = json::Value::object();
-              data.set("error_m", json::Value::number(est_err));
-              emit(t, telemetry::EventSeverity::kError,
-                   "experiment.divergence_open", std::move(data));
-            }
-            dump_blackbox("divergence", t);
-          }
-        } else {
-          over_run = 0;
-        }
-      } else {
-        if (est_err < config_.divergence_close_m) {
-          ++under_run;
-          if (under_run >= config_.divergence_dwell) {
-            episode_open = false;
-            over_run = 0;
-            ++result.recoveries;
-            result.time_to_relocalize_s.push_back(t - episode_open_t);
-            last_recovery_t = t;
-            {
-              json::Value data = json::Value::object();
-              data.set("duration_s", json::Value::number(t - episode_open_t));
-              emit(t, telemetry::EventSeverity::kInfo,
-                   "experiment.episode_closed", std::move(data));
-            }
-          }
-        } else {
-          under_run = 0;
-        }
-      }
-
-      // Contract violations (or any other critical event) since the last
-      // scan trip a black-box dump of their own.
-      if (sink.events != nullptr) {
-        const std::uint64_t crit = sink.events->critical_count();
-        if (crit > seen_critical) {
-          seen_critical = crit;
-          dump_blackbox("critical", t);
-        }
-      }
-
-      if (timer.armed()) {
-        alignment_percent.add(alignment_.score(scan, config_.lidar, est));
-      }
-      if (timer.armed()) {
-        const double ex = est.x - state.pose.x;
-        const double ey = est.y - state.pose.y;
-        pose_err_sq_sum += ex * ex + ey * ey;
-        // Decompose along/normal to the race line at the true position.
-        const Raceline::Projection p =
-            raceline_.project({state.pose.x, state.pose.y});
-        const double line_heading = raceline_.heading(p.s);
-        const double c = std::cos(line_heading);
-        const double sn = std::sin(line_heading);
-        const double e_long = c * ex + sn * ey;
-        const double e_lat = -sn * ex + c * ey;
-        pose_long_sq_sum += e_long * e_long;
-        pose_lat_sq_sum += e_lat * e_lat;
-        const double e_th = angle_dist(est.theta, state.pose.theta);
-        heading_sq_sum += e_th * e_th;
-        ++pose_err_samples;
-      }
+      const LaserScan scan = truth_scan();
+      const Pose2 est = localize(scan, state.pose);
+      score(scan, est, localize.truth_err_m);
     }
-
     if (t >= next_ctrl) {
       next_ctrl += ctrl_dt;
-      const Pose2 believed = localizer.pose();
-      cmd = pursuit.control(believed, believed_speed, raceline_, profile_);
-      if (config_.launch_ramp_s > 0.0 && t < config_.launch_ramp_s) {
-        cmd.target_speed *= t / config_.launch_ramp_s;
-      }
-
-      const Raceline::Projection proj =
-          raceline_.project({state.pose.x, state.pose.y});
-      if (timer.armed()) {
-        lap_lateral_cm.add(std::abs(proj.lateral) * 100.0);
-      }
-      if (first_divergence_t >= 0.0) {
-        post_div_lateral_cm.add(std::abs(proj.lateral) * 100.0);
-        if (!episode_open && last_recovery_t >= 0.0 &&
-            result.recoveries == result.divergence_episodes &&
-            t >= last_recovery_t + config_.recovery_settle_s) {
-          post_rec_lateral_cm.add(std::abs(proj.lateral) * 100.0);
-        }
-      }
-      const bool was_armed = timer.armed();
-      if (timer.update(proj.s, t)) {
-        result.lap_times.push_back(timer.lap_times().back());
-        result.lap_lateral_mean_cm.push_back(lap_lateral_cm.mean());
-        lap_lateral_cm.reset();
-        odom_drift_per_lap.add(std::abs((odom_dist - lap_odom_dist) -
-                                        (true_dist - lap_true_dist)));
-        lap_odom_dist = odom_dist;
-        lap_true_dist = true_dist;
-      } else if (!was_armed && timer.armed()) {
-        // Timer just armed (out-lap finished): reset lap accumulators.
-        lap_lateral_cm.reset();
-        lap_odom_dist = odom_dist;
-        lap_true_dist = true_dist;
-      }
+      control();
+      lap();
     }
   }
 
@@ -341,10 +341,10 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
   result.lateral_std_cm = stddev(result.lap_lateral_mean_cm);
   result.scan_alignment = alignment_percent.mean();
   result.mean_update_ms = localizer.mean_scan_update_ms();
-  result.update_p50_ms = update_ms.percentile(0.50);
-  result.update_p95_ms = update_ms.percentile(0.95);
-  result.update_p99_ms = update_ms.percentile(0.99);
-  result.update_max_ms = update_ms.max();
+  result.update_p50_ms = localize.update_ms.percentile(0.50);
+  result.update_p95_ms = localize.update_ms.percentile(0.95);
+  result.update_p99_ms = localize.update_ms.percentile(0.99);
+  result.update_max_ms = localize.update_ms.max();
   result.load_percent =
       t > 0.0 ? 100.0 * localizer.total_busy_s() / t : 0.0;
   if (pose_err_samples > 0) {

@@ -136,10 +136,8 @@ class ExperimentRunner {
   /// Start pose used for every run (on the race line, facing forward).
   Pose2 start_pose() const;
   const Raceline& raceline() const { return raceline_; }
-  const SpeedProfile& profile() const { return profile_; }
 
  private:
-  const Track& track_;
   ExperimentConfig config_;
   Raceline raceline_;
   SpeedProfile profile_;

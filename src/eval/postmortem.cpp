@@ -19,16 +19,6 @@ std::uint64_t parse_hash(const std::string& hex) {
   return std::strtoull(hex.c_str(), nullptr, 16);
 }
 
-double num_field(const json::Value& v, const char* key, double fallback) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_double(fallback) : fallback;
-}
-
-std::string str_field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_string() : std::string{};
-}
-
 /// Track recipe parser (see PostmortemStackSpec::track). A frontier recipe
 /// ("frontier:<seed>:<index>") rebuilds the sampled circuit.
 std::optional<Track> build_track(const std::string& recipe) {
@@ -38,9 +28,11 @@ std::optional<Track> build_track(const std::string& recipe) {
   if (recipe.compare(0, oval_prefix.size(), oval_prefix) == 0) {
     double straight = 0.0;
     double radius = 0.0;
+    // An infinite or NaN value fails the bounds too.
     if (std::sscanf(recipe.c_str() + oval_prefix.size(), "%lf,%lf", &straight,
                     &radius) == 2 &&
-        straight > 0.0 && radius > 0.0) {
+        straight > 0.0 && radius > 0.0 && straight <= kMaxOvalRecipeM &&
+        radius <= kMaxOvalRecipeM) {
       return TrackGenerator::oval(straight, radius);
     }
   }

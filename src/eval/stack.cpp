@@ -9,16 +9,6 @@ namespace srl {
 
 namespace {
 
-double num_field(const json::Value& v, const char* key, double fallback) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_double(fallback) : fallback;
-}
-
-std::string str_field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_string() : std::string{};
-}
-
 std::optional<RangeMethodKind> range_from_string(const std::string& name) {
   if (name == "bresenham") return RangeMethodKind::kBresenham;
   if (name == "ray_marching") return RangeMethodKind::kRayMarching;

@@ -34,7 +34,8 @@ namespace srl {
 /// `replay_blackbox` rebuilds from the recorded copy.
 struct PostmortemStackSpec {
   /// Track recipe: "test_track", "hairpin", "oval:<straight>,<radius>"
-  /// (default TrackSpec geometry in all cases), or a frontier replay key
+  /// (each in (0, kMaxOvalRecipeM]; default TrackSpec geometry in all
+  /// cases), or a frontier replay key
   /// "frontier:<seed>:<index>" — the sampled circuit AND the sampled fault
   /// envelope both rebuild from it (eval/frontier/scenario_sampler.hpp),
   /// overriding the canonical `fault`/`severity` pipeline below.
@@ -92,6 +93,13 @@ std::optional<StackKind> parse_stack_kind(const std::string& kind);
 /// any harness races (4,000), and small enough that an edited recipe
 /// cannot ask the allocator for gigabytes.
 inline constexpr int kMaxStackParticles = 100000;
+
+/// Largest straight or radius, m, an "oval:<straight>,<radius>" track
+/// recipe may ask for: 5 times the largest oval any harness races
+/// (`oval(10, 2.5)`), and small enough that an edited recipe can neither
+/// ask the allocator for gigabytes nor overflow the generator's int cell
+/// counts.
+inline constexpr double kMaxOvalRecipeM = 50.0;
 
 /// A built stack. Owns every layer and the fault pipeline; the layers hold
 /// references into each other, so the stack is neither copied nor moved.

@@ -44,6 +44,29 @@ double SensorTrace::duration() const {
   return any ? t1 - t0 : 0.0;
 }
 
+Pose2 LocalizeStep::operator()(const LaserScan& scan, const Pose2& truth) {
+  Stopwatch watch;
+  Pose2 est;
+  {
+    telemetry::ScopedSpan span{sink.trace, "localize.on_scan"};
+    est = localizer.on_scan(scan);
+  }
+  update_ms.record(watch.elapsed_ms());
+  truth_err_m = std::hypot(est.x - truth.x, est.y - truth.y);
+  if (sink.recorder != nullptr) {
+    telemetry::TickSnapshot snap;
+    snap.tick = ticks;
+    snap.t = scan.t;
+    snap.est_x = est.x;
+    snap.est_y = est.y;
+    snap.est_theta = est.theta;
+    snap.truth_err_m = truth_err_m;
+    sink.recorder->record_tick(std::move(snap));
+  }
+  ++ticks;
+  return est;
+}
+
 SensorTrace::ReplayResult SensorTrace::replay(
     Localizer& localizer, telemetry::Sink sink,
     std::optional<Pose2> start) const {
@@ -51,10 +74,7 @@ SensorTrace::ReplayResult SensorTrace::replay(
   if (scans_.empty()) return result;
   if (sink.enabled()) localizer.set_telemetry(sink);
   localizer.initialize(start.value_or(scans_.front().truth));
-
-  // The replay loop measures update latency itself so every localizer gets
-  // a percentile readout, with or without its own instrumentation.
-  telemetry::Histogram update_ms;
+  LocalizeStep localize{localizer, sink};
 
   std::size_t oi = 0;
   double err_sq = 0.0;
@@ -65,38 +85,22 @@ SensorTrace::ReplayResult SensorTrace::replay(
       localizer.on_odometry(odometry_[oi].odom);
       ++oi;
     }
-    Stopwatch watch;
-    Pose2 est;
-    {
-      telemetry::ScopedSpan span{sink.trace, "replay.scan_update"};
-      est = localizer.on_scan(rec.scan);
-    }
-    update_ms.record(watch.elapsed_ms());
+    const Pose2 est = localize(rec.scan, rec.truth);
     result.estimates.push_back(est);
     const double ex = est.x - rec.truth.x;
     const double ey = est.y - rec.truth.y;
     err_sq += ex * ex + ey * ey;
     const double eh = angle_dist(est.theta, rec.truth.theta);
     hdg_sq += eh * eh;
-    if (sink.recorder != nullptr) {
-      telemetry::TickSnapshot snap;
-      snap.tick = result.estimates.size() - 1;
-      snap.t = rec.scan.t;
-      snap.est_x = est.x;
-      snap.est_y = est.y;
-      snap.est_theta = est.theta;
-      snap.truth_err_m = std::hypot(ex, ey);
-      sink.recorder->record_tick(std::move(snap));
-    }
   }
   const auto n = static_cast<double>(result.estimates.size());
   result.pose_rmse_m = std::sqrt(err_sq / n);
   result.heading_rmse_rad = std::sqrt(hdg_sq / n);
   result.mean_update_ms = localizer.mean_scan_update_ms();
-  result.p50_update_ms = update_ms.percentile(0.50);
-  result.p95_update_ms = update_ms.percentile(0.95);
-  result.p99_update_ms = update_ms.percentile(0.99);
-  result.max_update_ms = update_ms.max();
+  result.p50_update_ms = localize.update_ms.percentile(0.50);
+  result.p95_update_ms = localize.update_ms.percentile(0.95);
+  result.p99_update_ms = localize.update_ms.percentile(0.99);
+  result.max_update_ms = localize.update_ms.max();
   return result;
 }
 

@@ -11,6 +11,7 @@
 /// driving its own (slightly different) lap. Traces serialize to a simple
 /// binary container for offline experiments.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +22,22 @@
 #include "telemetry/telemetry.hpp"
 
 namespace srl {
+
+/// The scan update that `ExperimentRunner::run` and `SensorTrace::replay`
+/// share, so a black box replays through the code that recorded it. Each
+/// call runs `on_scan` under one `localize.on_scan` span, times it into
+/// `update_ms`, and records the flight recorder's tick (ordinal, scan time,
+/// estimate, truth error).
+struct LocalizeStep {
+  Localizer& localizer;
+  telemetry::Sink sink;
+  telemetry::Histogram update_ms{};
+  std::uint64_t ticks{0};
+  double truth_err_m{0.0};  ///< last estimate's position error vs its truth
+
+  /// The refreshed estimate.
+  Pose2 operator()(const LaserScan& scan, const Pose2& truth);
+};
 
 class SensorTrace {
  public:
@@ -39,10 +56,6 @@ class SensorTrace {
   void add_scan(const LaserScan& scan, const Pose2& truth) {
     scans_.push_back({scan, truth});
   }
-  void clear() {
-    odometry_.clear();
-    scans_.clear();
-  }
 
   const std::vector<OdomRecord>& odometry() const { return odometry_; }
   const std::vector<ScanRecord>& scans() const { return scans_; }
@@ -56,7 +69,7 @@ class SensorTrace {
     double heading_rmse_rad{0.0};
     double mean_update_ms{0.0};    ///< localizer-reported mean (back-compat)
     /// Update-latency distribution, measured around every on_scan call by
-    /// the replay loop itself (telemetry::Histogram percentiles).
+    /// the localize step (telemetry::Histogram percentiles).
     double p50_update_ms{0.0};
     double p95_update_ms{0.0};
     double p99_update_ms{0.0};
@@ -69,8 +82,8 @@ class SensorTrace {
   /// box's recorded start pose: the closed loop never told the localizer
   /// the truth), else at the first recorded truth pose. When `sink` is
   /// non-empty it is attached to the localizer (per-stage histograms,
-  /// health gauges), each scan update emits a span, and a flight recorder
-  /// in it folds every estimate.
+  /// health gauges), and the localize step spans each scan update and
+  /// feeds a flight recorder in it every estimate.
   ReplayResult replay(Localizer& localizer, telemetry::Sink sink = {},
                       std::optional<Pose2> start = std::nullopt) const;
 

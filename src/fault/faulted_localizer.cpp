@@ -4,25 +4,6 @@
 
 namespace srl::fault {
 
-void FaultedLocalizer::initialize(const Pose2& pose) {
-  // Deliberately does NOT rewind the fault stream: initialize() sets the
-  // pose belief, and a supervision layer may call it mid-run to relocalize
-  // a lost filter. Faults are scheduled on the *scenario* clock — a
-  // recovery action must not replay the blackout window or restart a slip
-  // ramp. Stream bookkeeping starts at construction; use reset_stream()
-  // to reuse one wrapper across runs.
-  inner_.initialize(pose);
-}
-
-void FaultedLocalizer::reset_stream() {
-  odom_index_ = 0;
-  scan_index_ = 0;
-  odom_clock_ = 0.0;
-  first_scan_t_ = 0.0;
-  seen_scan_ = false;
-  pipeline_.reset();
-}
-
 void FaultedLocalizer::on_odometry(const OdometryDelta& odom) {
   OdometryDelta corrupted = odom;
   const FaultEvent event{odom_index_, odom_clock_};

@@ -12,15 +12,15 @@
 /// of the fault — the paper's robustness experiment, generalized from grip
 /// alone to the whole fault taxonomy.
 ///
-/// Event bookkeeping: odometry and scan indices count from construction
-/// (or an explicit `reset_stream()`), and event time is seconds since the
-/// first event (odometry time is the accumulated sum of increment dts;
-/// scans use their own timestamps). `initialize` deliberately does NOT
-/// rewind the stream: it sets the pose belief, and a supervision layer
-/// (recovery/supervised_localizer.hpp) may call it mid-run to relocalize a
-/// lost filter — faults are scheduled on the scenario clock, so a recovery
-/// action must not replay a blackout window or restart a slip ramp. An
-/// empty pipeline makes the wrapper a bitwise pass-through.
+/// Event bookkeeping: odometry and scan indices count from construction,
+/// and event time is seconds since the first event (odometry time is the
+/// accumulated sum of increment dts; scans use their own timestamps).
+/// `initialize` deliberately does NOT rewind the stream: it sets the pose
+/// belief, and a supervision layer (recovery/supervised_localizer.hpp) may
+/// call it mid-run to relocalize a lost filter — faults are scheduled on
+/// the scenario clock, so a recovery action must not replay a blackout
+/// window or restart a slip ramp. An empty pipeline makes the wrapper a
+/// bitwise pass-through.
 
 #include <string>
 #include <vector>
@@ -30,26 +30,17 @@
 
 namespace srl::fault {
 
-class FaultedLocalizer final : public Localizer {
+class FaultedLocalizer final : public LocalizerDecorator {
  public:
   /// Neither pointer-like argument is owned; both must outlive the wrapper.
   FaultedLocalizer(Localizer& inner, const FaultPipeline& pipeline)
-      : inner_{inner}, pipeline_{pipeline} {}
+      : LocalizerDecorator{inner}, pipeline_{pipeline} {}
 
-  void initialize(const Pose2& pose) override;
-  /// Rewind event indices, the stream clock, and the pipeline's timestamp
-  /// clamp, to replay a fresh stream through the same wrapper.
-  void reset_stream();
   void on_odometry(const OdometryDelta& odom) override;
   Pose2 on_scan(const LaserScan& scan) override;
-  Pose2 pose() const override { return inner_.pose(); }
   std::string name() const override {
     return inner_.name() + "+" + pipeline_.describe();
   }
-  double mean_scan_update_ms() const override {
-    return inner_.mean_scan_update_ms();
-  }
-  double total_busy_s() const override { return inner_.total_busy_s(); }
   /// Forwards the sink to the wrapped localizer and keeps the event-log
   /// pointer locally: the wrapper journals fault-envelope edges
   /// (`fault.active` / `fault.cleared`) at scan boundaries. Event emission
@@ -64,11 +55,10 @@ class FaultedLocalizer final : public Localizer {
  private:
   void journal_envelopes(double scan_t, double stream_t);
 
-  Localizer& inner_;
   const FaultPipeline& pipeline_;
   std::uint64_t odom_index_{0};
   std::uint64_t scan_index_{0};
-  double odom_clock_{0.0};  ///< accumulated odometry time since initialize
+  double odom_clock_{0.0};  ///< accumulated odometry time since construction
   double first_scan_t_{0.0};
   bool seen_scan_{false};
 

@@ -114,7 +114,7 @@ GovernorDecision ComputeGovernor::decide_fixed(double cost,
 // ---------------------------------------------------------------------------
 
 GovernedLocalizer::GovernedLocalizer(Localizer& inner, GovernorConfig config)
-    : inner_{inner}, config_{config}, governor_{config} {}
+    : LocalizerDecorator{inner}, config_{config}, governor_{config} {}
 
 void GovernedLocalizer::bind_filter(ParticleFilter* pf) {
   pf_ = pf;
@@ -136,14 +136,6 @@ void GovernedLocalizer::bind_pressure(const fault::FaultPipeline* pipeline) {
 void GovernedLocalizer::bind_supervisor(
     const recovery::SupervisedLocalizer* supervisor) {
   supervisor_ = supervisor;
-}
-
-void GovernedLocalizer::initialize(const Pose2& pose) {
-  inner_.initialize(pose);
-}
-
-void GovernedLocalizer::on_odometry(const OdometryDelta& odom) {
-  inner_.on_odometry(odom);
 }
 
 double GovernedLocalizer::poll_pressure(double stream_t) const {

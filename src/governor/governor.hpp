@@ -155,7 +155,7 @@ class ComputeGovernor {
 /// Decorator: wraps any `Localizer`, applies the governor's verdict to the
 /// bound `ParticleFilter` before forwarding each scan. Not owned; the inner
 /// localizer, filter, pipeline and supervisor must outlive the wrapper.
-class GovernedLocalizer final : public Localizer {
+class GovernedLocalizer final : public LocalizerDecorator {
  public:
   GovernedLocalizer(Localizer& inner, GovernorConfig config);
 
@@ -168,20 +168,13 @@ class GovernedLocalizer final : public Localizer {
   /// Grow the cloud under this supervisor's SUSPECT latch (pillar 1).
   void bind_supervisor(const recovery::SupervisedLocalizer* supervisor);
 
-  void initialize(const Pose2& pose) override;
-  void on_odometry(const OdometryDelta& odom) override;
   Pose2 on_scan(const LaserScan& scan) override;
-  Pose2 pose() const override { return inner_.pose(); }
   std::string name() const override {
     // The strict no-op configuration forwards the bare name too: a wrapper
     // that changes nothing must not claim to govern anything.
     if (!config_.adaptive && config_.budget_ms <= 0.0) return inner_.name();
     return inner_.name() + (config_.shed ? "+governed" : "+budgeted");
   }
-  double mean_scan_update_ms() const override {
-    return inner_.mean_scan_update_ms();
-  }
-  double total_busy_s() const override { return inner_.total_busy_s(); }
   void set_telemetry(const telemetry::Sink& sink) override;
 
   const GovernorConfig& config() const { return config_; }
@@ -202,7 +195,6 @@ class GovernedLocalizer final : public Localizer {
   double cost_units_p99() const { return cost_percentile(0.99); }
   /// Pressure observed at the most recent scan (flight-recorder probe).
   double last_pressure() const { return last_pressure_; }
-  int last_shed_stage() const { return last_stage_; }
 
  private:
   double poll_pressure(double stream_t) const;
@@ -211,7 +203,6 @@ class GovernedLocalizer final : public Localizer {
   void journal(double scan_t, const GovernorDecision& decision);
   void publish(const GovernorDecision& decision);
 
-  Localizer& inner_;
   GovernorConfig config_;
   ComputeGovernor governor_;
   ParticleFilter* pf_{nullptr};

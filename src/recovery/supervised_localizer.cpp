@@ -8,7 +8,7 @@ namespace srl::recovery {
 SupervisedLocalizer::SupervisedLocalizer(
     Localizer& inner, SupervisedLocalizerConfig config,
     std::shared_ptr<const OccupancyGrid> map, LidarConfig lidar)
-    : inner_{inner},
+    : LocalizerDecorator{inner},
       config_{config},
       map_{map},
       probe_{map, lidar, config.probe_beams, config.probe_tolerance_m},

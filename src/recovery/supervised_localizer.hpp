@@ -53,7 +53,7 @@ struct SupervisedLocalizerConfig {
   std::uint64_t seed = 0x7ec0;    ///< recovery substream master seed
 };
 
-class SupervisedLocalizer final : public Localizer {
+class SupervisedLocalizer final : public LocalizerDecorator {
  public:
   /// `inner` is not owned and must outlive the wrapper.
   SupervisedLocalizer(Localizer& inner, SupervisedLocalizerConfig config,
@@ -71,10 +71,6 @@ class SupervisedLocalizer final : public Localizer {
   Pose2 on_scan(const LaserScan& scan) override;
   Pose2 pose() const override;
   std::string name() const override { return inner_.name() + "+supervised"; }
-  double mean_scan_update_ms() const override {
-    return inner_.mean_scan_update_ms();
-  }
-  double total_busy_s() const override { return inner_.total_busy_s(); }
   void set_telemetry(const telemetry::Sink& sink) override;
 
   HealthState state() const { return detector_.state(); }
@@ -94,7 +90,6 @@ class SupervisedLocalizer final : public Localizer {
   void emit_event(double t, telemetry::EventSeverity severity,
                   const char* code, json::Value data);
 
-  Localizer& inner_;
   SupervisedLocalizerConfig config_;
   std::shared_ptr<const OccupancyGrid> map_;
   AlignmentProbe probe_;

@@ -3,32 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/angles.hpp"
-#include "common/timer.hpp"
+#include "eval/dead_reckoning.hpp"
 
 namespace srl {
 namespace {
-
-/// Localizer that dead-reckons odometry only — with noiseless sensors and
-/// grippy tires it stays accurate for a couple of laps, which exercises the
-/// full harness without the cost of building a real localizer.
-class DeadReckoning final : public Localizer {
- public:
-  void initialize(const Pose2& pose) override { pose_ = pose; }
-  void on_odometry(const OdometryDelta& odom) override {
-    Stopwatch watch;
-    pose_ = (pose_ * odom.delta).normalized();
-    load_.add_busy(watch.elapsed_s());
-  }
-  Pose2 on_scan(const LaserScan&) override { return pose_; }
-  Pose2 pose() const override { return pose_; }
-  std::string name() const override { return "DeadReckoning"; }
-  double mean_scan_update_ms() const override { return load_.mean_ms(); }
-  double total_busy_s() const override { return load_.busy_s(); }
-
- private:
-  Pose2 pose_{};
-  LoadAccumulator load_;
-};
 
 /// Localizer that freezes: the controller gets a stale pose and drives the
 /// car into a wall — the harness must detect the crash.

@@ -452,6 +452,27 @@ TEST(StackBuilder, CartoComputePressureFrontierBoxesReplayBitwise) {
   std::filesystem::remove_all(dir);
 }
 
+// An edited oval recipe out of (0, kMaxOvalRecipeM] fails the replay as an
+// unknown track recipe, before any track is built: an infinite or huge
+// size once aborted in the allocator, and one that overflows the
+// generator's int cell count is undefined behaviour (the san preset traps
+// it). KidnapDumpsAndReplaysBitwise replays an in-range "oval:8,2.5" box.
+class OvalRecipeOutOfRange : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(OvalRecipeOutOfRange, FailsTheReplayNamingTheRecipe) {
+  Blackbox box;
+  box.has_stack = true;
+  box.has_trace = true;
+  box.stack.track = GetParam();
+  const PostmortemReplay replay = replay_blackbox(box);
+  EXPECT_FALSE(replay.ok);
+  EXPECT_EQ(replay.error, std::string{"unknown track recipe: "} + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Blackbox, OvalRecipeOutOfRange,
+                         ::testing::Values("oval:inf,2.5", "oval:1e7,2.5",
+                                           "oval:8,1e300", "oval:8,inf"));
+
 TEST(Blackbox, LoadRejectsWrongSchemaAndMissingFile) {
   EXPECT_FALSE(load_blackbox("/nonexistent/srl/box.json").has_value());
   const std::string path =

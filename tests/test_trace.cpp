@@ -9,30 +9,13 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "core/synpf.hpp"
+#include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
 #include "gridmap/track_generator.hpp"
 
 namespace srl {
 namespace {
-
-/// Odometry-only localizer for recording traces cheaply.
-class DeadReckoning final : public Localizer {
- public:
-  void initialize(const Pose2& pose) override { pose_ = pose; }
-  void on_odometry(const OdometryDelta& odom) override {
-    pose_ = (pose_ * odom.delta).normalized();
-  }
-  Pose2 on_scan(const LaserScan&) override { return pose_; }
-  Pose2 pose() const override { return pose_; }
-  std::string name() const override { return "DeadReckoning"; }
-  double mean_scan_update_ms() const override { return 0.0; }
-  double total_busy_s() const override { return 0.0; }
-
- private:
-  Pose2 pose_{};
-};
 
 /// Short drive on the oval, recorded once for all tests in this file.
 class TraceTest : public ::testing::Test {
