@@ -21,7 +21,7 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "eval/benchmark_json.hpp"
+#include "eval/artifact.hpp"
 #include "eval/frontier/frontier_json.hpp"
 #include "eval/frontier/frontier_search.hpp"
 #include "eval/table.hpp"
@@ -95,40 +95,30 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n" << table.render();
 
-  doc.has_headline = compute_frontier_headline(
-      doc.result, "odom_slip_ramp", frontier_track_classes()[0], doc.headline);
-  if (doc.has_headline) {
+  FrontierHeadline headline;
+  if (compute_frontier_headline(doc.result, "odom_slip_ramp",
+                                frontier_track_classes()[0], headline)) {
+    doc.headline = headline;
     auto describe = [](double breaking, double width, bool censored) {
       if (censored) return std::string{"censored (no failure <= 1.0)"};
       return TextTable::num(breaking, 4) + " +- " + TextTable::num(width, 4);
     };
     std::cout << "\nfrontier headline (odom_slip_ramp, "
-              << doc.headline.track_class << " class): SynPF breaks at "
-              << describe(doc.headline.synpf_breaking,
-                          doc.headline.synpf_bracket_width,
-                          doc.headline.synpf_censored)
+              << headline.track_class << " class): SynPF breaks at "
+              << describe(headline.synpf_breaking, headline.synpf_bracket_width,
+                          headline.synpf_censored)
               << ", CartoLite at "
-              << describe(doc.headline.carto_breaking,
-                          doc.headline.carto_bracket_width,
-                          doc.headline.carto_censored)
+              << describe(headline.carto_breaking, headline.carto_bracket_width,
+                          headline.carto_censored)
               << "\n";
-    std::cout << (doc.headline.synpf_exceeds()
+    std::cout << (headline.synpf_exceeds()
                       ? "paper shape reproduced: SynPF's slip frontier "
                         "strictly exceeds CartoLite's\n"
                       : "WARNING: frontier headline NOT reproduced\n");
   }
 
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
-  doc.provenance.fast_mode = fast_mode();
-
-  if (!write_frontier_json(out_file, doc)) {
+  doc.provenance = artifact_provenance(fast_mode());
+  if (!frontier_to_json(doc).save(out_file)) {
     std::cerr << "FAILED to write " << out_file << "\n";
     return 1;
   }

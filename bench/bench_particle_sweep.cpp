@@ -14,7 +14,7 @@
 /// A third table measures per-stage sensor-update throughput
 /// (beams*particles/sec for predict / raycast / weight / update) per SIMD
 /// backend and lane count on the paper's default LUT pipeline, emitted as
-/// a `srl.bench_throughput/1` JSON document (eval/throughput_json.hpp) —
+/// a `srl.bench_throughput/2` JSON document (eval/throughput_json.hpp) —
 /// the artifact the CI perf-smoke job gates against a committed baseline.
 /// Every replay is fingerprinted (FNV over the estimate bits) and the run
 /// hard-fails if any backend or lane count moves a bit: the throughput
@@ -34,6 +34,7 @@
 #include "bench_util.hpp"
 #include "common/fnv1a.hpp"
 #include "common/simd.hpp"
+#include "eval/artifact.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/table.hpp"
 #include "eval/throughput_json.hpp"
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
                  "resample (serial by design) bounds the asymptote\n";
   }
 
-  // ---- Per-stage throughput per SIMD backend (srl.bench_throughput/1) ----
+  // ---- Per-stage throughput per SIMD backend (srl.bench_throughput/2) ----
   // The paper-default pipeline (LUT range method, 60 scored beams): replay
   // the recorded trace per (backend x particles x threads) cell with one
   // untimed warm-up, read the per-stage histograms, and fingerprint the
@@ -166,19 +167,12 @@ int main(int argc, char** argv) {
   if (simd::cpu_has_avx2()) backends.push_back(simd::Backend::kAvx2);
 
   ThroughputDocument doc;
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
-  doc.provenance.seed = trace_seed;
-  doc.provenance.laps = 1;
-  doc.provenance.hardware_threads =
-      static_cast<int>(std::thread::hardware_concurrency());
-  doc.provenance.fast_mode = fast_mode();
+  json::Value& prov = doc.provenance;
+  prov = artifact_provenance(fast_mode());
+  prov.set("seed", json::Value::number(static_cast<double>(trace_seed)));
+  prov.set("laps", json::Value::number(1));
+  prov.set("hardware_threads",
+           json::Value::number(std::thread::hardware_concurrency()));
   doc.simd_active = simd::name(simd::active());
   doc.avx2_available = simd::cpu_has_avx2();
   doc.n_scans = static_cast<int>(scaling_trace.scans().size());
@@ -276,14 +270,13 @@ int main(int argc, char** argv) {
 
   const std::string json_path =
       argc > 1 ? argv[1] : out_path("BENCH_throughput.json");
-  if (!write_throughput_json(json_path, doc)) {
+  if (!throughput_to_json(doc).save(json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }
   std::cout << "wrote " << json_path << " (" << kBenchThroughputSchema
             << ", determinism hash "
-            << throughput_to_json(doc).find("determinism_hash")->as_string()
-            << ")\n";
+            << json::format_hex64(doc.determinism_hash) << ")\n";
 
   if (!hashes_ok) {
     std::fprintf(stderr, "throughput determinism check FAILED — see above\n");

@@ -33,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "governor/governor.hpp"
+#include "eval/artifact.hpp"
 #include "eval/benchmark_json.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/fault_replay.hpp"
@@ -153,10 +154,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- Recorder A/B (opt-in) --------------------------------------------
-  // SRL_RECORDER_AB=1 re-runs the grid with the recorder off: the metrics
-  // must be bitwise identical (the recorder is instrumentation, never
-  // physics) and the wall-time delta is the recorder's overhead, reported
-  // in provenance. A metric mismatch is a hard failure.
+  // SRL_RECORDER_AB=1 re-runs the grid with the recorder off: every cell's
+  // row must be bitwise identical apart from its `timing` and `blackboxes`
+  // (the recorder is instrumentation, never physics) and the wall-time
+  // delta is the recorder's overhead, reported in provenance. A metric
+  // mismatch is a hard failure.
   double baseline_wall_s = 0.0;
   double recorder_overhead_pct = 0.0;
   if (run_ab) {
@@ -170,14 +172,18 @@ int main(int argc, char** argv) {
     if (baseline_wall_s > 0.0) {
       recorder_overhead_pct = 100.0 * (grid_wall_s / baseline_wall_s - 1.0);
     }
+    const auto metrics = [](const ScenarioCell& cell) {
+      const json::Value row = cell_to_json(cell);
+      json::Value kept = json::Value::object();
+      for (const auto& [name, value] : row.members()) {
+        if (name != "timing" && name != "blackboxes") kept.set(name, value);
+      }
+      return kept.dump(0);
+    };
     std::size_t mismatches = 0;
     for (std::size_t i = 0;
          i < doc.cells.size() && i < off_cells.size(); ++i) {
-      const ExperimentResult& a = doc.cells[i].result;
-      const ExperimentResult& b = off_cells[i].result;
-      if (a.lateral_mean_cm != b.lateral_mean_cm ||
-          a.lateral_std_cm != b.lateral_std_cm ||
-          a.scan_alignment != b.scan_alignment || a.crashed != b.crashed) {
+      if (metrics(doc.cells[i]) != metrics(off_cells[i])) {
         ++mismatches;
         std::cerr << "RECORDER A/B MISMATCH: " << doc.cells[i].localizer
                   << " " << doc.cells[i].scenario.label()
@@ -196,8 +202,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- Headline ---------------------------------------------------------
-  doc.has_headline = compute_headline(doc.cells, "odom_slip_ramp", doc.headline);
-  if (doc.has_headline) {
+  HeadlineComparison headline;
+  if (compute_headline(doc.cells, "odom_slip_ramp", headline)) {
+    doc.headline = headline;
     auto describe = [](double baseline_cm, double faulted_cm,
                        double degradation, bool crashed) {
       if (crashed) return TextTable::num(baseline_cm, 2) + " cm -> CRASHED";
@@ -206,18 +213,14 @@ int main(int argc, char** argv) {
              TextTable::num(degradation, 2) + ")";
     };
     std::cout << "\nheadline (odom_slip_ramp @ "
-              << TextTable::num(doc.headline.severity, 2) << "): SynPF "
-              << describe(doc.headline.synpf_baseline_cm,
-                          doc.headline.synpf_faulted_cm,
-                          doc.headline.synpf_degradation,
-                          doc.headline.synpf_crashed)
+              << TextTable::num(headline.severity, 2) << "): SynPF "
+              << describe(headline.synpf_baseline_cm, headline.synpf_faulted_cm,
+                          headline.synpf_degradation, headline.synpf_crashed)
               << ", CartoLite "
-              << describe(doc.headline.carto_baseline_cm,
-                          doc.headline.carto_faulted_cm,
-                          doc.headline.carto_degradation,
-                          doc.headline.carto_crashed)
+              << describe(headline.carto_baseline_cm, headline.carto_faulted_cm,
+                          headline.carto_degradation, headline.carto_crashed)
               << "\n";
-    std::cout << (doc.headline.synpf_flat()
+    std::cout << (headline.synpf_flat()
                       ? "paper shape reproduced: SynPF degrades less than "
                         "the Cartographer-style baseline under slip\n"
                       : "WARNING: paper shape NOT reproduced in this grid\n");
@@ -260,10 +263,9 @@ int main(int argc, char** argv) {
                 << gtable.render();
     }
 
-    doc.has_governor_headline =
-        compute_governor_headline(doc.cells, doc.governor_headline);
-    if (doc.has_governor_headline) {
-      const GovernorHeadline& gh = doc.governor_headline;
+    GovernorHeadline gh;
+    if (compute_governor_headline(doc.cells, gh)) {
+      doc.governor_headline = gh;
       std::cout << "graceful degradation (compute_pressure @ "
                 << TextTable::num(gh.severity, 2) << ", budget "
                 << TextTable::num(gh.budget_ms, 1) << " ms): governed "
@@ -330,26 +332,21 @@ int main(int argc, char** argv) {
   }
 
   // ---- Serialize --------------------------------------------------------
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
-  doc.provenance.seed = config.seed;
-  doc.provenance.fault_seed = config.fault_seed;
-  doc.provenance.laps = config.experiment.laps;
-  doc.provenance.n_particles = config.n_particles;
-  doc.provenance.matrix_threads = config.matrix_threads;
-  doc.provenance.fast_mode = fast_mode();
-  doc.provenance.recorder = !config.blackbox_dir.empty();
-  doc.provenance.recorder_wall_s = grid_wall_s;
-  doc.provenance.baseline_wall_s = baseline_wall_s;
-  doc.provenance.recorder_overhead_pct = recorder_overhead_pct;
+  json::Value& prov = doc.provenance;
+  prov = artifact_provenance(fast_mode());
+  prov.set("seed", json::Value::number(static_cast<double>(config.seed)));
+  prov.set("fault_seed",
+           json::Value::number(static_cast<double>(config.fault_seed)));
+  prov.set("laps", json::Value::number(config.experiment.laps));
+  prov.set("n_particles", json::Value::number(config.n_particles));
+  prov.set("matrix_threads", json::Value::number(config.matrix_threads));
+  // Recorder wall times: informational, like all provenance.
+  prov.set("recorder", json::Value::boolean(!config.blackbox_dir.empty()));
+  prov.set("recorder_wall_s", json::Value::number(grid_wall_s));
+  prov.set("baseline_wall_s", json::Value::number(baseline_wall_s));
+  prov.set("recorder_overhead_pct", json::Value::number(recorder_overhead_pct));
 
-  if (!write_bench_json(out_file, doc)) {
+  if (!bench_to_json(doc).save(out_file)) {
     std::cerr << "failed to write " << out_file << "\n";
     return 1;
   }

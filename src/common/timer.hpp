@@ -21,7 +21,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double elapsed_ms() const { return elapsed_s() * 1e3; }
-  double elapsed_us() const { return elapsed_s() * 1e6; }
 
  private:
   Clock::time_point start_;

@@ -84,8 +84,6 @@ struct Pose2 {
       : x{t.x}, y{t.y}, theta{theta_} {}
 
   constexpr Vec2 translation() const { return {x, y}; }
-  /// Unit heading vector (cos theta, sin theta).
-  Vec2 heading_vec() const { return {std::cos(theta), std::sin(theta)}; }
 
   /// Group composition: `this` followed by `o` expressed in `this`'s frame.
   Pose2 operator*(const Pose2& o) const;

@@ -194,7 +194,6 @@ class ParticleFilter {
   void set_resample_suppressed(bool suppressed) {
     resample_suppressed_ = suppressed;
   }
-  bool resample_suppressed() const { return resample_suppressed_; }
 
   /// Governor seam: toggle KLD-adaptive resampling at runtime (same effect
   /// as constructing with `config.kld_adaptive`; applies from the next
@@ -228,7 +227,6 @@ class ParticleFilter {
   /// a supervisor distrusts the scans. 1.0 is the bitwise-exact nominal
   /// path (x * 1.0 == x for every finite squash factor).
   void set_squash_scale(double scale);
-  double squash_scale() const { return squash_scale_; }
 
   /// Attach a telemetry sink. With a metrics registry, every correct()
   /// records per-stage latency histograms (pf.predict_ms / pf.raycast_ms /

@@ -10,8 +10,8 @@ namespace srl {
 
 namespace {
 
-/// How baseline mode judges a field. Rerun mode holds every field that is
-/// not wall clock to kExact.
+/// How baseline mode judges a field. Rerun mode holds every field outside
+/// `provenance` and each row's `timing` to kExact.
 enum class Rule {
   kExact,      ///< may not change
   kAtMost,     ///< candidate <= baseline * (1 + frac) + slack
@@ -69,8 +69,6 @@ struct Table {
   /// Row key and display name; "{field}" expands to the row's value.
   /// nullptr when the member is one object, named by the member.
   const char* key;
-  /// Fields free to differ between runs of one build: rerun mode skips them.
-  std::vector<const char*> wall_clock{};
   std::vector<FieldRule> rules{};
   /// Baseline rows whose `simd` is "avx2" are skipped, with a note, when
   /// the candidate host reports `avx2_available: false`.
@@ -91,8 +89,6 @@ const std::vector<Policy>& policies() {
       {"srl.bench_robustness",
        {{"cells",
          "{localizer}/{fault}@{severity}",
-         {"update_p50_ms", "update_p99_ms", "update_max_ms", "load_percent",
-          "stage_p50_ms", "stage_p99_ms"},
          {
              // First, and never masked: a lost recovery fails even when the
              // candidate crashed.
@@ -101,27 +97,27 @@ const std::vector<Policy>& policies() {
              // since baseline and runner differ in FP environment.
              {"crashed", Rule::kKeepFalse, 0.0, 0.0, Guard::kGoverned},
              {"lateral_mean_cm", Rule::kAtMost, 0.5, 5.0, Guard::kUncrashed},
-             {"update_p99_ms", Rule::kAtMost, 4.0, 20.0, Guard::kUncrashed},
+             {"timing.update_p99_ms", Rule::kAtMost, 4.0, 20.0,
+              Guard::kUncrashed},
              {"time_to_reloc_mean_s", Rule::kAtMost, 0.5, 0.5,
               Guard::kRecovered},
              {"governor.cost_units_p99", Rule::kAtMost, 0.1, 2000.0,
               Guard::kErrorGain},
          }},
         {"fault_traces", "fault_traces/{fault}@{severity}"},
-        {"governor_headline", nullptr, {}, {{"graceful", Rule::kKeepTrue}}}}},
+        {"governor_headline", nullptr, {{"graceful", Rule::kKeepTrue}}}}},
       {"srl.frontier",
        {{"points",
          "{localizer}/{axis}/{track_class}#{variant}",
-         {},
          {{"breaking_severity", Rule::kAtLeast, 0.0, 0.0, Guard::kCensored}}}}},
       {"srl.bench_throughput",
        {{"cells",
          "{stage} simd={simd} n={particles} t={threads}",
-         {"mean_ms", "items_per_sec"},
          {{"beams", Rule::kExact},
-          {"items_per_sec", Rule::kAtLeast, 0.8, 0.0, Guard::kAlways, 0.5}},
+          {"timing.items_per_sec", Rule::kAtLeast, 0.8, 0.0, Guard::kAlways,
+           0.5}},
          true,
-         LaneScaling{"update", "mean_ms", 4, 1.1}}}},
+         LaneScaling{"update", "timing.mean_ms", 4, 1.1}}}},
   };
   return kPolicies;
 }
@@ -390,7 +386,7 @@ bool same_text(const json::Value& a, const json::Value& b, const char* field) {
 }
 
 double number_of(const json::Value& row, const char* field) {
-  const json::Value* v = row.find(field);
+  const json::Value* v = lookup(row, field);
   return v != nullptr && v->is_number() ? v->as_double() : -1.0;
 }
 
@@ -488,8 +484,7 @@ std::optional<CompareReport> compare_artifacts(const json::Value& baseline,
       }
       ++report.rows_compared;
       if (rerun) {
-        diff(base.key, "", *base.value, *cand->value, table.wall_clock,
-             report);
+        diff(base.key, "", *base.value, *cand->value, {"timing"}, report);
         continue;
       }
       for (const FieldRule& rule : table.rules) {

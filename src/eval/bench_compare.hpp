@@ -5,17 +5,18 @@
 /// same family — `srl.bench_robustness`, `srl.frontier` or
 /// `srl.bench_throughput` — under one policy table.
 ///
-/// The engine reads both documents as plain JSON. The family (the schema
-/// string before its `/`) picks the policy, and both documents must share
-/// it. The policy (bench_compare.cpp) names each table of rows, the key that
-/// pairs a baseline row with its candidate row, the fields that are wall
-/// clock, and one rule per gated field: exact, an upper bound, a lower
-/// floor, or a flag that may not be lost. Cross-field conditions (a crash
-/// masks the accuracy rules, a censored frontier point reads as severity
-/// 2.0, ...) are named guards on those rules. A table may also carry one
-/// lane-scaling rule, judged within the candidate alone: the throughput
-/// table's 4-lane update may not be slower than 1.1x its 1-lane update. A
-/// newly gated metric is one policy row, not a new compare mode.
+/// The engine reads both documents as plain JSON, in the envelope of
+/// eval/artifact.hpp. The family (the schema string before its `/`) picks
+/// the policy, and both documents must share it. The policy
+/// (bench_compare.cpp) names each table of rows, the key that pairs a
+/// baseline row with its candidate row, and one rule per gated field
+/// (`timing.update_p99_ms` reaches into a block): exact, an upper bound, a
+/// lower floor, or a flag that may not be lost. Cross-field conditions (a
+/// crash masks the accuracy rules, a censored frontier point reads as
+/// severity 2.0, ...) are named guards on those rules. A table may also
+/// carry one lane-scaling rule, judged within the candidate alone: the
+/// throughput table's 4-lane update may not be slower than 1.1x its 1-lane
+/// update. A newly gated metric is one policy row, not a new compare mode.
 ///
 /// Two modes:
 ///  - `kBaseline` — a candidate against a committed baseline that may come
@@ -26,7 +27,7 @@
 ///    compared: their bits are only stable within one build.
 ///  - `kRerun` — a same-machine rerun against its run (the determinism
 ///    gate). Both documents must hold the same rows, and every field outside
-///    `provenance` that is not wall clock must be equal.
+///    `provenance` and each row's `timing` must be equal.
 ///
 /// `tools/bench_compare` maps the report onto exit codes for CI.
 
@@ -40,12 +41,12 @@ namespace srl {
 
 enum class GateMode {
   kBaseline,  ///< candidate vs committed baseline, per-rule tolerances
-  kRerun,     ///< rerun vs run, every non-wall-clock field equal
+  kRerun,     ///< rerun vs run, all but provenance and timing equal
 };
 
 struct CompareFailure {
   std::string cell;    ///< row key, e.g. "SynPF/odom_slip_ramp@1"
-  std::string metric;  ///< field path ("governor.cost_units_p99"), or "row"
+  std::string metric;  ///< field path ("timing.update_p99_ms"), or "row"
   json::Value baseline;   ///< the field as each document holds it; null
   json::Value candidate;  ///< when that side lacks it
   std::string expected;   ///< what the candidate had to be: "<= 11.75"

@@ -226,8 +226,8 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
       under_run = 0;
     }
 
-    // Contract violations (or any other critical event) since the last
-    // scan trip a black-box dump of their own.
+    // A critical event since the last scan trips a black-box dump of its
+    // own.
     if (sink.events != nullptr) {
       const std::uint64_t crit = sink.events->critical_count();
       if (crit > seen_critical) {

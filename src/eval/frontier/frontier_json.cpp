@@ -1,5 +1,7 @@
 #include "eval/frontier/frontier_json.hpp"
 
+#include "eval/artifact.hpp"
+
 namespace srl::frontier {
 
 namespace {
@@ -51,14 +53,7 @@ json::Value point_to_json(const FrontierPoint& point) {
 }  // namespace
 
 json::Value frontier_to_json(const FrontierDocument& doc) {
-  json::Value root = json::Value::object();
-  root.set("schema", json::Value::string(kFrontierSchema));
-
-  json::Value prov = json::Value::object();
-  prov.set("compiler", json::Value::string(doc.provenance.compiler));
-  prov.set("build", json::Value::string(doc.provenance.build));
-  prov.set("git_sha", json::Value::string(doc.provenance.git_sha));
-  prov.set("fast_mode", json::Value::boolean(doc.provenance.fast_mode));
+  json::Value prov = doc.provenance;
   prov.set("scenario_seed",
            json::Value::string(json::format_hex64(doc.result.seed)));
   prov.set("fault_seed",
@@ -70,7 +65,7 @@ json::Value frontier_to_json(const FrontierDocument& doc) {
            json::Value::number(static_cast<double>(doc.result.n_particles)));
   prov.set("variant",
            json::Value::number(static_cast<double>(doc.result.variant)));
-  root.set("provenance", std::move(prov));
+  json::Value root = artifact(kFrontierSchema, std::move(prov));
 
   json::Value points = json::Value::array();
   for (const FrontierPoint& point : doc.result.points) {
@@ -78,27 +73,21 @@ json::Value frontier_to_json(const FrontierDocument& doc) {
   }
   root.set("points", std::move(points));
 
-  if (doc.has_headline) {
+  if (doc.headline) {
+    const FrontierHeadline& fh = *doc.headline;
     json::Value h = json::Value::object();
-    h.set("axis", json::Value::string(doc.headline.axis));
-    h.set("track_class", json::Value::string(doc.headline.track_class));
-    h.set("synpf_breaking", json::Value::number(doc.headline.synpf_breaking));
-    h.set("synpf_bracket_width",
-          json::Value::number(doc.headline.synpf_bracket_width));
-    h.set("synpf_censored", json::Value::boolean(doc.headline.synpf_censored));
-    h.set("carto_breaking", json::Value::number(doc.headline.carto_breaking));
-    h.set("carto_bracket_width",
-          json::Value::number(doc.headline.carto_bracket_width));
-    h.set("carto_censored", json::Value::boolean(doc.headline.carto_censored));
-    h.set("synpf_exceeds", json::Value::boolean(doc.headline.synpf_exceeds()));
+    h.set("axis", json::Value::string(fh.axis));
+    h.set("track_class", json::Value::string(fh.track_class));
+    h.set("synpf_breaking", json::Value::number(fh.synpf_breaking));
+    h.set("synpf_bracket_width", json::Value::number(fh.synpf_bracket_width));
+    h.set("synpf_censored", json::Value::boolean(fh.synpf_censored));
+    h.set("carto_breaking", json::Value::number(fh.carto_breaking));
+    h.set("carto_bracket_width", json::Value::number(fh.carto_bracket_width));
+    h.set("carto_censored", json::Value::boolean(fh.carto_censored));
+    h.set("synpf_exceeds", json::Value::boolean(fh.synpf_exceeds()));
     root.set("headline", std::move(h));
   }
   return root;
-}
-
-bool write_frontier_json(const std::string& path,
-                         const FrontierDocument& doc) {
-  return frontier_to_json(doc).save(path);
 }
 
 }  // namespace srl::frontier

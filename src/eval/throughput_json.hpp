@@ -1,36 +1,36 @@
 #pragma once
 
 /// \file throughput_json.hpp
-/// \brief The stable machine-readable sensor-update throughput schema
-/// (`srl.bench_throughput/1`) and its (de)serialization.
+/// \brief The sensor-update throughput artifact (`srl.bench_throughput/2`)
+/// and its writer.
 ///
-/// `bench_particle_sweep` emits one document per run:
+/// `bench_particle_sweep` emits one document per run, in the artifact
+/// envelope (eval/artifact.hpp, which states the contract):
 ///
 ///     {
-///       "schema": "srl.bench_throughput/1",
-///       "provenance":  { compiler, build, seed, laps, hardware_threads,
-///                        fast_mode, ... },
+///       "schema": "srl.bench_throughput/2",
+///       "provenance":  { compiler, build, git_sha, fast_mode, seed, laps,
+///                        hardware_threads },
 ///       "simd_active": "avx2",
 ///       "avx2_available": true,
 ///       "n_scans": 123,
 ///       "determinism_hash": "0x...",
 ///       "cells": [ {stage, simd, particles, threads, beams,
-///                   mean_ms, items_per_sec, hash} ]
+///                   timing: {mean_ms, items_per_sec}, hash} ]
 ///     }
 ///
 /// Each cell is one (stage, backend, particles, threads) measurement of a
-/// fixed open-loop trace replay: `mean_ms` is the stage's mean wall time
-/// per scan and `items_per_sec` the beams*particles work rate it implies.
-/// `hash` fingerprints the replay's pose estimates bitwise (FNV-1a over
-/// the raw doubles), so a rate table doubles as a determinism witness: the
-/// hash must be identical across the threads and simd columns of one
-/// particle count, and `tools/bench_compare --rerun` gates on it for
+/// fixed open-loop trace replay: `timing.mean_ms` is the stage's mean wall
+/// time per scan and `timing.items_per_sec` the beams*particles work rate
+/// it implies. `hash` fingerprints the replay's pose estimates bitwise
+/// (FNV-1a over the raw doubles), so a rate table doubles as a determinism
+/// witness: the hash must be identical across the threads and simd columns
+/// of one particle count, and `tools/bench_compare --rerun` gates on it for
 /// same-machine self-compares. Wall-clock rates are gated separately (and
 /// generously) against a committed baseline, and the 4-lane update against
 /// the same run's 1-lane update on hosts whose `hardware_threads` allow
-/// 4 lanes. As with
-/// `srl.bench_robustness`, fields may be added but never renamed or
-/// repurposed without bumping the version suffix.
+/// 4 lanes. v2 moved `mean_ms` and `items_per_sec` under `timing` and put
+/// `fast_mode` fourth in provenance.
 
 #include <cstdint>
 #include <span>
@@ -39,11 +39,10 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
-#include "eval/benchmark_json.hpp"
 
 namespace srl {
 
-inline constexpr const char* kBenchThroughputSchema = "srl.bench_throughput/1";
+inline constexpr const char* kBenchThroughputSchema = "srl.bench_throughput/2";
 
 /// One pipeline stage of one replay configuration.
 struct ThroughputCell {
@@ -58,7 +57,9 @@ struct ThroughputCell {
 };
 
 struct ThroughputDocument {
-  BenchProvenance provenance{};
+  /// artifact_provenance() plus the trace seed, laps and the host's
+  /// hardware_threads, which the lane-scaling rule reads.
+  json::Value provenance = json::Value::object();
   std::string simd_active;  ///< backend the ambient process resolved to
   bool avx2_available{false};
   int n_scans{0};
@@ -73,7 +74,5 @@ std::uint64_t estimates_hash(std::span<const Pose2> estimates);
 
 /// Serialize to the schema above (hashes travel as fixed-width hex).
 json::Value throughput_to_json(const ThroughputDocument& doc);
-bool write_throughput_json(const std::string& path,
-                           const ThroughputDocument& doc);
 
 }  // namespace srl

@@ -118,8 +118,6 @@ Rng RecoveryPolicy::inject_rng() {
 
 std::optional<Pose2> RecoveryPolicy::global_relocalize(
     const LaserScan& scan, const AlignmentProbe& probe, const Pose2& current) {
-  ++scatter_ordinal_;
-
   // Stage 1 — sweep a fixed lattice over map free space, probe a heading
   // fan at each position, and keep a shortlist of the best-aligned
   // candidates. The lattice spacing guarantees some candidate lands inside

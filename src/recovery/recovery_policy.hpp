@@ -185,8 +185,6 @@ class RecoveryPolicy {
 
   const RecoveryPolicyConfig& config() const { return config_; }
   std::uint64_t injections() const { return inject_ordinal_; }
-  std::uint64_t relocalizations() const { return scatter_ordinal_; }
-  int diverged_entries() const { return diverged_entries_; }
 
  private:
   RecoveryPolicyConfig config_;
@@ -196,7 +194,6 @@ class RecoveryPolicy {
   double w_slow_{0.0};
   double w_fast_{0.0};
   std::uint64_t inject_ordinal_{0};
-  std::uint64_t scatter_ordinal_{0};
   int diverged_entries_{0};
   /// Likelihood field for refinement, taken from MapAssets on first use.
   mutable std::shared_ptr<const ProbabilityGrid> field_;

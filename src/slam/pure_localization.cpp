@@ -36,7 +36,6 @@ void CartoLocalizer::initialize(const Pose2& pose) {
   scan_counter_ = 0;
   global_fixes_ = 0;
   failed_global_ = 0;
-  last_global_score_ = 0.0;
   live_ = std::make_unique<Submap>(pose, options_.submap_resolution,
                                    options_.submap_extent);
   pending_.clear();
@@ -145,7 +144,6 @@ Pose2 CartoLocalizer::on_scan(const LaserScan& scan) {
 
 void CartoLocalizer::global_correction(const std::vector<Vec2>& points) {
   ScanMatchResult coarse = global_csm_.match(*field_, pose_, points);
-  last_global_score_ = coarse.score;
   if (!coarse.ok) {
     if (c_global_failures_ != nullptr) c_global_failures_->add();
     // Repeatedly failing to find a constraint means the trajectory has left
@@ -153,7 +151,6 @@ void CartoLocalizer::global_correction(const std::vector<Vec2>& points) {
     if (++failed_global_ < options_.reloc_after_failures) return;
     if (c_relocs_ != nullptr) c_relocs_->add();
     coarse = reloc_csm_.match(*field_, pose_, points);
-    last_global_score_ = coarse.score;
     if (!coarse.ok) return;
   }
   failed_global_ = 0;

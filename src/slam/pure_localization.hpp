@@ -105,7 +105,6 @@ class CartoLocalizer final : public Localizer {
   void set_telemetry(const telemetry::Sink& sink) override;
 
   const ProbabilityGrid& field() const { return *field_; }
-  double last_global_score() const { return last_global_score_; }
   long global_fixes() const { return global_fixes_; }
 
  private:
@@ -138,7 +137,6 @@ class CartoLocalizer final : public Localizer {
   Pose2 published_base_{};   ///< last applied correction
   Pose2 published_accum_{};  ///< odometry composed since it
   double clock_{0.0};        ///< internal time, advanced by odometry dts
-  double last_global_score_{0.0};
   long global_fixes_{0};
   LoadAccumulator load_;
 

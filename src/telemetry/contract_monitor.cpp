@@ -26,19 +26,6 @@ void ContractMonitor::observe(const contracts::Violation& v, void* self) {
       monitor->invariant_->add();
       break;
   }
-  if (monitor->events_ != nullptr) {
-    json::Value data = json::Value::object();
-    data.set("kind", json::Value::string(contracts::to_string(v.kind)));
-    data.set("condition", json::Value::string(v.condition));
-    if (v.message[0] != '\0') {
-      data.set("message", json::Value::string(v.message));
-    }
-    data.set("file", json::Value::string(v.file));
-    data.set("line", json::Value::number(v.line));
-    monitor->events_->emit(0.0, EventSeverity::kCritical,
-                           EventCategory::kContract, "contract.violation",
-                           std::move(data));
-  }
 }
 
 }  // namespace srl::telemetry

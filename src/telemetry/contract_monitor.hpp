@@ -11,7 +11,6 @@
 /// the first one.
 
 #include "common/contracts.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace srl::telemetry {
@@ -30,11 +29,6 @@ class ContractMonitor {
   ContractMonitor(const ContractMonitor&) = delete;
   ContractMonitor& operator=(const ContractMonitor&) = delete;
 
-  /// Also journal each violation as a critical `contract.violation` event
-  /// (condition, kind, source location). The harness polls the log's
-  /// critical count to trigger a black-box dump. Nullable to detach.
-  void attach_events(EventLog* events) { events_ = events; }
-
   /// Total violations observed by *this* monitor instance.
   std::uint64_t violations() const { return total_->value(); }
 
@@ -45,7 +39,6 @@ class ContractMonitor {
   Counter* expects_;
   Counter* ensures_;
   Counter* invariant_;
-  EventLog* events_{nullptr};
 };
 
 }  // namespace srl::telemetry

@@ -48,7 +48,7 @@ enum class EventCategory : int {
   kFault = 1,       ///< fault-pipeline envelope edges
   kRecovery = 2,    ///< detector transitions + recovery-ladder actions
   kExperiment = 3,  ///< harness-level: kidnap, episode open/close, crash
-  kContract = 4,    ///< contract violations (telemetry::ContractMonitor)
+  kContract = 4,    ///< contract violations (no emitter in the library)
 };
 
 const char* to_string(EventSeverity severity);

@@ -60,8 +60,6 @@ class PoseJumpDetector {
               FilterHealth& health);
 
   long alarm_count() const { return alarms_; }
-  double xy_threshold() const { return xy_threshold_; }
-  double theta_threshold() const { return theta_threshold_; }
 
  private:
   double xy_threshold_;

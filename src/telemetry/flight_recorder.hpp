@@ -10,7 +10,7 @@
 /// harness records a `TickSnapshot` — pose estimate, truth error, ESS and
 /// entropy, detector health/latch states, active fault envelope level, and
 /// a top-K particle digest — into a bounded ring. On a trigger (divergence
-/// episode opening, contract violation, crash) the harness dumps a
+/// episode opening, a critical event, crash) the harness dumps a
 /// self-contained black-box artifact: a JSON document (`srl.blackbox/1`)
 /// carrying provenance + a rebuild recipe, the serialized sim RNG stream
 /// state, the snapshot window, the full event timeline, and a running

@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
+#include "eval/artifact.hpp"
 #include "eval/benchmark_json.hpp"
 #include "eval/frontier/frontier_json.hpp"
 #include "eval/throughput_json.hpp"
@@ -48,14 +50,7 @@ json::Value through_disk(const json::Value& doc, const char* name) {
 
 BenchDocument make_doc() {
   BenchDocument doc;
-  doc.provenance.compiler = "testc 1.0";
-  doc.provenance.build = "release";
-  doc.provenance.git_sha = "deadbeef";
-  doc.provenance.seed = 1234;
-  doc.provenance.fault_seed = 0x7a017ULL;
-  doc.provenance.laps = 2;
-  doc.provenance.n_particles = 800;
-  doc.provenance.fast_mode = true;
+  doc.provenance = artifact_provenance(true);
 
   FaultTraceFingerprint fp;
   fp.fault = "odom_slip_ramp";
@@ -106,21 +101,21 @@ BenchDocument make_doc() {
   governed.governor_cost_p99 = 60000.0;
   doc.cells.push_back(governed);
 
-  doc.has_headline = true;
-  doc.headline.fault = "odom_slip_ramp";
-  doc.headline.severity = 1.0;
-  doc.headline.synpf_baseline_cm = 4.5;
-  doc.headline.synpf_faulted_cm = 5.0;
-  doc.headline.synpf_degradation = 5.0 / 4.5;
-  doc.headline.carto_baseline_cm = 8.0;
-  doc.headline.carto_crashed = true;
-  doc.headline.carto_degradation = HeadlineComparison::kCrashDegradation;
+  doc.headline.emplace();
+  doc.headline->fault = "odom_slip_ramp";
+  doc.headline->severity = 1.0;
+  doc.headline->synpf_baseline_cm = 4.5;
+  doc.headline->synpf_faulted_cm = 5.0;
+  doc.headline->synpf_degradation = 5.0 / 4.5;
+  doc.headline->carto_baseline_cm = 8.0;
+  doc.headline->carto_crashed = true;
+  doc.headline->carto_degradation = HeadlineComparison::kCrashDegradation;
 
-  doc.has_governor_headline = true;
-  doc.governor_headline.severity = 1.0;
-  doc.governor_headline.budget_ms = 2.0;
-  doc.governor_headline.governed_shed_updates = 40;
-  doc.governor_headline.enforcer_misses = 253;
+  doc.governor_headline.emplace();
+  doc.governor_headline->severity = 1.0;
+  doc.governor_headline->budget_ms = 2.0;
+  doc.governor_headline->governed_shed_updates = 40;
+  doc.governor_headline->enforcer_misses = 253;
   return doc;
 }
 
@@ -194,7 +189,7 @@ TEST(BenchCompare, WithinThresholdPasses) {
   candidate.cells[0].result.update_p99_ms = 51.0;
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].metric, "update_p99_ms");
+  EXPECT_EQ(report.failures[0].metric, "timing.update_p99_ms");
 }
 
 TEST(BenchCompare, MissingCellIsARegression) {
@@ -404,13 +399,13 @@ TEST(Tradeoff, NewlyCrashedGovernedCellFails) {
 TEST(Tradeoff, MissingOrNonGracefulHeadlineFails) {
   const BenchDocument baseline = make_doc();
   BenchDocument candidate = make_doc();
-  candidate.governor_headline.governed_misses = 3;
+  candidate.governor_headline->governed_misses = 3;
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cell, "governor_headline");
   EXPECT_EQ(report.failures[0].metric, "graceful");
 
-  candidate.has_governor_headline = false;
+  candidate.governor_headline.reset();
   const CompareReport missing = compare(baseline, candidate);
   ASSERT_EQ(missing.failures.size(), 1u);
   EXPECT_EQ(missing.failures[0].cell, "governor_headline");
@@ -423,9 +418,7 @@ TEST(Tradeoff, MissingOrNonGracefulHeadlineFails) {
 
 frontier::FrontierDocument make_frontier_doc() {
   frontier::FrontierDocument doc;
-  doc.provenance.compiler = "testc 1.0";
-  doc.provenance.build = "release";
-  doc.provenance.fast_mode = true;
+  doc.provenance = artifact_provenance(true);
   doc.result.seed = 0xF407;
   doc.result.fault_seed = 0x7a017ULL;
   doc.result.bisect_iterations = 5;
@@ -460,13 +453,13 @@ frontier::FrontierDocument make_frontier_doc() {
       point("CartoLite", "odom_slip_ramp", 0.25, 0.28125, false));
   doc.result.points.push_back(point("SynPF", "lidar_dropout", 1.0, 1.0, true));
 
-  doc.has_headline = true;
-  doc.headline.axis = "odom_slip_ramp";
-  doc.headline.track_class = "club";
-  doc.headline.synpf_breaking = 0.90625;
-  doc.headline.synpf_bracket_width = 0.03125;
-  doc.headline.carto_breaking = 0.28125;
-  doc.headline.carto_bracket_width = 0.03125;
+  doc.headline.emplace();
+  doc.headline->axis = "odom_slip_ramp";
+  doc.headline->track_class = "club";
+  doc.headline->synpf_breaking = 0.90625;
+  doc.headline->synpf_bracket_width = 0.03125;
+  doc.headline->carto_breaking = 0.28125;
+  doc.headline->carto_bracket_width = 0.03125;
   return doc;
 }
 
@@ -570,12 +563,8 @@ TEST(FrontierCompare, RerunCatchesProbeSequenceDrift) {
 
 ThroughputDocument make_throughput_doc() {
   ThroughputDocument doc;
-  doc.provenance.compiler = "testc 1.0";
-  doc.provenance.build = "release";
-  doc.provenance.git_sha = "deadbeef";
-  doc.provenance.seed = 1234;
-  doc.provenance.hardware_threads = 4;
-  doc.provenance.fast_mode = true;
+  doc.provenance = artifact_provenance(true);
+  doc.provenance.set("hardware_threads", json::Value::number(4));
   doc.simd_active = "avx2";
   doc.avx2_available = true;
   doc.n_scans = 40;
@@ -619,7 +608,8 @@ TEST(ThroughputJson, WriterEmitsWhatTheGateReads) {
   const json::Value* cells = doc.find("cells");
   ASSERT_EQ(cells->size(), 4u);
   EXPECT_EQ(cells->at(1)->find("hash")->as_string(), "0xfeedfacecafebeef");
-  EXPECT_EQ(cells->at(1)->find("items_per_sec")->as_double(), 1.8e9);
+  EXPECT_EQ(
+      cells->at(1)->find("timing")->find("items_per_sec")->as_double(), 1.8e9);
 
   const CompareReport report = compare(doc, doc, GateMode::kRerun);
   EXPECT_TRUE(report.ok());
@@ -652,7 +642,7 @@ TEST(ThroughputCompare, RateCollapseFailsPastTolerance) {
   const CompareReport report = compare(baseline, candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cell, "weight simd=avx2 n=1500 t=1");
-  EXPECT_EQ(report.failures[0].metric, "items_per_sec");
+  EXPECT_EQ(report.failures[0].metric, "timing.items_per_sec");
 
   // A drop that stays above the floor passes.
   candidate.cells[1].items_per_sec = 4.0e8;
@@ -721,7 +711,7 @@ TEST(ThroughputCompare, BeamsMismatchIsStructural) {
 ThroughputDocument lane_scaling_doc(double t1_ms, double t4_ms,
                                     int hardware_threads) {
   ThroughputDocument doc = make_throughput_doc();
-  doc.provenance.hardware_threads = hardware_threads;
+  doc.provenance.set("hardware_threads", json::Value::number(hardware_threads));
   ThroughputCell one = doc.cells[3];
   one.threads = 1;
   one.mean_ms = t1_ms;
@@ -737,7 +727,7 @@ TEST(ThroughputCompare, LaneScalingBreachFails) {
       compare(lane_scaling_doc(0.73, 0.5, 4), candidate);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cell, "update simd=avx2 n=1500 t=4");
-  EXPECT_EQ(report.failures[0].metric, "mean_ms");
+  EXPECT_EQ(report.failures[0].metric, "timing.mean_ms");
   EXPECT_EQ(report.failures[0].baseline.as_double(), 0.73);
   EXPECT_EQ(report.failures[0].candidate.as_double(), 3.47);
   // Wall clock within one run: a rerun never judges it.
@@ -900,6 +890,26 @@ TEST(Gate, ComparingNothingFails) {
 }
 
 // ---------------------------------------------------------------------------
+// The committed baselines
+// ---------------------------------------------------------------------------
+
+// A rule whose field the baseline lacks is not judged, so a baseline left at
+// an older schema would let through any regression in a field that moved.
+TEST(Baselines, EachCarriesItsWritersSchema) {
+  const std::pair<const char*, const char*> baselines[] = {
+      {"BENCH_robustness.baseline.json", kBenchRobustnessSchema},
+      {"BENCH_frontier.baseline.json", frontier::kFrontierSchema},
+      {"BENCH_throughput.baseline.json", kBenchThroughputSchema},
+  };
+  for (const auto& [file, schema] : baselines) {
+    const std::optional<json::Value> doc =
+        json::Value::load(std::string(SRL_BASELINE_DIR) + "/" + file);
+    ASSERT_TRUE(doc.has_value()) << file;
+    EXPECT_EQ(json::str_field(*doc, "schema"), schema) << file;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Field coverage: a rerun names every field a writer emits, so a metric
 // added later cannot slip past the determinism gate
 // ---------------------------------------------------------------------------
@@ -939,10 +949,9 @@ bool in(const std::vector<std::string>& names, const std::string& name) {
 }
 
 /// Change each leaf of `doc` outside `provenance`, one at a time: a rerun
-/// must pass exactly when the leaf is one of `wall_clock`, and otherwise
+/// must pass exactly when the leaf is in a row's `timing`, and otherwise
 /// name it (a changed key field renames its row, so names the row).
 void expect_rerun_names_every_field(const json::Value& doc,
-                                    const std::vector<std::string>& wall_clock,
                                     const std::vector<std::string>& keys) {
   int changed = 0;
   for (int index = 0;; ++index) {
@@ -954,7 +963,7 @@ void expect_rerun_names_every_field(const json::Value& doc,
     ++changed;
     const std::string field = path.substr(path.find_last_of(".]") + 1);
     const CompareReport report = compare(doc, candidate, GateMode::kRerun);
-    if (in(wall_clock, field)) {
+    if (path.find("].timing.") != std::string::npos) {
       EXPECT_TRUE(report.ok()) << path << " is wall clock";
       continue;
     }
@@ -969,22 +978,18 @@ void expect_rerun_names_every_field(const json::Value& doc,
 }
 
 TEST(FieldCoverage, RerunNamesEveryRobustnessField) {
-  expect_rerun_names_every_field(
-      bench_to_json(make_doc()),
-      {"update_p50_ms", "update_p99_ms", "update_max_ms", "load_percent",
-       "stage_p50_ms", "stage_p99_ms"},
-      {"localizer", "fault", "severity"});
+  expect_rerun_names_every_field(bench_to_json(make_doc()),
+                                 {"localizer", "fault", "severity"});
 }
 
 TEST(FieldCoverage, RerunNamesEveryFrontierField) {
   expect_rerun_names_every_field(
-      frontier::frontier_to_json(make_frontier_doc()), {},
+      frontier::frontier_to_json(make_frontier_doc()),
       {"localizer", "axis", "track_class", "variant"});
 }
 
 TEST(FieldCoverage, RerunNamesEveryThroughputField) {
   expect_rerun_names_every_field(throughput_to_json(make_throughput_doc()),
-                                 {"mean_ms", "items_per_sec"},
                                  {"stage", "simd", "particles", "threads"});
 }
 

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -384,8 +382,8 @@ TEST_F(FaultTest, FaultedLocalizerClosedLoopIsDeterministic) {
 // Scenario matrix: no cell bit depends on the number of cell lanes
 // ---------------------------------------------------------------------------
 
-/// Each cell's robustness-JSON row, without the wall-clock fields the rerun
-/// gate also leaves out, from a matrix run on `matrix_threads` lanes.
+/// Each cell's robustness-JSON row, without the `timing` the rerun gate
+/// also leaves out, from a matrix run on `matrix_threads` lanes.
 std::vector<std::string> matrix_rows(int matrix_threads) {
   ScenarioMatrixConfig config;
   // SynPF+Governor resizes its cloud, so the weight kernel also runs
@@ -397,25 +395,14 @@ std::vector<std::string> matrix_rows(int matrix_threads) {
   config.experiment.profile.scale = 0.5;
   config.track_name = "oval:8,2.5";
   config.matrix_threads = matrix_threads;
-  BenchDocument doc;
-  doc.cells = ScenarioMatrix{config}.run(TrackGenerator::oval(8.0, 2.5));
-  for (const ScenarioCell& cell : doc.cells) {
-    EXPECT_GT(cell.result.sim_time, 0.0) << cell.localizer;
-  }
-
-  const char* const wall_clock[] = {"update_p50_ms", "update_p99_ms",
-                                    "update_max_ms", "load_percent",
-                                    "stage_p50_ms",  "stage_p99_ms"};
-  const json::Value json = bench_to_json(doc);
-  const json::Value& cells = *json.find("cells");
   std::vector<std::string> rows;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  for (const ScenarioCell& cell :
+       ScenarioMatrix{config}.run(TrackGenerator::oval(8.0, 2.5))) {
+    EXPECT_GT(cell.result.sim_time, 0.0) << cell.localizer;
+    const json::Value row = cell_to_json(cell);
     json::Value kept = json::Value::object();
-    for (const auto& [name, value] : cells.at(i)->members()) {
-      if (std::find(std::begin(wall_clock), std::end(wall_clock), name) ==
-          std::end(wall_clock)) {
-        kept.set(name, value);
-      }
+    for (const auto& [name, value] : row.members()) {
+      if (name != "timing") kept.set(name, value);
     }
     rows.push_back(kept.dump(0));
   }

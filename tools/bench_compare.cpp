@@ -10,8 +10,8 @@
 ///       baseline mode: the candidate against a committed baseline, each
 ///       gated field within its policy tolerance
 ///   bench_compare --rerun <run.json> <rerun.json>
-///       rerun mode: same rows, and every field outside `provenance` that
-///       is not wall clock equal
+///       rerun mode: same rows, and every field outside `provenance` and
+///       each row's `timing` equal (the envelope of eval/artifact.hpp)
 ///
 /// Exit codes:
 ///   0  every rule held

@@ -410,8 +410,11 @@ int main(int argc, char** argv) {
       c.search_threads = threads;
       frontier::FrontierDocument doc;
       doc.result = run_frontier_search(c, oracle);
-      doc.has_headline = frontier::compute_frontier_headline(
-          doc.result, "odom_slip_ramp", "club", doc.headline);
+      frontier::FrontierHeadline headline;
+      if (frontier::compute_frontier_headline(doc.result, "odom_slip_ramp",
+                                              "club", headline)) {
+        doc.headline = headline;
+      }
       return frontier_to_json(doc).dump();
     };
     const std::string one = artifact_at(1);
