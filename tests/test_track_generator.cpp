@@ -2,11 +2,77 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/fnv1a.hpp"
+#include "common/json.hpp"
 #include "common/polyline.hpp"
+#include "eval/frontier/scenario_sampler.hpp"
 #include "gridmap/distance_transform.hpp"
+
+#ifndef SRL_TEST_DATA_DIR
+#define SRL_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace srl {
 namespace {
+
+const char* kGridsPath = SRL_TEST_DATA_DIR "/golden_track_grids.txt";
+
+bool regen_requested() {
+  const char* env = std::getenv("SRL_REGEN_GOLDEN");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+std::uint64_t grid_hash(const OccupancyGrid& grid) {
+  return fnv1a_bytes(kFnv1aOffset, grid.data().data(), grid.data().size());
+}
+
+/// Every circuit the repo races or replays, by its black-box recipe name:
+/// the named circuits, the smallest and largest ovals, the three frontier
+/// classes at the search's default sampler seed, and one seeded random
+/// circuit.
+std::vector<std::pair<std::string, Track>> recipe_tracks() {
+  std::vector<std::pair<std::string, Track>> tracks;
+  tracks.emplace_back("test_track", TrackGenerator::test_track());
+  tracks.emplace_back("hairpin", TrackGenerator::hairpin());
+  tracks.emplace_back("oval:8,2.5", TrackGenerator::oval(8.0, 2.5));
+  tracks.emplace_back("oval:50,50", TrackGenerator::oval(50.0, 50.0));
+  const frontier::ScenarioSampler sampler{0xF407};
+  for (int cls = 0; cls < 3; ++cls) {
+    frontier::ScenarioKey key;
+    key.track_class = cls;
+    const frontier::SampledScenario scenario = sampler.sample(key.pack());
+    tracks.emplace_back(frontier::ScenarioSampler::replay_recipe(
+                            sampler.seed(), key.pack()),
+                        sampler.build_track(scenario));
+  }
+  Rng rng{0x5EED};
+  tracks.emplace_back("random_circuit:0x5eed",
+                      TrackGenerator::random_circuit(rng, 10, 6.0, 1.5));
+  return tracks;
+}
+
+/// One line per circuit: recipe, width, height, origin (hexfloat) and the
+/// FNV-1a of the cell bytes.
+std::vector<std::string> grid_lines() {
+  std::vector<std::string> lines;
+  for (const auto& [recipe, track] : recipe_tracks()) {
+    const OccupancyGrid& g = track.grid;
+    std::ostringstream os;
+    os << std::hexfloat << recipe << ' ' << g.width() << ' ' << g.height()
+       << ' ' << g.origin().x << ' ' << g.origin().y << ' '
+       << json::format_hex64(grid_hash(g));
+    lines.push_back(os.str());
+  }
+  return lines;
+}
 
 void expect_valid_track(const Track& track, const TrackSpec& spec) {
   ASSERT_GE(track.centerline.size(), 10U);
@@ -97,6 +163,28 @@ TEST_P(RandomCircuit, AlwaysValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCircuit, ::testing::Range(1, 9));
+
+/// The grids' exact bytes: every workload, the frontier search and every
+/// black-box replay rebuild their circuit from these. Regenerate with
+/// SRL_REGEN_GOLDEN=1 only after an intentional change to the rasterizer.
+TEST(TrackGenerator, GridsMatchCommittedBits) {
+  const std::vector<std::string> got = grid_lines();
+  if (regen_requested()) {
+    std::ofstream os{kGridsPath};
+    ASSERT_TRUE(os.good()) << "cannot write " << kGridsPath;
+    for (const std::string& line : got) os << line << '\n';
+    std::printf("regenerated %s\n", kGridsPath);
+    return;
+  }
+  std::vector<std::string> golden;
+  std::ifstream is{kGridsPath};
+  for (std::string line; std::getline(is, line);) golden.push_back(line);
+  ASSERT_EQ(got.size(), golden.size())
+      << kGridsPath << " — regenerate with SRL_REGEN_GOLDEN=1";
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]);
+  }
+}
 
 }  // namespace
 }  // namespace srl
