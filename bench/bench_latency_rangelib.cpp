@@ -12,6 +12,8 @@
 ///  - the CDDT batch alone over a clustered particle cloud, and the
 ///    sampler's raw, uniform and Gaussian draws, per SIMD backend;
 ///  - acceleration-structure build time (the LUT's precompute trade-off);
+///  - circuit rasterization (test track and hairpin), the gridmap layer's
+///    share of every set-up;
 ///  - CartoLite's three scan-update stages (correlative search, Gauss-Newton
 ///    refinement, submap insertion) on a submap and scan from a recorded
 ///    test-track lap, per SIMD backend.
@@ -285,6 +287,20 @@ BENCHMARK(BM_Build)
     ->Arg(static_cast<int>(RangeMethodKind::kCddt))
     ->Arg(static_cast<int>(RangeMethodKind::kLut))
     ->Unit(benchmark::kMillisecond);
+
+/// Circuit rasterization, the gridmap layer's share of every set-up: arg 0
+/// is the Table-I test track, arg 1 the hairpin.
+void BM_TrackRasterize(benchmark::State& state) {
+  const bool hairpin = state.range(0) == 1;
+  for (auto _ : state) {
+    Track t =
+        hairpin ? TrackGenerator::hairpin() : TrackGenerator::test_track();
+    benchmark::DoNotOptimize(t.grid.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(hairpin ? "hairpin" : "test_track");
+}
+BENCHMARK(BM_TrackRasterize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// CartoLite's inputs, taken from a recorded test-track lap: the live
 /// submap after a full span of scans (inserted at their true poses, every

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace srl {
 
@@ -17,7 +19,11 @@ double polyline_length(const std::vector<Vec2>& pts, bool closed) {
 std::vector<Vec2> resample_closed(const std::vector<Vec2>& pts, double ds) {
   if (pts.size() < 3 || ds <= 0.0) return pts;
   const double total = polyline_length(pts, /*closed=*/true);
-  const int n = std::max(3, static_cast<int>(std::round(total / ds)));
+  const double count = std::round(total / ds);
+  if (!(count <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw std::invalid_argument("resample_closed: sample count beyond int");
+  }
+  const int n = std::max(3, static_cast<int>(count));
   const double step = total / n;
 
   std::vector<Vec2> out;

@@ -16,7 +16,8 @@ double polyline_length(const std::vector<Vec2>& pts, bool closed);
 
 /// Resample a closed polyline to points uniformly spaced (approximately `ds`
 /// apart) by arc length. The result keeps the original orientation and starts
-/// near pts[0]. Requires at least 3 points.
+/// near pts[0]. Requires at least 3 points. Throws std::invalid_argument
+/// when the length over `ds` is NaN or rounds beyond int.
 std::vector<Vec2> resample_closed(const std::vector<Vec2>& pts, double ds);
 
 /// Resample an open polyline to exactly `n` points uniformly by arc length

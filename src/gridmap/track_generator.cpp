@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/angles.hpp"
 #include "common/polyline.hpp"
@@ -9,24 +13,107 @@
 namespace srl {
 namespace {
 
-/// Stamp a disk of world radius `r` around world point `c`, assigning `value`
-/// to every covered cell that currently satisfies `pred`.
-template <typename Pred>
-void stamp_disk(OccupancyGrid& grid, const Vec2& c, double r,
-                std::int8_t value, Pred pred) {
-  const double res = grid.resolution();
-  const GridIndex center = grid.world_to_grid(c);
-  const int rad = static_cast<int>(std::ceil(r / res)) + 1;
+[[noreturn]] void reject(const std::string& why) {
+  throw std::invalid_argument("TrackGenerator::rasterize: " + why);
+}
+
+/// Rejects, naming the first bad field, what would reach undefined
+/// behaviour below: `front()` of an empty centerline, or a double-to-int
+/// cast of a non-finite or out-of-range cell count.
+void check_input(const std::vector<Vec2>& centerline, const TrackSpec& spec) {
+  if (centerline.size() < 3) reject("centerline has fewer than 3 points");
+  for (const Vec2& p : centerline) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      reject("centerline has a non-finite point");
+    }
+  }
+  const auto positive = [](double v, const char* field) {
+    if (!(std::isfinite(v) && v > 0.0)) {
+      reject(std::string{field} + " must be finite and positive");
+    }
+  };
+  const auto non_negative = [](double v, const char* field) {
+    if (!(std::isfinite(v) && v >= 0.0)) {
+      reject(std::string{field} + " must be finite and non-negative");
+    }
+  };
+  positive(spec.resolution, "resolution");
+  positive(spec.centerline_ds, "centerline_ds");
+  non_negative(spec.half_width, "half_width");
+  non_negative(spec.wall_thickness, "wall_thickness");
+  non_negative(spec.margin, "margin");
+}
+
+/// Cells of `resolution` needed to span `extent` meters; rejects naming
+/// `field` when the count does not fit in int.
+int cells_spanning(double extent, double resolution, const char* field) {
+  const double n = std::ceil(extent / resolution);
+  if (!(n <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    reject(std::string{field} + " does not fit in int");
+  }
+  return static_cast<int>(n);
+}
+
+/// Set to `value` every in-grid cell that a disk of radius `r` around any of
+/// `centers` covers (`disk_covers_cell`), within the (2 rad + 1)^2 box around
+/// the center's cell, rad = ceil(r / res) + 1.
+///
+/// In one row the covered cells are one run: cell centers' x grows with ix,
+/// so the squared distance falls up to the first column k whose center is
+/// not left of the disk's and rises from there. Left of k the covered cells
+/// are a suffix, from k on a prefix, and a run that is not empty holds k - 1
+/// or k. Each row keeps one run of cells this pass has already set. When it
+/// holds k - 1 and k, the disk's run overlaps it, so the disk only walks out
+/// from its two ends with the cover test; otherwise the disk tests k - 1 and
+/// k and walks out from there. Every cell set passed the test for this disk.
+void cover_disks(OccupancyGrid& grid, const std::vector<Vec2>& centers,
+                 double r, std::int8_t value) {
+  const int rad = static_cast<int>(std::ceil(r / grid.resolution())) + 1;
   const double r2 = r * r;
-  for (int dy = -rad; dy <= rad; ++dy) {
-    for (int dx = -rad; dx <= rad; ++dx) {
-      const int ix = center.ix + dx;
-      const int iy = center.iy + dy;
-      if (!grid.in_bounds(ix, iy)) continue;
-      const Vec2 p = grid.grid_to_world(ix, iy);
-      if ((p - c).squared_norm() > r2) continue;
-      std::int8_t& cell = grid.at(ix, iy);
-      if (pred(cell)) cell = value;
+  const auto width = static_cast<std::size_t>(grid.width());
+  // Per row, a run [first, second] already set; {0, -1} is none yet.
+  std::vector<std::pair<int, int>> done(
+      static_cast<std::size_t>(grid.height()), {0, -1});
+  for (const Vec2& c : centers) {
+    const GridIndex center = grid.world_to_grid(c);
+    const int x0 = std::max(center.ix - rad, 0);
+    const int x1 = std::min(center.ix + rad, grid.width() - 1);
+    const int y0 = std::max(center.iy - rad, 0);
+    const int y1 = std::min(center.iy + rad, grid.height() - 1);
+    if (x0 > x1 || y0 > y1) continue;
+    int k = std::clamp(center.ix, x0, x1 + 1);
+    while (k > x0 && !(grid.grid_to_world(k - 1, 0).x < c.x)) --k;
+    while (k <= x1 && grid.grid_to_world(k, 0).x < c.x) ++k;
+    for (int iy = y0; iy <= y1; ++iy) {
+      const auto covers = [&](int ix) {
+        return disk_covers_cell(grid, ix, iy, c, r2);
+      };
+      auto& [done_lo, done_hi] = done[static_cast<std::size_t>(iy)];
+      int lo = k;
+      int hi = k - 1;
+      if (done_lo < k && done_hi >= k) {
+        lo = done_lo;
+        hi = done_hi;
+      } else {
+        if (k > x0 && covers(k - 1)) lo = k - 1;
+        if (k <= x1 && covers(k)) hi = k;
+        if (lo > hi) continue;
+      }
+      while (lo > x0 && covers(lo - 1)) --lo;
+      while (hi < x1 && covers(hi + 1)) ++hi;
+      std::int8_t* row =
+          grid.data().data() + static_cast<std::size_t>(iy) * width;
+      const int below = std::min(hi, done_lo - 1);
+      const int above = std::max(lo, done_hi + 1);
+      if (lo <= below) std::fill(row + lo, row + below + 1, value);
+      if (above <= hi) std::fill(row + above, row + hi + 1, value);
+      if (lo <= done_hi + 1 && hi >= done_lo - 1) {
+        done_lo = std::min(done_lo, lo);
+        done_hi = std::max(done_hi, hi);
+      } else {
+        done_lo = lo;
+        done_hi = hi;
+      }
     }
   }
 }
@@ -35,6 +122,7 @@ void stamp_disk(OccupancyGrid& grid, const Vec2& c, double r,
 
 Track TrackGenerator::rasterize(const std::vector<Vec2>& centerline,
                                 const TrackSpec& spec) {
+  check_input(centerline, spec);
   Track track;
   track.half_width = spec.half_width;
   track.centerline = resample_closed(centerline, spec.centerline_ds);
@@ -57,26 +145,22 @@ Track TrackGenerator::rasterize(const std::vector<Vec2>& centerline,
     max_y = std::max(max_y, p.y);
   }
   const Vec2 origin{min_x - pad, min_y - pad};
-  const int w = static_cast<int>(
-      std::ceil((max_x - min_x + 2.0 * pad) / spec.resolution));
-  const int h = static_cast<int>(
-      std::ceil((max_y - min_y + 2.0 * pad) / spec.resolution));
+  const int w =
+      cells_spanning(max_x - min_x + 2.0 * pad, spec.resolution, "width");
+  const int h =
+      cells_spanning(max_y - min_y + 2.0 * pad, spec.resolution, "height");
   track.grid =
       OccupancyGrid{w, h, spec.resolution, origin, OccupancyGrid::kUnknown};
 
-  // Stamp walls first (corridor + wall band), then carve the free corridor
+  // Cover walls first (corridor + wall band), then carve the free corridor
   // out of the band. Sampling at half-resolution steps guarantees coverage.
+  // The wall pass meets only unknown and wall cells, so it sets walls
+  // unconditionally.
   const std::vector<Vec2> dense =
       resample_closed(track.centerline, spec.resolution * 0.5);
-  const double wall_r = spec.half_width + spec.wall_thickness;
-  for (const Vec2& p : dense) {
-    stamp_disk(track.grid, p, wall_r, OccupancyGrid::kOccupied,
-               [](std::int8_t v) { return v == OccupancyGrid::kUnknown; });
-  }
-  for (const Vec2& p : dense) {
-    stamp_disk(track.grid, p, spec.half_width, OccupancyGrid::kFree,
-               [](std::int8_t) { return true; });
-  }
+  cover_disks(track.grid, dense, spec.half_width + spec.wall_thickness,
+              OccupancyGrid::kOccupied);
+  cover_disks(track.grid, dense, spec.half_width, OccupancyGrid::kFree);
   return track;
 }
 

@@ -31,6 +31,15 @@ struct TrackSpec {
   double centerline_ds = 0.10;  ///< m between resampled centerline points
 };
 
+/// The rasterizer's cover test: whether the disk of squared radius `r2`
+/// around `c` covers the center of cell (ix, iy). In one row it holds on one
+/// run of cells (DESIGN.md §15); tests call it to evaluate the identical
+/// floating-point expression.
+inline bool disk_covers_cell(const OccupancyGrid& grid, int ix, int iy,
+                             const Vec2& c, double r2) {
+  return !((grid.grid_to_world(ix, iy) - c).squared_norm() > r2);
+}
+
 /// Factory for canonical circuits.
 class TrackGenerator {
  public:
@@ -66,8 +75,15 @@ class TrackGenerator {
   static Track random_circuit(Rng& rng, int n_waypoints, double radius,
                               double jitter, const TrackSpec& spec = {});
 
-  /// Rasterize a closed centerline into an occupancy grid per `spec`.
-  /// Exposed so tests can validate the rasterization independently.
+  /// Rasterize a closed centerline into an occupancy grid per `spec`:
+  /// free where a disk of `half_width` around a centerline sample covers a
+  /// cell's center, else occupied where a disk of `half_width +
+  /// wall_thickness` does, else unknown. Exposed so tests can validate the
+  /// rasterization independently. Throws std::invalid_argument, naming the
+  /// field, for fewer than 3 points, a non-finite point, a resolution or
+  /// `centerline_ds` that is not finite and positive, a negative or
+  /// non-finite half width, wall thickness or margin, and a grid width or
+  /// height beyond `int`.
   static Track rasterize(const std::vector<Vec2>& centerline,
                          const TrackSpec& spec);
 };

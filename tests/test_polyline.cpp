@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/angles.hpp"
@@ -48,6 +49,16 @@ TEST(ResampleClosed, UniformSpacing) {
 TEST(ResampleClosed, PreservesShapeOnCircle) {
   const auto r = resample_closed(circle(3.0, 100), 0.2);
   for (const Vec2& p : r) EXPECT_NEAR(p.norm(), 3.0, 0.02);
+}
+
+TEST(ResampleClosed, RejectsSampleCountBeyondInt) {
+  const std::vector<Vec2> far{{0.0, 0.0}, {1e12, 0.0}, {5e11, 4.0}};
+  EXPECT_THROW((void)resample_closed(far, 0.1), std::invalid_argument);
+  EXPECT_THROW((void)resample_closed(circle(1.0, 16), 1e-300),
+               std::invalid_argument);
+  EXPECT_THROW((void)resample_closed(circle(1.0, 16), std::nan("")),
+               std::invalid_argument);
+  EXPECT_EQ(resample_closed(far, 1e9).size(), 2000U);
 }
 
 TEST(ResampleOpen, EndpointsPreserved) {
