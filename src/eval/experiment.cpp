@@ -79,9 +79,6 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
     }
     sink.recorder->dump(path, reason, dt_now, extra);
   };
-  std::uint64_t seen_critical =
-      sink.events != nullptr ? sink.events->critical_count() : 0;
-
   VehicleParams vp = config_.vehicle;
   vp.mu = config_.mu;
   VehicleSim car{vp, start_pose()};
@@ -224,16 +221,6 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
       }
     } else {
       under_run = 0;
-    }
-
-    // A critical event since the last scan trips a black-box dump of its
-    // own.
-    if (sink.events != nullptr) {
-      const std::uint64_t crit = sink.events->critical_count();
-      if (crit > seen_critical) {
-        seen_critical = crit;
-        dump_blackbox("critical", t);
-      }
     }
 
     if (!timer.armed()) return;

@@ -10,11 +10,11 @@
 /// harness records a `TickSnapshot` — pose estimate, truth error, ESS and
 /// entropy, detector health/latch states, active fault envelope level, and
 /// a top-K particle digest — into a bounded ring. On a trigger (divergence
-/// episode opening, a critical event, crash) the harness dumps a
-/// self-contained black-box artifact: a JSON document (`srl.blackbox/1`)
-/// carrying provenance + a rebuild recipe, the serialized sim RNG stream
-/// state, the snapshot window, the full event timeline, and a running
-/// FNV-1a hash over the raw bits of every recorded estimate — plus a
+/// episode opening or crash) the harness dumps a self-contained black-box
+/// artifact: a JSON document (`srl.blackbox/1`) carrying provenance + a
+/// rebuild recipe, the sim seed and start pose, the snapshot window, the
+/// full event timeline, and a running FNV-1a hash over the raw bits of
+/// every recorded estimate — plus a
 /// binary `SensorTrace` sidecar (same stem, `.srlt`) with the clean sensor
 /// stream, so `tools/postmortem --replay` can re-drive the captured window
 /// through a freshly rebuilt localizer stack and reproduce the episode
