@@ -36,9 +36,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "core/synpf.hpp"
+#include "eval/benchmark_json.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/experiment.hpp"
+#include "eval/frontier/frontier_json.hpp"
+#include "eval/frontier/frontier_search.hpp"
+#include "eval/scenario_matrix.hpp"
 #include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
@@ -57,6 +62,8 @@ const char* kEstimatesPath = SRL_TEST_DATA_DIR "/golden_oval_estimates.txt";
 const char* kCartoEstimatesPath =
     SRL_TEST_DATA_DIR "/golden_oval_carto_estimates.txt";
 const char* kClosedLoopPath = SRL_TEST_DATA_DIR "/golden_oval_closed_loop.txt";
+const char* kMatrixRowsPath = SRL_TEST_DATA_DIR "/golden_matrix_rows.txt";
+const char* kFrontierPath = SRL_TEST_DATA_DIR "/golden_frontier.txt";
 
 /// The pinned scenario. Every knob that feeds the numeric path is spelled
 /// out here; changing any of them is a golden regeneration event.
@@ -450,6 +457,128 @@ TEST(GoldenTrace, ClosedLoopResultMatchesCommittedBits) {
       EXPECT_EQ(got[i], golden[i]) << threads << " lanes";
     }
   }
+}
+
+/// Under SRL_REGEN_GOLDEN=1 writes `lines` to `path`; otherwise demands
+/// they equal the committed file line for line.
+void expect_lines_match(const char* path, const std::vector<std::string>& lines) {
+  if (regen_requested()) {
+    std::ofstream os{path};
+    ASSERT_TRUE(os.good()) << "cannot write " << path;
+    for (const std::string& line : lines) os << line << '\n';
+    std::printf("regenerated %s\n", path);
+    return;
+  }
+  std::vector<std::string> golden;
+  std::ifstream is{path};
+  for (std::string line; std::getline(is, line);) golden.push_back(line);
+  ASSERT_FALSE(golden.empty()) << "missing " << path
+                               << " — regenerate with SRL_REGEN_GOLDEN=1";
+  ASSERT_EQ(lines.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(lines[i], golden[i]) << "line " << i + 1 << " of " << path;
+  }
+}
+
+/// "<prefix> <path> <fnv1a>" for every file under `dir`, sorted by path
+/// relative to `dir`: the black boxes and their trace sidecars, byte for
+/// byte.
+void append_file_hashes(const std::string& prefix, const std::string& dir,
+                        std::vector<std::string>& lines) {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator{dir}) {
+    if (entry.is_regular_file()) {
+      names.push_back(entry.path().lexically_relative(dir).string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    const std::string bytes = read_bytes((dir + "/" + name).c_str());
+    std::ostringstream os;
+    os << prefix << ' ' << name << ' ' << std::hex
+       << fnv1a_bytes(kFnv1aOffset, bytes.data(), bytes.size());
+    lines.push_back(os.str());
+  }
+}
+
+/// Strip `dir`'s prefix from each path: the pins must not depend on where
+/// the temporary dump directory lives.
+void make_relative(const std::string& dir, std::vector<std::string>& paths) {
+  for (std::string& path : paths) {
+    if (path.rfind(dir + "/", 0) == 0) path.erase(0, dir.size() + 1);
+  }
+}
+
+/// A short recorded matrix on the golden oval: the five localizer kinds of
+/// the smoke grid under the clean baseline and one fault of each family
+/// (odometry, kidnap, sensor blackout, compute pressure), at full severity.
+std::vector<std::string> matrix_rows_lines() {
+  const std::string dir = ::testing::TempDir() + "srl_golden_matrix_rows";
+  std::filesystem::remove_all(dir);
+  ScenarioMatrixConfig config;
+  config.localizers = {"SynPF", "CartoLite", "SynPF+Recovery",
+                       "SynPF+Governor", "SynPF+Budget"};
+  config.scenarios = {{"none", 0.0},
+                      {"odom_slip_ramp", 1.0},
+                      {"kidnap", 1.0},
+                      {"blackout", 1.0},
+                      {"compute_pressure", 1.0}};
+  config.experiment.laps = 1;
+  config.experiment.max_sim_time = 10.0;
+  config.experiment.profile.scale = 0.5;
+  config.n_particles = 300;
+  config.kidnap_time = 4.0;
+  config.blackbox_dir = dir;
+  config.track_name = "oval:8,2.5";
+  std::vector<std::string> lines{"golden-matrix-rows v1"};
+  for (ScenarioCell cell : ScenarioMatrix{config}.run(golden_track())) {
+    make_relative(dir, cell.blackboxes);
+    const json::Value full = cell_to_json(cell);
+    json::Value row = json::Value::object();
+    for (const auto& [name, value] : full.members()) {
+      if (name != "timing") row.set(name, value);  // wall clock
+    }
+    lines.push_back("row " + row.dump(0));
+  }
+  append_file_hashes("box", dir, lines);
+  std::filesystem::remove_all(dir);
+  return lines;
+}
+
+/// Every matrix row's deterministic fields and every dumped black box and
+/// sidecar, byte for byte: the matrix's own bits, beyond the comparisons
+/// between its runs at different lane counts.
+TEST(GoldenTrace, MatrixRowsMatchCommittedBits) {
+  expect_lines_match(kMatrixRowsPath, matrix_rows_lines());
+}
+
+/// A real closed-loop frontier search with black boxes: SynPF and CartoLite
+/// on the club class along the slip and compute-pressure axes, one
+/// bisection, short runs.
+std::vector<std::string> frontier_lines() {
+  const std::string dir = ::testing::TempDir() + "srl_golden_frontier";
+  std::filesystem::remove_all(dir);
+  frontier::FrontierSearchConfig config;
+  config.localizers = {"SynPF", "CartoLite"};
+  config.axes = {0, 8};  // odom_slip_ramp, compute_pressure
+  config.track_classes = {0};
+  config.bisect_iterations = 1;
+  config.n_particles = 300;
+  config.experiment.laps = 1;
+  config.experiment.max_sim_time = 10.0;
+  config.blackbox_dir = dir;
+  frontier::FrontierDocument doc;
+  doc.result = frontier::run_frontier_search(config);
+  std::vector<std::string> lines{"golden-frontier v1",
+                                 "artifact " + frontier_to_json(doc).dump(0)};
+  append_file_hashes("box", dir, lines);
+  std::filesystem::remove_all(dir);
+  return lines;
+}
+
+TEST(GoldenTrace, FrontierSearchMatchesCommittedBits) {
+  expect_lines_match(kFrontierPath, frontier_lines());
 }
 
 /// The committed trace itself must stay parseable and internally coherent —
