@@ -90,13 +90,17 @@ int main() {
   };
   for (const Variant& variant : variants) {
     for (const double mu : {0.76, 0.55}) {
+      // No recipe names the motion model or the layout, so this bench
+      // builds its filter itself, over CDDT like the sweeps.
       SynPfConfig cfg;
+      cfg.range = RangeMethodKind::kCddt;
       cfg.motion = variant.motion;
       cfg.layout = variant.layout;
-      auto pf = make_synpf(map, lidar, cfg);
+      SynPf pf{cfg, map, lidar};
+      const ExperimentConfig run = cell_recipe("SynPF", mu, laps).experiment;
       std::cout << "  running " << variant.name << " / mu=" << mu << " ..."
                 << std::flush;
-      const ExperimentResult r = run_cell(track, *pf, mu, laps);
+      const ExperimentResult r = ExperimentRunner{track, run}.run(pf);
       std::cout << " done\n";
       const std::string odom = mu > 0.7 ? "HQ" : "LQ";
       table.add_row({variant.name, odom,

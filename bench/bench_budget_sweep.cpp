@@ -65,6 +65,10 @@ int main() {
     std::cout << " done\n";
 
     for (const ScenarioCell& cell : cells) {
+      if (!cell.error.empty()) {
+        std::cerr << "zeroed cell " << cell.localizer << " "
+                  << cell.scenario.label() << ": " << cell.error << "\n";
+      }
       table.add_row({TextTable::num(budget, 2), cell.localizer,
                      cell.scenario.label(),
                      TextTable::num(cell.result.lateral_mean_cm, 2),

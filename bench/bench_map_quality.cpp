@@ -22,7 +22,6 @@ int main() {
 
   const int laps = bench_laps(2);
   const Track track = TrackGenerator::test_track();
-  const LidarConfig lidar{};
 
   struct Level {
     std::string name;
@@ -53,11 +52,11 @@ int main() {
             ? degrade_map(track.grid, rng, params)
             : track.grid);
 
-    auto carto = make_carto(map, lidar);
-    auto synpf = make_synpf(map, lidar);
     std::cout << "  " << level.name << " ..." << std::flush;
-    const ExperimentResult rc = run_cell(track, *carto, 0.76, laps);
-    const ExperimentResult rs = run_cell(track, *synpf, 0.76, laps);
+    const ExperimentResult rc =
+        run_cell(cell_recipe("CartoLite", 0.76, laps), track, map).result;
+    const ExperimentResult rs =
+        run_cell(cell_recipe("SynPF", 0.76, laps), track, map).result;
     std::cout << " done\n";
 
     table.add_row({level.name, TextTable::num(rc.lateral_mean_cm, 2),

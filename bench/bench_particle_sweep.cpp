@@ -72,11 +72,10 @@ int main(int argc, char** argv) {
                      "update [ms]", "load [%]", "crashed"}};
 
     for (const int n : counts) {
-      SynPfConfig cfg;
-      cfg.filter.n_particles = n;
-      auto pf = make_synpf(map, lidar, cfg);
+      CellRecipe recipe = cell_recipe("SynPF", 0.55, laps);
+      recipe.stack.n_particles = n;
       std::cout << "  n=" << n << " ..." << std::flush;
-      const ExperimentResult r = run_cell(track, *pf, 0.55, laps);
+      const ExperimentResult r = run_cell(recipe, track, map).result;
       std::cout << " done\n";
       table.add_row({std::to_string(n), TextTable::num(r.lateral_mean_cm, 2),
                      TextTable::num(r.pose_rmse_m * 100.0, 2),
@@ -126,12 +125,13 @@ int main(int argc, char** argv) {
       double p50_serial = 0.0;
       for (const int threads : thread_counts) {
         SynPfConfig cfg;
+        cfg.range = RangeMethodKind::kCddt;
         cfg.filter.n_particles = n;
         cfg.filter.n_threads = threads;
-        auto pf = make_synpf(map, lidar, cfg);
+        SynPf pf{cfg, map, lidar};
         telemetry::MetricsRegistry metrics;  // stage means only, no spans
         const SensorTrace::ReplayResult r =
-            replay_warmed(scaling_trace, *pf, telemetry::Sink{&metrics});
+            replay_warmed(scaling_trace, pf, telemetry::Sink{&metrics});
         if (threads == thread_counts.front()) p50_serial = r.p50_update_ms;
         const double speedup =
             r.p50_update_ms > 0.0 ? p50_serial / r.p50_update_ms : 0.0;

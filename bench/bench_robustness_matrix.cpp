@@ -128,6 +128,10 @@ int main(int argc, char** argv) {
   std::uint64_t total_boxes = 0;
   for (const ScenarioCell& cell : doc.cells) {
     total_boxes += cell.blackboxes.size();
+    if (!cell.error.empty()) {
+      std::cerr << "zeroed cell " << cell.localizer << " "
+                << cell.scenario.label() << ": " << cell.error << "\n";
+    }
     table.add_row({cell.localizer, cell.scenario.fault,
                    TextTable::num(cell.scenario.severity, 2),
                    TextTable::num(cell.result.lateral_mean_cm, 2),

@@ -23,7 +23,6 @@ int main() {
   const int laps = bench_laps(2);
   const Track track = TrackGenerator::test_track();
   auto map = std::make_shared<const OccupancyGrid>(track.grid);
-  const LidarConfig lidar{};
 
   std::vector<double> mus = {0.76, 0.68, 0.62, 0.55, 0.50};
   if (fast_mode()) mus = {0.76, 0.55};
@@ -38,11 +37,11 @@ int main() {
   bool prev_synpf_wins = false;
   bool first = true;
   for (const double mu : mus) {
-    auto carto = make_carto(map, lidar);
-    auto synpf = make_synpf(map, lidar);
     std::cout << "  mu=" << mu << " ..." << std::flush;
-    const ExperimentResult rc = run_cell(track, *carto, mu, laps);
-    const ExperimentResult rs = run_cell(track, *synpf, mu, laps);
+    const ExperimentResult rc =
+        run_cell(cell_recipe("CartoLite", mu, laps), track, map).result;
+    const ExperimentResult rs =
+        run_cell(cell_recipe("SynPF", mu, laps), track, map).result;
     std::cout << " done\n";
 
     const bool synpf_wins = rs.lateral_mean_cm < rc.lateral_mean_cm;

@@ -14,13 +14,10 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "core/synpf.hpp"
-#include "eval/experiment.hpp"
+#include "bench_util.hpp"
 #include "eval/table.hpp"
-#include "gridmap/track_generator.hpp"
-#include "slam/pure_localization.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -40,7 +37,6 @@ int main() {
 
   const Track track = TrackGenerator::test_track();
   auto map = std::make_shared<const OccupancyGrid>(track.grid);
-  const LidarConfig lidar{};
 
   struct Cell {
     std::string method;
@@ -57,29 +53,24 @@ int main() {
   std::cout << "bench_table1: Table I reproduction (" << laps
             << " timed laps per cell)\n";
 
-  for (const bool synpf : {false, true}) {
+  // Four recipes raced one after another (the latency and load columns are
+  // the paper's compute claim). SynPF runs as in the paper: the LUT, 1500
+  // particles, 60 beams, default lanes.
+  const std::pair<const char*, const char*> methods[] = {
+      {"CartoLite", "Cartographer"}, {"SynPF", "SynPF"}};  // kind, name
+  for (const auto& [kind, method] : methods) {
     for (const double mu : {kMuHq, kMuLq}) {
-      ExperimentConfig cfg;
-      cfg.laps = laps;
-      cfg.mu = mu;
-      cfg.seed = seed + (mu == kMuHq ? 0 : 1);
-      ExperimentRunner runner{track, cfg};
+      CellRecipe recipe = benchutil::cell_recipe(kind, mu, laps);
+      recipe.stack.range = "lut";
+      recipe.experiment.seed = seed + (mu == kMuHq ? 0 : 1);
 
-      std::unique_ptr<Localizer> localizer;
-      if (synpf) {
-        SynPfConfig pf;
-        localizer = std::make_unique<SynPf>(pf, map, lidar);
-      } else {
-        PureLocalizationOptions pl;
-        localizer = std::make_unique<CartoLocalizer>(pl, map, lidar);
-      }
-      std::cout << "  running " << localizer->name() << " / "
-                << (mu == kMuHq ? "HQ" : "LQ") << " ..." << std::flush;
-      auto metrics = std::make_shared<telemetry::MetricsRegistry>();
-      Cell cell{localizer->name(), mu == kMuHq ? "HQ" : "LQ",
-                runner.run(*localizer, nullptr,
-                           telemetry::Sink{metrics.get(), nullptr}),
-                metrics};
+      Cell cell{method, mu == kMuHq ? "HQ" : "LQ", {},
+                std::make_shared<telemetry::MetricsRegistry>()};
+      std::cout << "  running " << cell.method << " / " << cell.odom
+                << " ..." << std::flush;
+      cell.r = run_cell(recipe, track, map,
+                        telemetry::Sink{cell.metrics.get(), nullptr})
+                   .result;
       std::cout << " done (" << cell.r.lap_times.size() << " laps"
                 << (cell.r.crashed ? ", CRASHED" : "") << ")\n";
       cells.push_back(std::move(cell));

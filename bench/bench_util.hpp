@@ -1,19 +1,19 @@
 #pragma once
 
 /// \file bench_util.hpp
-/// \brief Shared helpers for the experiment-style bench harnesses: build
-/// localizers over a track, run Table-I style cells, read env knobs.
+/// \brief Shared helpers for the experiment-style bench harnesses: the
+/// recipe Table I and the sweep benches race through `run_cell`
+/// (eval/stack.hpp), the warmed open-loop replay, env knobs and the
+/// artifact directory.
 
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 
-#include "core/synpf.hpp"
-#include "eval/experiment.hpp"
+#include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
-#include "slam/pure_localization.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace srl::benchutil {
@@ -40,18 +40,19 @@ inline std::string out_path(const std::string& name) {
   return (std::filesystem::path("out") / name).string();
 }
 
-/// SynPF with the CDDT backend (fast construction for sweeps).
-inline std::unique_ptr<SynPf> make_synpf(
-    std::shared_ptr<const OccupancyGrid> map, const LidarConfig& lidar,
-    SynPfConfig cfg = {}) {
-  cfg.range = RangeMethodKind::kCddt;
-  return std::make_unique<SynPf>(cfg, std::move(map), lidar);
-}
-
-inline std::unique_ptr<CartoLocalizer> make_carto(
-    std::shared_ptr<const OccupancyGrid> map, const LidarConfig& lidar,
-    PureLocalizationOptions opt = {}) {
-  return std::make_unique<CartoLocalizer>(opt, std::move(map), lidar);
+/// One bench cell: `localizer` ("SynPF" or "CartoLite") for `laps` laps at
+/// grip `mu`, sim seed 1234. SynPF runs 1500 particles on the default lanes
+/// over the recipe's CDDT (fast construction for the sweeps; Table I races
+/// the paper's LUT).
+inline CellRecipe cell_recipe(const std::string& localizer, double mu,
+                              int laps) {
+  CellRecipe recipe;
+  recipe.stack.localizer = localizer;
+  recipe.stack.n_particles = 1500;
+  recipe.stack.threads = 0;
+  recipe.experiment.mu = mu;
+  recipe.experiment.laps = laps;
+  return recipe;
 }
 
 /// Replay `trace` into `localizer` twice and report the second pass: the
@@ -67,18 +68,6 @@ inline SensorTrace::ReplayResult replay_warmed(const SensorTrace& trace,
                                                telemetry::Sink sink = {}) {
   (void)trace.replay(localizer);
   return trace.replay(localizer, sink);
-}
-
-/// Run one closed-loop cell on `track` with grip `mu`.
-inline ExperimentResult run_cell(const Track& track, Localizer& localizer,
-                                 double mu, int laps,
-                                 std::uint64_t seed = 1234) {
-  ExperimentConfig cfg;
-  cfg.mu = mu;
-  cfg.laps = laps;
-  cfg.seed = seed;
-  ExperimentRunner runner{track, cfg};
-  return runner.run(localizer);
 }
 
 }  // namespace srl::benchutil

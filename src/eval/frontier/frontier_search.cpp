@@ -11,7 +11,6 @@
 
 #include "common/parallel.hpp"
 #include "eval/stack.hpp"
-#include "telemetry/telemetry.hpp"
 #include "track/raceline.hpp"
 
 namespace srl::frontier {
@@ -19,10 +18,10 @@ namespace srl::frontier {
 namespace {
 
 /// One closed-loop probe: race `localizer_kind` through `scenario` on the
-/// prebuilt track. When `blackboxes` is non-null (the defining-failure
-/// re-run) the flight recorder and the event journal its boxes carry ride
-/// along — pure observers, so the trajectory is bitwise the one the
-/// recorder-off probe saw.
+/// prebuilt track. Handed a box list (the defining-failure re-run), it arms
+/// the flight recorder and the event journal its boxes carry — pure
+/// observers, so the trajectory is bitwise the one the recorder-off probe
+/// saw — and fills the list with the dumped boxes.
 FrontierEvaluation closed_loop_probe(
     const FrontierSearchConfig& config, const Track& track,
     const std::shared_ptr<const OccupancyGrid>& map,
@@ -52,37 +51,28 @@ FrontierEvaluation closed_loop_probe(
     spec.governor = "enforce";
     spec.budget_ms = config.budget_ms;
   }
-  std::string error;
-  const std::unique_ptr<LocalizerStack> stack =
-      LocalizerStack::build(spec, map, config.experiment.lidar, error);
-  if (stack == nullptr) {
-    eval.failed = true;  // unknown kind: permanently broken combination
-    return eval;
-  }
+  CellBoxes boxes{blackboxes != nullptr ? config.blackbox_dir : "",
+                  localizer_kind + "-" + scenario.label()};
+  boxes.provenance.set("scenario", json::Value::string(scenario.label()));
+  CellOutcome cell =
+      run_cell({spec, config.experiment}, track, map, {}, boxes);
 
-  telemetry::EventLog events;
-  telemetry::Sink sink;
-  std::unique_ptr<telemetry::FlightRecorder> recorder;
-  if (blackboxes != nullptr && !config.blackbox_dir.empty()) {
-    json::Value provenance = json::Value::object();
-    provenance.set("scenario", json::Value::string(scenario.label()));
-    recorder = stack->make_recorder(config.blackbox_dir,
-                                    localizer_kind + "-" + scenario.label(),
-                                    &events, provenance);
-    sink.events = &events;
-    sink.recorder = recorder.get();
-  }
-
-  ExperimentRunner runner{track, config.experiment};
-  const ExperimentResult result = runner.run(stack->top(), nullptr, sink);
-
+  const ExperimentResult& result = cell.result;
   eval.crashed = result.crashed;
   eval.divergence_episodes = result.divergence_episodes;
   eval.recoveries = result.recoveries;
   eval.lateral_mean_cm = result.lateral_mean_cm;
   eval.final_pose_error_m = result.final_pose_error_m;
-  eval.failed = result.crashed || !result.recovered;
-  if (recorder != nullptr) *blackboxes = recorder->dump_paths();
+  // A stack the builder rejects (unknown kind) fails every probe: a
+  // permanently broken combination.
+  eval.failed = !cell.error.empty() || result.crashed || !result.recovered;
+  // Store paths relative to the dump root: the artifact must be
+  // byte-identical no matter where the black boxes land on disk.
+  const std::string prefix = config.blackbox_dir + "/";
+  for (std::string& path : cell.blackboxes) {
+    if (path.rfind(prefix, 0) == 0) path.erase(0, prefix.size());
+  }
+  if (blackboxes != nullptr) *blackboxes = std::move(cell.blackboxes);
   return eval;
 }
 
@@ -140,17 +130,14 @@ void validate(const FrontierSearchConfig& config) {
   require_in_range("variant", config.variant, 1 << kVariantBits);
 }
 
-using Probe =
-    std::function<FrontierEvaluation(const Combo&, const SampledScenario&)>;
-using DefineFailure = std::function<void(const Combo&, const SampledScenario&,
-                                         FrontierPoint&)>;
+using Probe = std::function<FrontierEvaluation(
+    const Combo&, const SampledScenario&, std::vector<std::string>* boxes)>;
 
-/// Shared bracket-then-bisect driver. `probe` scores one scenario and
-/// `define_failure` (native path with a black-box directory only) re-runs
-/// the frontier-defining failure with the recorder attached.
+/// Shared bracket-then-bisect driver. `probe` scores one scenario; when
+/// `config.blackbox_dir` is set, it is then handed the point's box list to
+/// re-run the frontier-defining failure under the flight recorder.
 FrontierResult run_search_impl(const FrontierSearchConfig& config,
-                               const Probe& probe,
-                               const DefineFailure& define_failure) {
+                               const Probe& probe) {
   FrontierResult result;
   result.seed = config.seed;
   result.fault_seed = config.fault_seed;
@@ -207,10 +194,10 @@ FrontierResult run_search_impl(const FrontierSearchConfig& config,
     const int sev_step = walk.sev_step();
     const SampledScenario scenario = scenario_at(combo, sev_step);
     if (walk.stage == Stage::kDefine) {
-      define_failure(combo, scenario, point);
+      probe(combo, scenario, &point.blackboxes);
       return true;
     }
-    point.evaluations.push_back(probe(combo, scenario));
+    point.evaluations.push_back(probe(combo, scenario, nullptr));
     const bool failed = point.evaluations.back().failed;
 
     // Bracket: the full-severity probe decides censoring, the clean probe
@@ -242,7 +229,7 @@ FrontierResult run_search_impl(const FrontierSearchConfig& config,
     point.breaking_severity = point.bracket_hi;
     point.breaking_index = scenario_at(combo, walk.hi).index;
     walk.stage = Stage::kDefine;
-    return !define_failure;
+    return config.blackbox_dir.empty();
   };
 
   // A censored point costs one probe, a bisected one up to 2 + B plus its
@@ -346,32 +333,14 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
     contexts.push_back(std::move(ctx));
   }
 
-  const auto context_of = [&](const Combo& combo) -> const ClassContext& {
-    return contexts[static_cast<std::size_t>(
-        class_slot[static_cast<std::size_t>(combo.track_class)])];
-  };
-  const auto define_failure = [&](const Combo& combo,
-                                  const SampledScenario& defining,
-                                  FrontierPoint& point) {
-    const ClassContext& ctx = context_of(combo);
-    closed_loop_probe(config, ctx.track, ctx.map, combo.localizer, defining,
-                      &point.blackboxes);
-    // Store paths relative to the dump root: the artifact must be
-    // byte-identical no matter where the black boxes land on disk.
-    const std::string prefix = config.blackbox_dir + "/";
-    for (std::string& path : point.blackboxes) {
-      if (path.rfind(prefix, 0) == 0) path.erase(0, prefix.size());
-    }
-  };
   FrontierResult result = run_search_impl(
-      config,
-      [&](const Combo& combo, const SampledScenario& scenario) {
-        const ClassContext& ctx = context_of(combo);
+      config, [&](const Combo& combo, const SampledScenario& scenario,
+                  std::vector<std::string>* boxes) {
+        const ClassContext& ctx = contexts[static_cast<std::size_t>(
+            class_slot[static_cast<std::size_t>(combo.track_class)])];
         return closed_loop_probe(config, ctx.track, ctx.map, combo.localizer,
-                                 scenario, nullptr);
-      },
-      config.blackbox_dir.empty() ? DefineFailure{}
-                                  : DefineFailure{define_failure});
+                                 scenario, boxes);
+      });
 
   for (FrontierPoint& point : result.points) {
     const std::size_t tc = static_cast<std::size_t>(std::distance(
@@ -389,15 +358,16 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
 FrontierResult run_frontier_search(const FrontierSearchConfig& config,
                                    const ScenarioEvaluator& evaluate) {
   validate(config);
+  FrontierSearchConfig unrecorded = config;  // no defining-failure re-runs
+  unrecorded.blackbox_dir.clear();
   return run_search_impl(
-      config,
-      [&](const Combo& combo, const SampledScenario& scenario) {
+      unrecorded, [&](const Combo& combo, const SampledScenario& scenario,
+                      std::vector<std::string>* /*boxes*/) {
         FrontierEvaluation eval = evaluate(combo.localizer, scenario);
         eval.index = scenario.index;
         eval.severity = scenario.severity;
         return eval;
-      },
-      {});
+      });
 }
 
 bool compute_frontier_headline(const FrontierResult& result,

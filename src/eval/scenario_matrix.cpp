@@ -5,7 +5,6 @@
 
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "eval/stack.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace srl {
@@ -16,22 +15,6 @@ std::string ScenarioSpec::label() const {
 
 ScenarioMatrix::ScenarioMatrix(ScenarioMatrixConfig config)
     : config_{std::move(config)} {}
-
-namespace {
-
-double hist_quantile(const telemetry::MetricsRegistry& metrics,
-                     const char* name, double q) {
-  const telemetry::Histogram* h = metrics.find_histogram(name);
-  return h != nullptr ? h->percentile(q) : 0.0;
-}
-
-std::uint64_t counter_value(const telemetry::MetricsRegistry& metrics,
-                            const char* name) {
-  const telemetry::Counter* c = metrics.find_counter(name);
-  return c != nullptr ? c->value() : 0;
-}
-
-}  // namespace
 
 std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
   auto map = std::make_shared<const OccupancyGrid>(track.grid);
@@ -81,66 +64,13 @@ std::vector<ScenarioCell> ScenarioMatrix::run(const Track& track) const {
       spec.governor = kind->governor;
     }
     spec.budget_ms = spec.governor.empty() ? 0.0 : config_.budget_ms;
-    std::string error;
-    const std::unique_ptr<LocalizerStack> stack =
-        LocalizerStack::build(spec, map, experiment.lidar, error);
-    if (stack == nullptr) return;  // unknown kind or fault: zeroed cell
 
     // A cell reads only metrics and events, so no span buffer is attached.
     telemetry::MetricsRegistry metrics;
     telemetry::EventLog events;
-    telemetry::Sink sink{&metrics, nullptr, &events, nullptr};
-    std::unique_ptr<telemetry::FlightRecorder> recorder;
-    if (!config_.blackbox_dir.empty()) {
-      recorder = stack->make_recorder(
-          config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label(),
-          &events);
-      sink.recorder = recorder.get();
-    }
-
-    ExperimentRunner runner{track, experiment};
-    cell.result = runner.run(stack->top(), nullptr, sink);
-
-    cell.events_total = events.total();
-    cell.events_warn = events.count(telemetry::EventSeverity::kWarn);
-    cell.events_error = events.count(telemetry::EventSeverity::kError);
-    cell.events_critical = events.critical_count();
-    cell.events_dropped = events.dropped();
-    if (recorder != nullptr) cell.blackboxes = recorder->dump_paths();
-
-    const telemetry::MetricsRegistry& m = metrics;
-    cell.reinjections = counter_value(m, "recovery.injections");
-    cell.global_relocs = counter_value(m, "recovery.global_relocs");
-    cell.recovery_transitions = counter_value(m, "recovery.to_suspect") +
-                                counter_value(m, "recovery.to_diverged") +
-                                counter_value(m, "recovery.to_recovering") +
-                                counter_value(m, "recovery.to_healthy");
-    cell.ess_fraction_p50 = hist_quantile(m, "pf.ess_fraction_dist", 0.50);
-    const telemetry::Histogram* ess = m.find_histogram("pf.ess_fraction_dist");
-    cell.ess_fraction_min = ess != nullptr ? ess->min() : 0.0;
-    cell.resamples = counter_value(m, "pf.resamples");
-    cell.pose_jump_alarms = counter_value(m, "pf.pose_jump_alarms");
-    const char* stage = stack->synpf() != nullptr ? "pf.raycast_ms"
-                                                  : "carto.local_match_ms";
-    cell.stage_p50_ms = hist_quantile(m, stage, 0.50);
-    cell.stage_p99_ms = hist_quantile(m, stage, 0.99);
-
-    if (const governor::GovernedLocalizer* governed = stack->governor()) {
-      cell.governed = true;
-      cell.governor_shed = governed->config().shed;
-      cell.budget_ms = governed->config().budget_ms;
-      cell.governor_updates = governed->updates();
-      cell.deadline_misses = governed->deadline_misses();
-      cell.shed_beam_updates = governed->shed_beam_updates();
-      cell.shed_particle_updates = governed->shed_particle_updates();
-      cell.skipped_resamples = governed->skipped_resamples();
-      cell.governor_resizes = governed->resizes();
-      cell.governor_mean_particles = governed->mean_particles();
-      cell.governor_min_particles = governed->min_particles_seen();
-      cell.governor_mean_beams = governed->mean_beams();
-      cell.governor_cost_p50 = governed->cost_units_p50();
-      cell.governor_cost_p99 = governed->cost_units_p99();
-    }
+    static_cast<CellOutcome&>(cell) = run_cell(
+        {spec, experiment}, track, map, {&metrics, nullptr, &events, nullptr},
+        {config_.blackbox_dir, cell.localizer + "-" + cell.scenario.label()});
   });
   return cells;
 }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "eval/experiment.hpp"
-#include "fault/pipeline.hpp"
+#include "eval/stack.hpp"
 #include "gridmap/track_generator.hpp"
 
 namespace srl {
@@ -84,49 +84,11 @@ struct ScenarioMatrixConfig {
   double budget_ms = 2.0;
 };
 
-/// One scored cell. `result` carries the paper metrics; the health block is
-/// zero for localizers that expose no particle cloud.
-struct ScenarioCell {
+/// One scored cell: `run_cell`'s read-out of the cell's race (every block:
+/// a cell attaches a registry and an event log) under its grid coordinates.
+struct ScenarioCell : CellOutcome {
   std::string localizer;
   ScenarioSpec scenario;
-  ExperimentResult result{};
-  // -- filter health (PR-1 telemetry), PF cells only --
-  double ess_fraction_p50{0.0};
-  double ess_fraction_min{0.0};
-  std::uint64_t resamples{0};
-  std::uint64_t pose_jump_alarms{0};
-  // -- per-stage latency (PF cells; CartoLite reports its own stages) --
-  double stage_p50_ms{0.0};  ///< dominant stage (raycast / local match) p50
-  double stage_p99_ms{0.0};
-  // -- recovery telemetry (the episode bookkeeping lives in `result`) --
-  std::uint64_t reinjections{0};       ///< recovery.injections counter
-  std::uint64_t global_relocs{0};      ///< recovery.global_relocs counter
-  std::uint64_t recovery_transitions{0};  ///< detector state transitions
-  // -- event journal (schema v3) --
-  std::uint64_t events_total{0};
-  std::uint64_t events_warn{0};
-  std::uint64_t events_error{0};
-  std::uint64_t events_critical{0};
-  std::uint64_t events_dropped{0};
-  /// Black-box artifacts this cell dumped (paths as written, relative to
-  /// the bench working directory). Empty when the recorder is off or the
-  /// cell never triggered.
-  std::vector<std::string> blackboxes{};
-  // -- compute governor (schema v4; zero/false for ungoverned cells) --
-  bool governed{false};        ///< cell ran under a GovernedLocalizer
-  bool governor_shed{false};   ///< shedding mode (false = budget enforcer)
-  double budget_ms{0.0};
-  std::uint64_t governor_updates{0};
-  std::uint64_t deadline_misses{0};
-  std::uint64_t shed_beam_updates{0};
-  std::uint64_t shed_particle_updates{0};
-  std::uint64_t skipped_resamples{0};
-  std::uint64_t governor_resizes{0};
-  double governor_mean_particles{0.0};
-  int governor_min_particles{0};
-  double governor_mean_beams{0.0};
-  double governor_cost_p50{0.0};  ///< virtual work units (deterministic)
-  double governor_cost_p99{0.0};
 };
 
 class ScenarioMatrix {

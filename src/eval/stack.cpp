@@ -28,6 +28,18 @@ bool strip_suffix(std::string& kind, const std::string& suffix) {
   return true;
 }
 
+double hist_quantile(const telemetry::MetricsRegistry& metrics,
+                     const char* name, double q) {
+  const telemetry::Histogram* h = metrics.find_histogram(name);
+  return h != nullptr ? h->percentile(q) : 0.0;
+}
+
+std::uint64_t counter_value(const telemetry::MetricsRegistry& metrics,
+                            const char* name) {
+  const telemetry::Counter* c = metrics.find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
 /// Fault stage of the recipe. A frontier recipe resamples the scenario: its
 /// envelope (phase/ramp/window) was sampled, not canonical, and it adds a
 /// stage only above severity 0. Otherwise the canonical factory stage is
@@ -223,16 +235,15 @@ std::unique_ptr<LocalizerStack> LocalizerStack::build(
 }
 
 std::unique_ptr<telemetry::FlightRecorder> LocalizerStack::make_recorder(
-    const std::string& dump_dir, const std::string& label,
-    telemetry::EventLog* events, const json::Value& extra_provenance) const {
+    const CellBoxes& boxes, telemetry::EventLog* events) const {
   telemetry::FlightRecorderConfig rcfg;
-  rcfg.dump_dir = dump_dir;
-  rcfg.label = label;
+  rcfg.dump_dir = boxes.dir;
+  rcfg.label = boxes.label;
   auto recorder = std::make_unique<telemetry::FlightRecorder>(rcfg, events);
 
   json::Value provenance = json::Value::object();
   provenance.set("stack", stack_spec_to_json(spec_));
-  for (const auto& [key, value] : extra_provenance.members()) {
+  for (const auto& [key, value] : boxes.provenance.members()) {
     provenance.set(key, value);
   }
   recorder->set_provenance(std::move(provenance));
@@ -266,6 +277,69 @@ std::unique_ptr<telemetry::FlightRecorder> LocalizerStack::make_recorder(
     snap.fault_level = flt->last_fault_level();
   });
   return recorder;
+}
+
+CellOutcome run_cell(const CellRecipe& recipe, const Track& track,
+                     const std::shared_ptr<const OccupancyGrid>& map,
+                     telemetry::Sink sink, const CellBoxes& boxes) {
+  CellOutcome out;
+  const std::unique_ptr<LocalizerStack> stack = LocalizerStack::build(
+      recipe.stack, map, recipe.experiment.lidar, out.error);
+  if (stack == nullptr) return out;
+
+  telemetry::EventLog own_events;
+  std::unique_ptr<telemetry::FlightRecorder> recorder;
+  if (!boxes.dir.empty()) {
+    if (sink.events == nullptr) sink.events = &own_events;
+    recorder = stack->make_recorder(boxes, sink.events);
+    sink.recorder = recorder.get();
+  }
+  ExperimentRunner runner{track, recipe.experiment};
+  out.result = runner.run(stack->top(), nullptr, sink);
+  if (recorder != nullptr) out.blackboxes = recorder->dump_paths();
+
+  if (const telemetry::EventLog* events = sink.events) {
+    out.events_total = events->total();
+    out.events_warn = events->count(telemetry::EventSeverity::kWarn);
+    out.events_error = events->count(telemetry::EventSeverity::kError);
+    out.events_critical = events->critical_count();
+    out.events_dropped = events->dropped();
+  }
+  if (sink.metrics != nullptr) {
+    const telemetry::MetricsRegistry& m = *sink.metrics;
+    out.reinjections = counter_value(m, "recovery.injections");
+    out.global_relocs = counter_value(m, "recovery.global_relocs");
+    out.recovery_transitions = counter_value(m, "recovery.to_suspect") +
+                               counter_value(m, "recovery.to_diverged") +
+                               counter_value(m, "recovery.to_recovering") +
+                               counter_value(m, "recovery.to_healthy");
+    out.ess_fraction_p50 = hist_quantile(m, "pf.ess_fraction_dist", 0.50);
+    const telemetry::Histogram* ess = m.find_histogram("pf.ess_fraction_dist");
+    out.ess_fraction_min = ess != nullptr ? ess->min() : 0.0;
+    out.resamples = counter_value(m, "pf.resamples");
+    out.pose_jump_alarms = counter_value(m, "pf.pose_jump_alarms");
+    const char* stage = stack->synpf() != nullptr ? "pf.raycast_ms"
+                                                  : "carto.local_match_ms";
+    out.stage_p50_ms = hist_quantile(m, stage, 0.50);
+    out.stage_p99_ms = hist_quantile(m, stage, 0.99);
+  }
+  if (const governor::GovernedLocalizer* governed = stack->governor()) {
+    out.governed = true;
+    out.governor_shed = governed->config().shed;
+    out.budget_ms = governed->config().budget_ms;
+    out.governor_updates = governed->updates();
+    out.deadline_misses = governed->deadline_misses();
+    out.shed_beam_updates = governed->shed_beam_updates();
+    out.shed_particle_updates = governed->shed_particle_updates();
+    out.skipped_resamples = governed->skipped_resamples();
+    out.governor_resizes = governed->resizes();
+    out.governor_mean_particles = governed->mean_particles();
+    out.governor_min_particles = governed->min_particles_seen();
+    out.governor_mean_beams = governed->mean_beams();
+    out.governor_cost_p50 = governed->cost_units_p50();
+    out.governor_cost_p99 = governed->cost_units_p99();
+  }
+  return out;
 }
 
 }  // namespace srl

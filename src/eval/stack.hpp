@@ -1,31 +1,34 @@
 #pragma once
 
 /// \file stack.hpp
-/// \brief The one place the localizer stack is composed. The scenario
-/// matrix, the frontier search and black-box replay all build
+/// \brief The one place the localizer stack is composed and raced. Every
+/// closed-loop harness (the scenario matrix, the frontier search, Table I
+/// and the sweep benches) races a `CellRecipe` through `run_cell`, which
+/// builds
 ///
 ///     Governed(Supervised(Faulted(SynPf | CartoLite)))
 ///
-/// from a `PostmortemStackSpec` through `LocalizerStack::build`, and the
-/// spec that built a run is the recipe its black boxes carry. Replay
-/// therefore rebuilds the stack with the same code that raced it.
+/// from the recipe's `PostmortemStackSpec` through `LocalizerStack::build`;
+/// that spec is the recipe the run's black boxes carry, and black-box
+/// replay rebuilds the stack with the same builder.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/localizer.hpp"
 #include "core/synpf.hpp"
+#include "eval/experiment.hpp"
 #include "fault/faulted_localizer.hpp"
 #include "fault/pipeline.hpp"
 #include "governor/governor.hpp"
 #include "gridmap/occupancy_grid.hpp"
 #include "recovery/supervised_localizer.hpp"
 #include "sensor/lidar.hpp"
-#include "telemetry/events.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace srl {
 
@@ -101,6 +104,15 @@ inline constexpr int kMaxStackParticles = 100000;
 /// counts.
 inline constexpr double kMaxOvalRecipeM = 50.0;
 
+/// Where a stack's flight recorder dumps black boxes (`make_recorder`,
+/// `run_cell`). An empty `dir` arms no recorder.
+struct CellBoxes {
+  std::string dir;
+  std::string label;  ///< box name stem; a '/' in it makes a subdirectory
+  /// Provenance members the boxes carry after the recipe's "stack".
+  json::Value provenance = json::Value::object();
+};
+
 /// A built stack. Owns every layer and the fault pipeline; the layers hold
 /// references into each other, so the stack is neither copied nor moved.
 class LocalizerStack {
@@ -121,22 +133,19 @@ class LocalizerStack {
 
   /// Outermost layer: the localizer a harness races.
   Localizer& top() { return *top_; }
-  const PostmortemStackSpec& spec() const { return spec_; }
   SynPf* synpf() const { return synpf_; }  ///< nullptr for CartoLite
   recovery::SupervisedLocalizer* supervisor() const {
     return supervised_.get();
   }
   governor::GovernedLocalizer* governor() const { return governed_.get(); }
 
-  /// Flight recorder over this stack: dumps land in `dump_dir` named after
-  /// `label`, provenance carries the recipe under "stack" followed by the
-  /// members of `extra_provenance`, and a tick probe enriches every
+  /// Flight recorder over this stack: dumps land in `boxes.dir` named after
+  /// `boxes.label`, provenance carries the recipe under "stack" followed by
+  /// the members of `boxes.provenance`, and a tick probe enriches every
   /// snapshot from the live layers. The probe only reads, so arming the
   /// recorder cannot change any estimate.
   std::unique_ptr<telemetry::FlightRecorder> make_recorder(
-      const std::string& dump_dir, const std::string& label,
-      telemetry::EventLog* events,
-      const json::Value& extra_provenance = json::Value::object()) const;
+      const CellBoxes& boxes, telemetry::EventLog* events) const;
 
  private:
   LocalizerStack(const PostmortemStackSpec& spec, const LidarConfig& lidar);
@@ -150,5 +159,67 @@ class LocalizerStack {
   std::unique_ptr<governor::GovernedLocalizer> governed_;
   Localizer* top_{nullptr};
 };
+
+/// One closed-loop experiment: the stack to race and the race to run.
+struct CellRecipe {
+  PostmortemStackSpec stack;
+  ExperimentConfig experiment;
+};
+
+/// What `run_cell` read out of one race. Each block reads from the observer
+/// behind it and stays zero without one: the health, stage and recovery
+/// block from the sink's registry, the event counts from its event log, the
+/// governor block from a governed stack.
+struct CellOutcome {
+  ExperimentResult result{};
+  // -- filter health (PR-1 telemetry), PF cells only --
+  double ess_fraction_p50{0.0};
+  double ess_fraction_min{0.0};
+  std::uint64_t resamples{0};
+  std::uint64_t pose_jump_alarms{0};
+  // -- per-stage latency (PF cells; CartoLite reports its own stages) --
+  double stage_p50_ms{0.0};  ///< dominant stage (raycast / local match) p50
+  double stage_p99_ms{0.0};
+  // -- recovery telemetry (the episode bookkeeping lives in `result`) --
+  std::uint64_t reinjections{0};       ///< recovery.injections counter
+  std::uint64_t global_relocs{0};      ///< recovery.global_relocs counter
+  std::uint64_t recovery_transitions{0};  ///< detector state transitions
+  // -- event journal (schema v3) --
+  std::uint64_t events_total{0};
+  std::uint64_t events_warn{0};
+  std::uint64_t events_error{0};
+  std::uint64_t events_critical{0};
+  std::uint64_t events_dropped{0};
+  /// Black-box artifacts the race dumped (paths as written, under
+  /// `CellBoxes::dir`). Empty when the recorder is off or never triggered.
+  std::vector<std::string> blackboxes{};
+  // -- compute governor (schema v4; zero/false for ungoverned cells) --
+  bool governed{false};        ///< cell ran under a GovernedLocalizer
+  bool governor_shed{false};   ///< shedding mode (false = budget enforcer)
+  double budget_ms{0.0};
+  std::uint64_t governor_updates{0};
+  std::uint64_t deadline_misses{0};
+  std::uint64_t shed_beam_updates{0};
+  std::uint64_t shed_particle_updates{0};
+  std::uint64_t skipped_resamples{0};
+  std::uint64_t governor_resizes{0};
+  double governor_mean_particles{0.0};
+  int governor_min_particles{0};
+  double governor_mean_beams{0.0};
+  double governor_cost_p50{0.0};  ///< virtual work units (deterministic)
+  double governor_cost_p99{0.0};
+  /// The builder's error; set only on a zeroed outcome, which never raced.
+  std::string error{};
+};
+
+/// Build `recipe.stack` over `map`, race it on `track` with the observers
+/// `sink` holds, and read it out. With `boxes.dir` set, a flight recorder
+/// rides along and journals into the sink's event log, or into a log of its
+/// own when the sink holds none. Observers never change an estimate, but
+/// they cost time: a registry turns on the filter's health pass, an event
+/// log a JSON object per resample.
+CellOutcome run_cell(const CellRecipe& recipe, const Track& track,
+                     const std::shared_ptr<const OccupancyGrid>& map,
+                     telemetry::Sink sink = {}, const CellBoxes& boxes = {});
 
 }  // namespace srl

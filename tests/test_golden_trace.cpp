@@ -421,7 +421,7 @@ std::vector<std::string> race_closed_loop(int threads) {
       ::testing::TempDir() + "srl_golden_closed_loop_" + std::to_string(threads);
   std::filesystem::remove_all(dir);
   telemetry::EventLog events;
-  const auto recorder = stack->make_recorder(dir, "golden", &events);
+  const auto recorder = stack->make_recorder({dir, "golden"}, &events);
   telemetry::Sink sink;
   sink.events = &events;
   sink.recorder = recorder.get();
