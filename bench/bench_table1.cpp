@@ -107,7 +107,12 @@ int main() {
                     "p95 [ms]", "p99 [ms]", "max [ms]"}};
   for (const Cell& c : cells) {
     for (const auto& row : c.metrics->rows()) {
-      if (row.kind != "histogram" || row.hist.count == 0) continue;
+      // Latency histograms only: the registry also holds the filter's ESS
+      // fraction distribution, which is no stage.
+      if (row.kind != "histogram" || row.hist.count == 0 ||
+          !row.name.ends_with("_ms")) {
+        continue;
+      }
       stages.add_row({c.method, c.odom, row.name,
                       std::to_string(row.hist.count),
                       TextTable::num(row.hist.mean, 3),
