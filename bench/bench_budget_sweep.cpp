@@ -19,7 +19,6 @@
 ///   SRL_FAST=1     two budget points, short trace (CI smoke)
 ///   SRL_PRESSURE   compute-pressure severity for the faulted cells (0.8)
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,9 +32,7 @@ int main() {
   using namespace srl;
   using namespace srl::benchutil;
 
-  const char* pressure_env = std::getenv("SRL_PRESSURE");
-  const double pressure =
-      pressure_env != nullptr ? std::atof(pressure_env) : 0.8;
+  const double pressure = knob_real("SRL_PRESSURE", 0.8, 0.0, 1.0);
 
   std::vector<double> budgets = {0.25, 0.5, 1.0, 2.0, 4.0};
   if (fast_mode()) budgets = {0.5, 2.0};

@@ -27,11 +27,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/particle_filter.hpp"
@@ -484,8 +486,8 @@ void run_percentile_study(int updates) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* updates_env = std::getenv("SRL_PCTL_UPDATES");
-  run_percentile_study(updates_env != nullptr ? std::atoi(updates_env) : 100);
+  run_percentile_study(static_cast<int>(benchutil::knob_uint(
+      "SRL_PCTL_UPDATES", 100, 0, std::numeric_limits<int>::max())));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

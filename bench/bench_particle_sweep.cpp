@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   using namespace srl;
   using namespace srl::benchutil;
 
-  const bool throughput_only = env_int("SRL_THROUGHPUT_ONLY", 0) != 0;
+  const bool throughput_only = knob_uint("SRL_THROUGHPUT_ONLY", 0, 0, 1) != 0;
   const int laps = bench_laps(2);
   const Track track = TrackGenerator::test_track();
   auto map = std::make_shared<const OccupancyGrid>(track.grid);

@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,9 +54,10 @@ int main(int argc, char** argv) {
   const char* bb_dir = std::getenv("SRL_BLACKBOX_DIR");
   config.blackbox_dir = bb_dir != nullptr ? bb_dir : "blackbox";
   config.track_name = "test_track";
-  if (const char* budget = std::getenv("SRL_BUDGET_MS")) {
-    config.budget_ms = std::atof(budget);
-  }
+  config.budget_ms =
+      knob_real("SRL_BUDGET_MS", config.budget_ms,
+                std::numeric_limits<double>::denorm_min(),
+                std::numeric_limits<double>::max());
 
   const Track track = TrackGenerator::test_track();
   std::cout << "bench_robustness_matrix: " << config.localizers.size()

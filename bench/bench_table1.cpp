@@ -10,8 +10,9 @@
 /// Env knobs: SRL_LAPS (timed laps per cell, default 10), SRL_FAST=1
 /// (2 laps), SRL_SEED.
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,21 +20,13 @@
 #include "bench_util.hpp"
 #include "eval/table.hpp"
 
-namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-}  // namespace
-
 int main() {
   using namespace srl;
+  using namespace srl::benchutil;
 
-  const bool fast = env_int("SRL_FAST", 0) != 0;
-  const int laps = fast ? 2 : env_int("SRL_LAPS", 10);
-  const auto seed = static_cast<std::uint64_t>(env_int("SRL_SEED", 1234));
+  const int laps = bench_laps(10, 2);
+  const std::uint64_t seed = knob_uint(
+      "SRL_SEED", 1234, 0, std::numeric_limits<std::uint64_t>::max());
 
   const Track track = TrackGenerator::test_track();
   auto map = std::make_shared<const OccupancyGrid>(track.grid);
@@ -60,7 +53,7 @@ int main() {
       {"CartoLite", "Cartographer"}, {"SynPF", "SynPF"}};  // kind, name
   for (const auto& [kind, method] : methods) {
     for (const double mu : {kMuHq, kMuLq}) {
-      CellRecipe recipe = benchutil::cell_recipe(kind, mu, laps);
+      CellRecipe recipe = cell_recipe(kind, mu, laps);
       recipe.stack.range = "lut";
       recipe.experiment.seed = seed + (mu == kMuHq ? 0 : 1);
 

@@ -6,11 +6,15 @@
 /// (eval/stack.hpp), the warmed open-loop replay, env knobs and the
 /// artifact directory.
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
+#include "common/knobs.hpp"
 #include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "gridmap/track_generator.hpp"
@@ -18,17 +22,38 @@
 
 namespace srl::benchutil {
 
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+/// A numeric environment knob through the checked reader
+/// (common/knobs.hpp). A rejected value prints the knob and its text and
+/// exits 2; every bench reads its knobs this way before it races anything.
+inline std::uint64_t knob_uint(const char* name, std::uint64_t fallback,
+                               std::uint64_t lo, std::uint64_t hi) {
+  try {
+    return env_uint(name, fallback, lo, hi);
+  } catch (const KnobError& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
-inline bool fast_mode() { return env_int("SRL_FAST", 0) != 0; }
+inline double knob_real(const char* name, double fallback, double lo,
+                        double hi) {
+  try {
+    return env_real(name, fallback, lo, hi);
+  } catch (const KnobError& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
-/// Laps per experiment cell: SRL_LAPS, or `fallback` (1 in fast mode).
-inline int bench_laps(int fallback) {
-  if (fast_mode()) return 1;
-  return env_int("SRL_LAPS", fallback);
+inline bool fast_mode() { return knob_uint("SRL_FAST", 0, 0, 1) != 0; }
+
+/// Laps per experiment cell: SRL_LAPS, or `fallback`; `fast_laps` in fast
+/// mode, which still checks SRL_LAPS.
+inline int bench_laps(int fallback, int fast_laps = 1) {
+  const auto laps = static_cast<int>(
+      knob_uint("SRL_LAPS", static_cast<std::uint64_t>(fallback), 1,
+                std::numeric_limits<int>::max()));
+  return fast_mode() ? fast_laps : laps;
 }
 
 /// Benchmark artifacts (BENCH_*.json) land in a gitignored `out/`

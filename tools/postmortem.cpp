@@ -12,10 +12,14 @@
 //                                           hash must not change)
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "common/knobs.hpp"
 #include "eval/postmortem.hpp"
 
 int main(int argc, char** argv) {
@@ -27,7 +31,14 @@ int main(int argc, char** argv) {
     if (arg == "--replay") {
       do_replay = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      const std::optional<std::uint64_t> n =
+          srl::parse_uint(argv[++i], 0, std::numeric_limits<int>::max());
+      if (!n) {
+        std::fprintf(stderr, "--threads: '%s' is not an integer in [0, %d]\n",
+                     argv[i], std::numeric_limits<int>::max());
+        return 2;
+      }
+      threads = static_cast<int>(*n);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: postmortem <blackbox.json> [--replay] [--threads N]\n");
