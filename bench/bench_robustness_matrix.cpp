@@ -12,7 +12,7 @@
 /// regressions in the fault RNG schedule are bitwise-visible.
 ///
 /// Usage: bench_robustness_matrix [output.json]
-///   SRL_FAST=1          reduced smoke grid (2 faults x 2 severities, 1 lap)
+///   SRL_FAST=1          reduced smoke grid (5 kinds x 9 scenarios, 1 lap)
 ///   SRL_LAPS=n          laps per cell
 ///   SRL_BUDGET_MS=x     per-update compute budget for the governed kinds
 ///                       (default 2.0 ms; the compute-pressure axis

@@ -101,8 +101,9 @@ class ScenarioMatrix {
 
   const ScenarioMatrixConfig& config() const { return config_; }
 
-  /// The canonical reduced grid for CI smoke runs: 2 faults x 2 severities
-  /// (clean baseline + slip ramp / dropout), short trace.
+  /// The canonical reduced grid for CI smoke runs: 5 localizer kinds x 9
+  /// scenarios (the clean baseline, slip ramp, dropout and compute pressure
+  /// at two severities each, a kidnap and a blackout), short trace.
   static ScenarioMatrixConfig smoke_config();
   /// The full grid of the robustness bench.
   static ScenarioMatrixConfig full_config();
